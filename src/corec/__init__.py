@@ -53,7 +53,6 @@ from .solver import (
     System,
     interpret_op,
     observe,
-    solve_system,
     unfold,
 )
 from .terms import (

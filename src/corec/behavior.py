@@ -244,14 +244,6 @@ def truncate(tree: ObservationTree, depth: int) -> ObservationTree:
     )
 
 
-def tree_depth(tree: ObservationTree) -> int:
-    if tree.cut:
-        return 0
-    if not tree.children:
-        return 1
-    return 1 + max(tree_depth(c) for _, c in tree.children)
-
-
 def is_prefix(shallow: ObservationTree, deep: ObservationTree) -> bool:
     """True when ``shallow`` is a cut-truncation of ``deep``."""
     if shallow.cut:

@@ -3,7 +3,8 @@
 Subcommands: `solve` (equation systems), `bde` (behavioral differential
 equations), `circuit` (stream circuits), `member` (grammar membership),
 `ccs` (process systems), and `check` (property suites).  Exit code 0 on
-success, 1 when a check fails, 2 on input errors.
+success, 1 when a check fails, 2 on input errors (including inputs that
+exhaust the stack or memory).
 """
 
 from __future__ import annotations
@@ -260,6 +261,12 @@ def cli_main(argv=None) -> int:
         return args.fn(args)
     except (CorecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        # Last resort: an input too deep or too large for this process is
+        # an input error, not a failed check.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
         return 2
 
 

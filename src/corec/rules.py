@@ -3,9 +3,11 @@
 A rule assigns to an operation symbol, given one observation per argument,
 a single conclusion step whose continuations are terms over the argument
 placeholders.  Tables are immutable; extending a table with new recursively
-defined operations returns a new table whose old rules have their
-conclusions embedded into the sum signature, so old interpretations are
-untouched.
+defined operations returns a new table over the sum signature that carries
+the old rules over unchanged.  Each table records which signature every
+rule was written against, and the engine resolves the symbols of a
+conclusion through the table's rename map (``Signature.embeddings``), so
+old interpretations are untouched.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from .terms import (
     Signature,
     Term,
     Var,
-    embed_signature,
     free_vars,
     sig_sum,
     signature,
+    subterms,
 )
 
 # ---------------------------------------------------------------------------
@@ -196,16 +198,46 @@ class TableReport:
 
 
 class RuleTable:
-    """An abstract GSOS rule as an executable table, one rule per symbol."""
+    """An abstract GSOS rule as an executable table, one rule per symbol.
 
-    __slots__ = ("kind", "sig", "rules", "srps", "_report")
+    ``rules`` and ``srps`` are keyed by the names of ``sig``.  A rule
+    carried over from an older table is stored as it was written;
+    ``origin`` maps each name to the signature and name its rule's author
+    used (by default the table's own), and ``renames`` is the composed
+    ``sig_id -> {name -> name here}`` map of ``sig`` and all its summands.
+    """
 
-    def __init__(self, kind, sig: Signature, rules, srps=None):
+    __slots__ = ("kind", "sig", "rules", "srps", "origin", "renames",
+                 "_report")
+
+    def __init__(self, kind, sig: Signature, rules, srps=None, origin=None):
         self.kind = kind
         self.sig = sig
         self.rules = dict(rules)
         self.srps = dict(srps or {})
+        self.origin = dict(origin) if origin is not None else \
+            {name: (sig, name) for name in sig.names}
+        self.renames = sig.embeddings()
         self._report = None
+
+    def resolve(self, op: OpSym) -> str:
+        """This table's name for ``op``, a symbol of the table signature or
+        of one of its summands; ForeignSymbol for anything else, including
+        a known name at the wrong arity."""
+        renames = self.renames.get(op.sig_id)
+        name = renames.get(op.name) if renames is not None else None
+        if name is not None:
+            d = self.sig.decl(name)
+            if op.arity == (op.param if d.arity is None else d.arity):
+                return name
+        raise ForeignSymbol(f"{op!r} is not in the table signature")
+
+    def author_op(self, name: str, op: OpSym) -> OpSym:
+        """``op``, resolved to ``name``, as the author of its rule knew it."""
+        sig, orig = self.origin[name]
+        if op.sig_id == sig.sig_id:
+            return op
+        return OpSym(orig, op.arity, sig.sig_id, op.param)
 
     def rule_for(self, name: str) -> GsosRule:
         try:
@@ -264,19 +296,10 @@ def _check_conclusion(table_sig: Signature, kind, step: Step, names):
         loose = free_vars(t) - names
         if loose:
             raise ForeignSymbol(f"undeclared placeholders in conclusion: {loose}")
-        for node_op in _ops_of(t):
-            if not table_sig.contains(node_op):
+        for node in subterms(t):
+            if isinstance(node, App) and not table_sig.contains(node.op):
                 raise ForeignSymbol(
-                    f"conclusion uses {node_op!r} outside the table signature")
-
-
-def _ops_of(t: Term):
-    stack = [t]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, App):
-            yield n.op
-            stack.extend(n.args)
+                    f"conclusion uses {node.op!r} outside the table signature")
 
 
 def _probe_rule(kind, sig: Signature, name: str, rule: GsosRule,
@@ -345,56 +368,12 @@ def build_table(kind, sig: Signature, rules) -> RuleTable:
     return table
 
 
-def _embed_step(step: Step, into: Signature) -> Step:
-    return Step(step.label,
-                tuple((p, embed_signature(t, into)) for p, t in step.children))
-
-
-def _embed_rule(rule: GsosRule, old_sig: Signature, into: Signature,
-                emb: Mapping[str, str], new_op: OpSym) -> GsosRule:
-    # The inner rule must see its symbol as it knew it, so conclusions are
-    # built over the old signature and then injected into the sum.
-    inner = rule.conclude
-    inv = {new: old for old, new in emb.items()}
-
-    def conclude(op, args):
-        inner_op = OpSym(inv[op.name], op.arity, old_sig.sig_id, op.param)
-        return _embed_step(inner(inner_op, args), into)
-
-    return GsosRule(new_op, conclude, rule.probe_params)
-
-
-def _embed_context(ctx, into: Signature, emb: Mapping[str, str]):
-    if isinstance(ctx, CtxGuard):
-        return CtxGuard(_embed_step(ctx.step, into))
-    if isinstance(ctx, CtxApp):
-        op = OpSym(emb[ctx.op.name], ctx.op.arity, into.sig_id, ctx.op.param)
-        return CtxApp(op, tuple(_embed_context(a, into, emb) for a in ctx.args))
-    return ctx
-
-
-def _embed_srps(entry: _SrpsEntry, old_sig: Signature, into: Signature,
-                emb: Mapping[str, str]) -> _SrpsEntry:
-    inner = entry.fn
-    inv = {new: old for old, new in emb.items()}
-
-    def fn(op, args):
-        inner_op = OpSym(inv[op.name], op.arity, old_sig.sig_id, op.param)
-        return _embed_context(inner(inner_op, args), into, emb)
-
-    outer = frozenset(emb.get(n, n) for n in entry.outer_names)
-    return _SrpsEntry(fn, outer, entry.probe_params)
-
-
-def _carry_over(table: RuleTable, sum_sig: Signature, emb: Mapping[str, str]):
-    rules = {}
-    for name, r in table.rules.items():
-        new_name = emb[name]
-        rules[new_name] = _embed_rule(r, table.sig, sum_sig, emb,
-                                      sum_sig.template(new_name))
-    srps = {emb[name]: _embed_srps(entry, table.sig, sum_sig, emb)
-            for name, entry in table.srps.items()}
-    return rules, srps
+def _carry_over(table: RuleTable, emb: Mapping[str, str]):
+    """The old table's rules, srps entries and origins under their names in
+    the sum; the rules themselves are kept as written."""
+    return ({emb[n]: r for n, r in table.rules.items()},
+            {emb[n]: e for n, e in table.srps.items()},
+            {emb[n]: o for n, o in table.origin.items()})
 
 
 def extend_with_rps(table: RuleTable, rps: RpsDef) -> RuleTable:
@@ -402,7 +381,7 @@ def extend_with_rps(table: RuleTable, rps: RpsDef) -> RuleTable:
     sum_sig = sig_sum(table.sig, rps.new_sig)
     emb_old = sum_sig.embedding_from(table.sig)
     emb_new = sum_sig.embedding_from(rps.new_sig)
-    rules, srps = _carry_over(table, sum_sig, emb_old)
+    rules, srps, origin = _carry_over(table, emb_old)
     rng = random.Random(0xC1)
     for name, rule in rps.rules.items():
         if name not in rps.new_sig.names:
@@ -412,10 +391,11 @@ def extend_with_rps(table: RuleTable, rps: RpsDef) -> RuleTable:
                           rule.probe_params)
         _probe_rule(table.kind, sum_sig, new_name, placed, rng)
         rules[new_name] = placed
+        origin[new_name] = (sum_sig, new_name)
     missing = [n for n in rps.new_sig.names if emb_new[n] not in rules]
     if missing:
         raise MissingRule(f"rps lacks rules for {missing}")
-    return RuleTable(table.kind, sum_sig, rules, srps)
+    return RuleTable(table.kind, sum_sig, rules, srps, origin)
 
 
 def register_srps(table: RuleTable, srps_def: SrpsDef) -> RuleTable:
@@ -424,7 +404,7 @@ def register_srps(table: RuleTable, srps_def: SrpsDef) -> RuleTable:
     sum_sig = sig_sum(table.sig, srps_def.new_sig)
     emb_old = sum_sig.embedding_from(table.sig)
     emb_new = sum_sig.embedding_from(srps_def.new_sig)
-    rules, srps = _carry_over(table, sum_sig, emb_old)
+    rules, srps, origin = _carry_over(table, emb_old)
     outer = frozenset(emb_old[n] for n in table.sig.names)
     rng = random.Random(0xC2)
     for name, fn in srps_def.contexts.items():
@@ -434,10 +414,11 @@ def register_srps(table: RuleTable, srps_def: SrpsDef) -> RuleTable:
                            tuple(srps_def.probe_params.get(name, (None,))))
         _probe_srps(table.kind, sum_sig, emb_new[name], entry, rng)
         srps[emb_new[name]] = entry
+        origin[emb_new[name]] = (sum_sig, emb_new[name])
     missing = [n for n in srps_def.new_sig.names if emb_new[n] not in srps]
     if missing:
         raise MissingRule(f"srps lacks contexts for {missing}")
-    return RuleTable(table.kind, sum_sig, rules, srps)
+    return RuleTable(table.kind, sum_sig, rules, srps, origin)
 
 
 def add_rule(table: RuleTable, rule: GsosRule) -> RuleTable:
@@ -455,7 +436,10 @@ def add_rule(table: RuleTable, rule: GsosRule) -> RuleTable:
 
 
 def validate_table(table: RuleTable) -> TableReport:
-    """Report-based check of totality, arity, ports, and srps guardedness."""
+    """Report-based check of totality, arity, ports, and srps guardedness.
+
+    Every rule and srps entry is probed against the signature it was
+    written for (``table.origin``), exactly as when it was first added."""
     violations = []
     rng = random.Random(0xC3)
     for name in table.sig.names:
@@ -466,12 +450,13 @@ def validate_table(table: RuleTable) -> TableReport:
             violations.append(f"rule for foreign symbol {name!r}")
             continue
         try:
-            _probe_rule(table.kind, table.sig, name, r, rng)
+            _probe_rule(table.kind, *table.origin[name], r, rng)
         except Exception as exc:  # noqa: BLE001 - collected into the report
             violations.append(f"rule {name!r}: {exc}")
     for name, entry in table.srps.items():
         try:
-            _probe_srps(table.kind, table.sig, name, entry, rng)
+            sig, orig = table.origin.get(name, (table.sig, name))
+            _probe_srps(table.kind, sig, orig, entry, rng)
         except Exception as exc:  # noqa: BLE001
             violations.append(f"srps {name!r}: {exc}")
     return TableReport(tuple(violations))
@@ -503,23 +488,6 @@ class LMul:
     b: object
 
 
-@dataclass(frozen=True)
-class LAnd:
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
-class LOr:
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
-class LNot:
-    a: object
-
-
 def eval_label_expr(expr, labels):
     if isinstance(expr, LConst):
         return expr.value
@@ -529,10 +497,4 @@ def eval_label_expr(expr, labels):
         return eval_label_expr(expr.a, labels) + eval_label_expr(expr.b, labels)
     if isinstance(expr, LMul):
         return eval_label_expr(expr.a, labels) * eval_label_expr(expr.b, labels)
-    if isinstance(expr, LAnd):
-        return eval_label_expr(expr.a, labels) and eval_label_expr(expr.b, labels)
-    if isinstance(expr, LOr):
-        return eval_label_expr(expr.a, labels) or eval_label_expr(expr.b, labels)
-    if isinstance(expr, LNot):
-        return not eval_label_expr(expr.a, labels)
     raise TypeError(f"not a label expression: {expr!r}")

@@ -27,7 +27,15 @@ from .errors import (
     VariableClash,
 )
 from .rules import CtxApp, CtxGuard, RuleTable, arg_obs
-from .terms import App, Param, Term, Var, free_vars, is_reserved_name
+from .terms import (
+    App,
+    Param,
+    Term,
+    Var,
+    free_vars,
+    is_reserved_name,
+    subterms,
+)
 
 
 @dataclass
@@ -92,14 +100,17 @@ class SolutionHandle:
 
 
 class _Node:
-    __slots__ = ("tag", "kind", "table", "op", "children", "step", "var",
-                 "rhs", "binding")
+    # Term nodes: ``name`` is the symbol's name in ``table``, ``op`` the
+    # symbol as the author of that name's rule knew it.
+    __slots__ = ("tag", "kind", "table", "name", "op", "children", "step",
+                 "var", "rhs", "binding")
 
-    def __init__(self, tag, kind, table=None, op=None, children=(),
+    def __init__(self, tag, kind, table=None, name=None, op=None, children=(),
                  step=None, var=None, rhs=None, binding=None):
         self.tag = tag
         self.kind = kind
         self.table = table
+        self.name = name
         self.op = op
         self.children = children
         self.step = step
@@ -136,11 +147,13 @@ class Engine:
         self._nodes.append(node)
         return len(self._nodes) - 1
 
-    def _term_node(self, table: RuleTable, op, child_ids) -> int:
-        key = ("t", id(table), op.name, op.param, tuple(child_ids))
+    def _term_node(self, table: RuleTable, name: str, op, child_ids) -> int:
+        """Node of the symbol ``op``, named ``name`` in ``table``."""
+        key = ("t", id(table), name, op.param, tuple(child_ids))
         nid = self._cons.get(key)
         if nid is None:
-            nid = self._add(_Node("term", table.kind, table=table, op=op,
+            nid = self._add(_Node("term", table.kind, table=table, name=name,
+                                  op=table.author_op(name, op),
                                   children=tuple(child_ids)))
             self._cons[key] = nid
         return nid
@@ -180,10 +193,9 @@ class Engine:
                     f"{table.kind.name} term")
             return ref.node
         if isinstance(t, App):
-            if not table.sig.contains(t.op):
-                raise ForeignSymbol(f"{t.op!r} is not in the table signature")
+            name = table.resolve(t.op)
             children = [self._term_to_node(table, a, binding) for a in t.args]
-            return self._term_node(table, t.op, children)
+            return self._term_node(table, name, t.op, children)
         raise TypeError(f"not a term: {t!r}")
 
     def _instantiate_step(self, table: RuleTable, step: Step, binding) -> Step:
@@ -198,10 +210,9 @@ class Engine:
             return self._guard_node(
                 table.kind, self._instantiate_step(table, ctx.step, binding))
         if isinstance(ctx, CtxApp):
-            if not table.sig.contains(ctx.op):
-                raise ForeignSymbol(f"{ctx.op!r} is not in the table signature")
+            name = table.resolve(ctx.op)
             children = [self._ctx_to_node(table, a, binding) for a in ctx.args]
-            return self._term_node(table, ctx.op, children)
+            return self._term_node(table, name, ctx.op, children)
         raise UnguardedPath(f"context leaf {ctx!r} has no guard")
 
     # -- unfolding -----------------------------------------------------------
@@ -235,13 +246,14 @@ class Engine:
         return tuple(args), binding
 
     def _apply_rule(self, node: _Node) -> Step:
-        table, op = node.table, node.op
+        table, name = node.table, node.name
         args, binding = self._premises(node.kind, node.children)
-        if table.srps_backed(op.name):
-            ctx = table.srps[op.name].fn(op, args)
+        if table.srps_backed(name):
+            ctx = table.srps[name].fn(node.op, args)
             return self._elaborate(table, ctx, binding)
-        rule = table.rule_for(op.name)
-        return self._instantiate_step(table, rule.conclude(op, args), binding)
+        rule = table.rule_for(name)
+        return self._instantiate_step(table, rule.conclude(node.op, args),
+                                      binding)
 
     def _elaborate(self, table: RuleTable, ctx, binding) -> Step:
         return self._unfold(self._ctx_to_node(table, ctx, binding))
@@ -291,7 +303,7 @@ class Engine:
                 raise KindMismatch(
                     f"argument of kind {h.kind.name} for a "
                     f"{table.kind.name} operation")
-        nid = self._term_node(table, op, [h.node for h in args])
+        nid = self._term_node(table, op.name, op, [h.node for h in args])
         return self._handle(nid)
 
     def interpret_term(self, table: RuleTable, t: Term,
@@ -383,12 +395,13 @@ class Engine:
         loose = free_vars(t) - allowed
         if loose:
             raise ValidationFailed(f"undeclared variables {loose} in rhs")
-        for leaf in _params_of(t):
-            self._check_handle(leaf.ref)
-            if leaf.ref.kind != system.kind:
-                raise KindMismatch("parameter of the wrong kind in rhs")
-        for node in _apps_of(t):
-            if not system.table.sig.contains(node.op):
+        for node in subterms(t):
+            if isinstance(node, Param):
+                self._check_handle(node.ref)
+                if node.ref.kind != system.kind:
+                    raise KindMismatch("parameter of the wrong kind in rhs")
+            elif isinstance(node, App) and \
+                    not system.table.sig.contains(node.op):
                 raise ValidationFailed(
                     f"rhs uses {node.op!r} outside the table signature")
 
@@ -481,25 +494,6 @@ class Engine:
         return combined, ok
 
 
-def _params_of(t: Term):
-    stack = [t]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Param):
-            yield n
-        elif isinstance(n, App):
-            stack.extend(n.args)
-
-
-def _apps_of(t: Term):
-    stack = [t]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, App):
-            yield n
-            stack.extend(n.args)
-
-
 # Module-level conveniences mirroring the engine methods.
 
 def unfold(h: SolutionHandle) -> Step:
@@ -508,10 +502,6 @@ def unfold(h: SolutionHandle) -> Step:
 
 def observe(h: SolutionHandle, depth: int) -> ObservationTree:
     return h.engine.observe(h, depth)
-
-
-def solve_system(system: System, engine: Optional[Engine] = None) -> dict:
-    return (engine or Engine()).solve(system)
 
 
 def interpret_op(table: RuleTable, op, args, engine: Optional[Engine] = None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Optional
 
 from .errors import ArityMismatch, ForeignSymbol, NotASummand, UnknownSymbol
@@ -68,7 +69,7 @@ class Signature:
     form ``sig_sum(k, v)`` and obtain interchangeable symbols.
     """
 
-    __slots__ = ("decls", "summands", "sig_id", "_by_name")
+    __slots__ = ("decls", "summands", "sig_id", "_by_name", "_embeddings")
 
     def __init__(self, decls: Iterable, summands=()):
         decls = tuple(_decl(d) for d in decls)
@@ -80,6 +81,7 @@ class Signature:
         self.decls = decls
         self.summands = tuple(summands)
         self._by_name = by_name
+        self._embeddings = None
         self.sig_id = self._compute_id()
 
     def _compute_id(self) -> str:
@@ -141,19 +143,27 @@ class Signature:
         (possibly nested) recorded summand.  When the same signature occurs
         as several summands the leftmost occurrence wins.
         """
-        m = self._find_embedding(source.sig_id)
+        m = self.embeddings().get(source.sig_id)
         if m is None:
             raise NotASummand(f"{source!r} is not a summand of {self!r}")
-        return m
+        return MappingProxyType(m)
 
-    def _find_embedding(self, sig_id: str):
-        if sig_id == self.sig_id:
-            return {d.name: d.name for d in self.decls}
-        for sub, renames in self.summands:
-            inner = sub._find_embedding(sig_id)
-            if inner is not None:
-                return {orig: renames.get(mid, mid) for orig, mid in inner.items()}
-        return None
+    def embeddings(self) -> Mapping[str, Mapping[str, str]]:
+        """``sig_id -> {name -> name here}`` for this signature and every
+        nested summand, composed once and memoized; read-only.
+
+        Summands are taken depth first from the left, so the leftmost
+        occurrence of a repeated summand wins.
+        """
+        if self._embeddings is None:
+            out = {self.sig_id: {d.name: d.name for d in self.decls}}
+            for sub, renames in self.summands:
+                for sig_id, inner in sub.embeddings().items():
+                    if sig_id not in out:
+                        out[sig_id] = {orig: renames.get(mid, mid)
+                                       for orig, mid in inner.items()}
+            self._embeddings = out
+        return self._embeddings
 
 
 def signature(*decls) -> Signature:
@@ -252,20 +262,15 @@ def substitute(t: Term, env: Mapping[str, Term]) -> Term:
 
 def embed_signature(t: Term, into: Signature) -> Term:
     """Rename the symbols of ``t`` into the sum signature ``into``."""
-    cache = {}
+    embeddings = into.embeddings()
 
     def emb_op(op: OpSym) -> OpSym:
         if op.sig_id == into.sig_id:
             return op
-        try:
-            renames = cache[op.sig_id]
-        except KeyError:
-            renames = into._find_embedding(op.sig_id)
-            if renames is None:
-                raise NotASummand(
-                    f"signature of {op!r} is not a summand of {into!r}"
-                ) from None
-            cache[op.sig_id] = renames
+        renames = embeddings.get(op.sig_id)
+        if renames is None:
+            raise NotASummand(
+                f"signature of {op!r} is not a summand of {into!r}")
         return OpSym(renames[op.name], op.arity, into.sig_id, op.param)
 
     def walk(node: Term) -> Term:
@@ -276,40 +281,18 @@ def embed_signature(t: Term, into: Signature) -> Term:
     return walk(t)
 
 
-def free_vars(t: Term) -> frozenset:
-    out = set()
+def subterms(t: Term):
+    """Every node of ``t``: variables, parameters and applications."""
     stack = [t]
     while stack:
         n = stack.pop()
-        if isinstance(n, Var):
-            out.add(n.name)
-        elif isinstance(n, App):
-            stack.extend(n.args)
-    return frozenset(out)
-
-
-def term_params(t: Term):
-    """All Param leaves, in left-to-right order."""
-    out = []
-    stack = [t]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Param):
-            out.append(n)
-        elif isinstance(n, App):
-            stack.extend(reversed(n.args))
-    return out
-
-
-def term_ops(t: Term):
-    out = []
-    stack = [t]
-    while stack:
-        n = stack.pop()
+        yield n
         if isinstance(n, App):
-            out.append(n.op)
-            stack.extend(reversed(n.args))
-    return out
+            stack.extend(n.args)
+
+
+def free_vars(t: Term) -> frozenset:
+    return frozenset(n.name for n in subterms(t) if isinstance(n, Var))
 
 
 def term_size(t: Term) -> int:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from corec import cli
 from corec.cli import cli_main
 
 
@@ -122,3 +123,16 @@ def test_input_errors_exit_2(files, capsys, tmp_path):
     bad.write_text("kind stream\nx = zip(x, x)\n")
     assert cli_main(["solve", str(bad)]) == 2
     assert cli_main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth "
+                                                "exceeded"), MemoryError()])
+def test_resource_errors_exit_2(files, capsys, monkeypatch, exc):
+    def exhausted(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_solve", exhausted)
+    assert cli_main(["solve", files["tm.sys"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {type(exc).__name__}")

@@ -12,9 +12,12 @@ from corec.errors import (
 )
 from corec.instances import (
     language_table,
+    periodic_stream,
+    periodic_values,
     shuffle_rps,
     stream_base_table,
     stream_table,
+    stream_take,
 )
 from corec.rules import (
     CtxApp,
@@ -31,7 +34,18 @@ from corec.rules import (
     register_srps,
     validate_table,
 )
-from corec.terms import Signature, embed_signature, mk_app, sig_sum, signature
+from corec.solver import Engine
+from corec.terms import (
+    App,
+    OpSym,
+    Signature,
+    Var,
+    embed_signature,
+    mk_app,
+    sig_sum,
+    signature,
+    subterms,
+)
 
 
 def _zip_plus_table():
@@ -98,17 +112,90 @@ def test_extend_rejects_undeclared_conclusion_symbols():
 
 
 def test_old_conclusions_are_embedded_verbatim():
+    # Carried rules are stored as written; the table resolves every symbol
+    # of the old signature to the name embed_signature gives it.
     base = stream_base_table()
     table = extend_with_rps(base, shuffle_rps(base.sig))
-    rng = random.Random(5)
+    for name, rule in base.rules.items():
+        assert table.rules[name] is rule
+        assert table.origin[name] == (base.sig, name)
+        op = base.sig.template(name)
+        embedded = embed_signature(
+            mk_app(op, [Var(f"x{i}") for i in range(op.arity)]), table.sig)
+        assert table.resolve(op) == embedded.op.name
+        assert table.author_op(embedded.op.name, embedded.op) == op
     step = Step(Fraction(2), (("tail", None),))
-    obs0, _ = arg_obs(STREAM, 0, step)
-    obs1, _ = arg_obs(STREAM, 1, step)
-    old = base.rules["plus"].conclude(base.op("plus"), (obs0, obs1))
-    new = table.rules["plus"].conclude(table.op("plus"), (obs0, obs1))
-    assert new.label == old.label
-    assert [embed_signature(t, table.sig) for _, t in old.children] == \
-        [t for _, t in new.children]
+    obs = tuple(arg_obs(STREAM, i, step)[0] for i in range(2))
+    old = base.rules["plus"].conclude(base.op("plus"), obs)
+    for _, t in old.children:
+        pairs = zip(subterms(t), subterms(embed_signature(t, table.sig)))
+        for node, emb in pairs:
+            if isinstance(node, App):
+                assert table.resolve(node.op) == emb.op.name
+
+
+def _identity_rule(name):
+    def identity(op, args):
+        return stream_step(args[0].head, args[0].tail)
+
+    return GsosRule(signature((name, 1)).op(name), identity)
+
+
+def test_carried_rules_survive_eight_add_rule_layers():
+    base = stream_table()
+    table = base
+    for k in range(8):
+        table = add_rule(table, _identity_rule(f"id{k}"))
+    for name, rule in base.rules.items():
+        assert table.rules[name] is rule
+    for name, entry in base.srps.items():
+        assert table.srps[name] is entry
+
+    def zip_prefix(t):
+        engine = Engine()
+        x = periodic_stream(engine, (1, 2), (3, 0))
+        y = periodic_stream(engine, (), (5, 4, 1))
+        h = engine.interpret_op(t, t.op("zip"), [x, y])
+        return stream_take(h, 290), len(engine._nodes)
+
+    digits, nodes = zip_prefix(base)
+    assert (digits, nodes) == zip_prefix(table)
+    xs = periodic_values((1, 2), (3, 0), 145)
+    ys = periodic_values((), (5, 4, 1), 145)
+    assert digits == [v for pair in zip(xs, ys) for v in pair]
+
+
+def _ghost_term(sig, a):
+    return mk_app(signature(("ghost", 1)).op("ghost"), (a.tail,))
+
+
+def _wrong_arity_term(sig, a):
+    return mk_app(OpSym("bad", 2, sig.sig_id), (a.tail, a.tail))
+
+
+@pytest.mark.parametrize("bad_term", [_ghost_term, _wrong_arity_term])
+def test_foreign_conclusions_raise_when_probed_and_unfolded(bad_term):
+    sig = signature(("bad", 1))
+
+    def bad_rule(op, args):
+        (a,) = args
+        return stream_step(a.head, bad_term(sig, a))
+
+    rule = GsosRule(sig.op("bad"), bad_rule)
+    with pytest.raises(ForeignSymbol):
+        build_table(STREAM, sig, [rule])
+    # Unvalidated, then extended: the bad rule is carried over as written.
+    table = add_rule(RuleTable(STREAM, sig, {"bad": rule}),
+                     _identity_rule("idle"))
+    assert table.rules["bad"] is rule
+    report = validate_table(table)
+    assert any(v.startswith("rule 'bad'") and "outside the table" in v
+               for v in report.violations)
+    engine = Engine()
+    ones = periodic_stream(engine, (), (1,))
+    h = engine.interpret_op(table, table.op("bad"), [ones])
+    with pytest.raises(ForeignSymbol):
+        engine.unfold(h)
 
 
 def test_add_rule_intersection_to_a_partial_language_table():
@@ -242,8 +329,6 @@ def _doubling_srps(base_sig):
 
 def test_srps_and_rps_extensions_commute():
     from corec.checking import bounded_equal
-    from corec.instances import periodic_stream
-    from corec.solver import Engine
 
     base = stream_base_table()
     first = register_srps(extend_with_rps(base, shuffle_rps(base.sig)),
