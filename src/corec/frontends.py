@@ -420,17 +420,21 @@ def format_term(table: RuleTable, t: Term) -> str:
         return f"{format_rat(param)} . {format_term(table, t.args[0])}"
     if name == "prefix" and kind.name == "language":
         return f"{param} . {format_term(table, t.args[0])}"
-    parts = []
-    if param is not None:
-        ptype = _PARAM_TYPE.get(kind.name, {}).get(name)
-        if ptype == "rat":
-            parts.append(format_rat(param))
-        elif ptype == "bit":
-            parts.append("1" if param else "0")
-        else:
-            parts.append(str(param))
-    parts.extend(format_term(table, a) for a in t.args)
-    return f"{name}({', '.join(parts)})"
+    return _format_call(kind, t.op, [format_term(table, a) for a in t.args])
+
+
+def _format_call(kind, op, args) -> str:
+    """``op`` applied to formatted ``args``, its parameter leading."""
+    if op.param is None:
+        return f"{op.name}({', '.join(args)})"
+    ptype = _PARAM_TYPE.get(kind.name, {}).get(op.name)
+    if ptype == "rat":
+        head = format_rat(op.param)
+    elif ptype == "bit":
+        head = "1" if op.param else "0"
+    else:
+        head = str(op.param)
+    return f"{op.name}({', '.join([head, *args])})"
 
 
 def _format_step(table: RuleTable, step: Step) -> str:
@@ -449,8 +453,8 @@ def _format_ctx(table: RuleTable, ctx) -> str:
         return _format_step(table, ctx.step)
     if not ctx.args:
         return format_term(table, mk_app(ctx.op, ()))
-    args = ", ".join(_format_ctx(table, a) for a in ctx.args)
-    return f"{ctx.op.name}({args})"
+    return _format_call(table.kind, ctx.op,
+                        [_format_ctx(table, a) for a in ctx.args])
 
 
 def format_system(system: System) -> str:
@@ -956,9 +960,23 @@ def parse_ccs(text: str) -> System:
     return System(kind, table, tuple(variables), rhs)
 
 
-def _format_ccs_term(kind, t: Term) -> str:
+def _format_ccs_term(kind, t) -> str:
+    """Agent text of a term or of a guarded context (`CtxGuard` leaves)."""
     if isinstance(t, Var):
         return t.name
+    if isinstance(t, CtxGuard):
+        moves = t.step.children
+        if not moves:
+            return "0"
+        parts = []
+        for port, term in moves:
+            action = port[0] if isinstance(port, tuple) else port
+            sub = _format_ccs_term(kind, term)
+            atomic = isinstance(term, Var) or (
+                isinstance(term, App) and term.op.name == "sum"
+                and not term.args)
+            parts.append(f"{action}.{sub}" if atomic else f"{action}.({sub})")
+        return "(" + " + ".join(parts) + ")" if len(parts) > 1 else parts[0]
     name, param = t.op.name, t.op.param
     if name == "pref":
         sub = _format_ccs_term(kind, t.args[0])
@@ -991,52 +1009,14 @@ def _format_ccs_term(kind, t: Term) -> str:
     raise ValueError(f"no textual form for {t!r}")
 
 
-def _format_ccs_ctx(kind, ctx) -> str:
-    if isinstance(ctx, CtxGuard):
-        moves = ctx.step.children
-        if not moves:
-            return "0"
-        parts = []
-        for port, term in moves:
-            action = port[0] if isinstance(port, tuple) else port
-            sub = _format_ccs_term(kind, term)
-            atomic = isinstance(term, Var) or (
-                isinstance(term, App) and term.op.name == "sum"
-                and not term.args)
-            parts.append(f"{action}.{sub}" if atomic else f"{action}.({sub})")
-        return "(" + " + ".join(parts) + ")" if len(parts) > 1 else parts[0]
-    name, param = ctx.op.name, ctx.op.param
-    if name == "sum":
-        if not ctx.args:
-            return "0"
-        if len(ctx.args) == 1:
-            raise ValueError("one-armed sums have no textual form")
-        return "(" + " + ".join(_format_ccs_ctx(kind, a)
-                                for a in ctx.args) + ")"
-    if name == "par":
-        return (f"({_format_ccs_ctx(kind, ctx.args[0])} | "
-                f"{_format_ccs_ctx(kind, ctx.args[1])})")
-    if name in ("seq", "alt"):
-        return (f"{name}({_format_ccs_ctx(kind, ctx.args[0])}, "
-                f"{_format_ccs_ctx(kind, ctx.args[1])})")
-    if name == "relabel":
-        pairs = [f"{a}->{b}" for a, b in param
-                 if a != b and not a.endswith("'") and a != kind.tau]
-        return f"({_format_ccs_ctx(kind, ctx.args[0])})[{', '.join(pairs)}]"
-    if name == "restrict":
-        return (f"({_format_ccs_ctx(kind, ctx.args[0])})"
-                "\\{" + ", ".join(param) + "}")
-    raise ValueError(f"no textual form for {ctx!r}")
-
-
 def format_ccs_system(system: System) -> str:
     lines = []
     for v in system.vars:
         rhs = system.rhs[v]
         if isinstance(rhs, FlatRhs):
-            body = _format_ccs_ctx(system.kind, CtxGuard(rhs.step))
+            body = _format_ccs_term(system.kind, CtxGuard(rhs.step))
         elif isinstance(rhs, GuardedRhs):
-            body = _format_ccs_ctx(system.kind, rhs.ctx)
+            body = _format_ccs_term(system.kind, rhs.ctx)
         else:
             raise ValueError(f"rhs of {v!r} has no textual form")
         lines.append(f"{v} = {body}")

@@ -684,6 +684,8 @@ ORACLES = {
         "zip_fixpoint", "prefix list sigma, length n", _zip_fixpoint),
     "word_membership": OracleSpec(
         "word_membership", "language AST, word, alphabet", _word_membership),
+    "language_words": OracleSpec(
+        "language_words", "language AST, maxlen, alphabet", _lang_eval),
     "gnf_derivations": OracleSpec(
         "gnf_derivations", "productions, start, maxlen", _gnf_words),
     "ccs_sos": OracleSpec(

@@ -167,7 +167,8 @@ class Engine:
             self._cons[key] = nid
         return nid
 
-    def _check_handle(self, h: SolutionHandle):
+    def check_handle(self, h: SolutionHandle):
+        """Raise InvalidHandle unless ``h`` is a live state of this engine."""
         if not isinstance(h, SolutionHandle) or h.engine is not self:
             raise InvalidHandle(f"handle {h!r} does not belong to this engine")
         if not (0 <= h.node < len(self._nodes)):
@@ -186,7 +187,7 @@ class Engine:
                 raise UnknownSymbol(f"unbound variable {t.name!r}") from None
         if isinstance(t, Param):
             ref = t.ref
-            self._check_handle(ref)
+            self.check_handle(ref)
             if ref.kind != table.kind:
                 raise KindMismatch(
                     f"parameter of kind {ref.kind.name} in a "
@@ -278,15 +279,21 @@ class Engine:
 
     def unfold(self, h: SolutionHandle) -> Step:
         """One observation of a state; memoized, identical on re-query."""
-        self._check_handle(h)
+        self.check_handle(h)
         self._work = 0
         step = self._unfold(h.node)
         return Step(step.label,
                     tuple((p, self._handle(c)) for p, c in step.children))
 
+    def node_step(self, nid: int) -> Step:
+        """`unfold` for a node id the caller already holds: the memoized
+        step itself, children as node ids."""
+        self._work = 0
+        return self._unfold(nid)
+
     def observe(self, h: SolutionHandle, depth: int) -> ObservationTree:
         """Depth-bounded unfolding; deeper behavior is cut off."""
-        self._check_handle(h)
+        self.check_handle(h)
         self._work = 0
         return self._observe(h.node, depth)
 
@@ -298,7 +305,7 @@ class Engine:
         if len(args) != op.arity:
             raise ArityMismatch(f"{op!r} applied to {len(args)} states")
         for h in args:
-            self._check_handle(h)
+            self.check_handle(h)
             if h.kind != table.kind:
                 raise KindMismatch(
                     f"argument of kind {h.kind.name} for a "
@@ -319,7 +326,7 @@ class Engine:
         """One step of a guarded context over already-solved states."""
         node_binding = {}
         for v, h in binding.items():
-            self._check_handle(h)
+            self.check_handle(h)
             node_binding[v] = h.node
         self._work = 0
         step = self._elaborate(table, ctx, node_binding)
@@ -362,7 +369,7 @@ class Engine:
 
     def _validate_rhs(self, system: System, rhs, allowed):
         if isinstance(rhs, ConstRhs):
-            self._check_handle(rhs.ref)
+            self.check_handle(rhs.ref)
             if rhs.ref.kind != system.kind:
                 raise KindMismatch("constant parameter of the wrong kind")
             return
@@ -397,7 +404,7 @@ class Engine:
             raise ValidationFailed(f"undeclared variables {loose} in rhs")
         for node in subterms(t):
             if isinstance(node, Param):
-                self._check_handle(node.ref)
+                self.check_handle(node.ref)
                 if node.ref.kind != system.kind:
                     raise KindMismatch("parameter of the wrong kind in rhs")
             elif isinstance(node, App) and \
@@ -448,6 +455,12 @@ class Engine:
         Returns the combined system and whether both solution routes agree
         on every variable to the given depth.
         """
+        combined, witness = self.composition_witness(f, e, depth)
+        return combined, witness is None
+
+    def composition_witness(self, f: System, e: System, depth: int = 4):
+        """`compose_systems` with, in place of the verdict, the first
+        divergence between the two routes (None when they agree)."""
         from . import checking
 
         if f.table is not e.table or f.kind != e.kind:
@@ -484,14 +497,13 @@ class Engine:
         staged_sol = self.solve(System(e.kind, e.table, e.vars, staged_rhs))
         combined_sol = self.solve(combined)
 
-        ok = all(
-            checking.bounded_equal(combined_sol[v], staged_sol[v], depth)
-            for v in e.vars
-        ) and all(
-            checking.bounded_equal(combined_sol[v], f_sol[v], depth)
-            for v in f.vars
-        )
-        return combined, ok
+        routes = [(combined_sol[v], staged_sol[v]) for v in e.vars] + \
+            [(combined_sol[v], f_sol[v]) for v in f.vars]
+        for left, right in routes:
+            witness = checking.find_divergence(left, right, depth)
+            if witness is not None:
+                return combined, witness
+        return combined, None
 
 
 # Module-level conveniences mirroring the engine methods.

@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,15 +12,17 @@ from helpers import (
     sandwiched_tm_system,
 )
 
-from corec.behavior import stream_step
+from corec.behavior import TREE, stream_step
 from corec.checking import (
+    Witness,
     bounded_equal,
     diagram_check,
     find_divergence,
     run_suite,
     suite_names,
 )
-from corec.errors import KindMismatch, UnknownSuite
+from corec.errors import InvalidHandle, KindMismatch, UnknownSuite
+from corec.frontends import parse_system
 from corec.instances import (
     DEFAULT_ACTIONS,
     ccs_table,
@@ -27,7 +31,7 @@ from corec.instances import (
     random_agent,
     stream_table,
 )
-from corec.solver import Engine
+from corec.solver import Engine, SolutionHandle
 
 
 @pytest.fixture()
@@ -197,3 +201,126 @@ def test_solutions_are_deterministic_across_engines():
         sol2 = two.solve(system)
         for v in system.vars:
             assert one.observe(sol1[v], 5) == two.observe(sol2[v], 5)
+
+
+# --- the pair walker ---------------------------------------------------------
+
+
+def _tree_text(*graphs):
+    """System text of tree graphs ``{name: (label, left, right)}``."""
+    return "kind tree\n" + "".join(
+        f"{name} = {label} . ({left}, {right})\n"
+        for graph in graphs for name, (label, left, right) in graph.items())
+
+
+def _random_tree_graph(rng, prefix):
+    names = [f"{prefix}{i}" for i in range(rng.randint(1, 4))]
+    return {n: (rng.randint(0, 1), rng.choice(names), rng.choice(names))
+            for n in names}
+
+
+def _reference_divergence(g1, r1, g2, r2, depth):
+    """First label mismatch over all paths, by length, then in port order."""
+    for n in range(depth):
+        for path in itertools.product("LR", repeat=n):
+            x, y = r1, r2
+            for port in path:
+                x = g1[x][1 if port == "L" else 2]
+                y = g2[y][1 if port == "L" else 2]
+            if g1[x][0] != g2[y][0]:
+                return Witness(n, path, f"label {Fraction(g1[x][0])} != "
+                                        f"{Fraction(g2[y][0])}")
+    return None
+
+
+def test_bounded_equal_runs_deep_without_recursion_error():
+    sol = Engine().solve(parse_system(
+        "kind stream\na = 1 . b\nb = 2 . a\n"
+        "p = 1 . q\nq = 2 . r\nr = 1 . s\ns = 2 . p\n"))
+    assert bounded_equal(sol["a"], sol["p"], 5000)
+
+
+def test_tree_search_visits_each_state_pair_once(monkeypatch):
+    engine = Engine()
+    sol = engine.solve(parse_system(_tree_text(
+        {"x": (1, "y", "x"), "y": (1, "x", "y"), "u": (1, "u", "u")})))
+    calls = []
+    node_step = Engine.node_step
+
+    def counted(self, nid):
+        calls.append(nid)
+        return node_step(self, nid)
+
+    monkeypatch.setattr(Engine, "node_step", counted)
+    assert find_divergence(sol["x"], sol["u"], 60) is None
+    # two left states against one right state: at most two pairs
+    assert len(calls) <= 2 * 2
+
+
+def test_tree_witness_matches_brute_force_reference():
+    rng = random.Random(7)
+    for i in range(120):
+        g1 = _random_tree_graph(rng, "a")
+        if i % 2:
+            g2 = _random_tree_graph(rng, "b")
+        else:  # a copy with one label changed
+            g2 = {"b" + n[1:]: (label, "b" + left[1:], "b" + right[1:])
+                  for n, (label, left, right) in g1.items()}
+            name = rng.choice(sorted(g2))
+            label, left, right = g2[name]
+            g2[name] = (1 - label, left, right)
+        sol = Engine().solve(parse_system(_tree_text(g1, g2)))
+        want = _reference_divergence(g1, "a0", g2, "b0", 6)
+        assert find_divergence(sol["a0"], sol["b0"], 6) == want
+        assert bounded_equal(sol["a0"], sol["b0"], 6) == (want is None)
+
+
+def test_handles_of_two_engines_compare_like_one_engine():
+    graph = {"x": (1, "y", "x"), "y": (0, "x", "z"), "z": (0, "z", "x"),
+             "w": (1, "z", "w")}
+    text = _tree_text(graph)
+    one, two = Engine(), Engine()
+    sol1, sol2 = one.solve(parse_system(text)), two.solve(parse_system(text))
+    for a, b in itertools.product(graph, repeat=2):
+        assert find_divergence(sol1[a], sol2[b], 8) == \
+            find_divergence(sol1[a], sol1[b], 8)
+    assert find_divergence(sol1["x"], sol2["w"], 8) is not None
+    table = ccs_table(DEFAULT_ACTIONS)
+    rng = random.Random(3)
+    for _ in range(10):
+        x = random_agent(rng, table.kind, 2)
+        y = random_agent(rng, table.kind, 2)
+        assert find_divergence(agent_handle(one, table, x),
+                               agent_handle(two, table, y), 4) == \
+            find_divergence(agent_handle(one, table, x),
+                            agent_handle(one, table, y), 4)
+    stale = SolutionHandle(one, 10 ** 6, TREE)
+    with pytest.raises(InvalidHandle):
+        find_divergence(sol1["x"], stale, 3)
+    with pytest.raises(InvalidHandle):
+        bounded_equal(stale, stale, 3)
+
+
+def _leaf_prefixes_renamed(ast, action):
+    """``ast`` with every prefix of the form `x.0` turned into `action.0`."""
+    tag = ast[0]
+    if tag == "pref":
+        if ast[2] == ("sum", ()):
+            return ("pref", action, ast[2])
+        return ("pref", ast[1], _leaf_prefixes_renamed(ast[2], action))
+    if tag == "sum":
+        return ("sum", tuple(_leaf_prefixes_renamed(a, action)
+                             for a in ast[1]))
+    if tag == "restrict":
+        return ("restrict", ast[1], _leaf_prefixes_renamed(ast[2], action))
+    return (tag, _leaf_prefixes_renamed(ast[1], action),
+            _leaf_prefixes_renamed(ast[2], action))
+
+
+def test_process_witness_is_pinned(engine):
+    table = ccs_table(DEFAULT_ACTIONS)
+    agent = random_agent(random.Random(1), table.kind, 3)
+    mutant = _leaf_prefixes_renamed(agent, "a")
+    w = find_divergence(agent_handle(engine, table, agent),
+                        agent_handle(engine, table, mutant), 5)
+    assert w == Witness(0, (("c", 0),), "left move 'c' has no depth-3 match")

@@ -93,7 +93,11 @@ def test_duplicate_variable():
 
 
 def test_system_round_trips():
-    for text in (FLAT_TM, SANDWICHED):
+    # the last three apply a parametric given inside a guarded context
+    for text in (FLAT_TM, SANDWICHED,
+                 "kind stream\nx = mult(2, 1 . x)\n",
+                 "kind stream\nx = register(3, 1 . x)\n",
+                 "kind language ab\nx = prefix(a, 1 . (x, x))\n"):
         system = parse_system(text)
         assert parse_system(format_system(system)) == system
 
