@@ -69,6 +69,14 @@ def _emit(args, payload_text, payload_json):
         print(payload_text)
 
 
+def _emit_trees(args, kind, trees):
+    """Print ``(name, observation)`` pairs in the requested format only."""
+    if args.format == "json":
+        print(json.dumps({name: _obs_json(t) for name, t in trees}, indent=2))
+    else:
+        print("\n".join(f"{name}: {_obs_text(kind, t)}" for name, t in trees))
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -88,17 +96,14 @@ def _cmd_solve(args) -> int:
     engine = Engine()
     sol = engine.solve(system)
     requests = args.observe or [f"{v}:4" for v in system.vars]
-    lines = []
-    blob = {}
+    trees = []
     for req in requests:
         var, _, depth_txt = req.partition(":")
         if var not in sol:
             raise CorecError(f"no variable {var!r} in the system")
         depth = int(depth_txt) if depth_txt else 4
-        tree = engine.observe(sol[var], depth)
-        lines.append(f"{var}: {_obs_text(system.kind, tree)}")
-        blob[var] = _obs_json(tree)
-    _emit(args, "\n".join(lines), blob)
+        trees.append((var, engine.observe(sol[var], depth)))
+    _emit_trees(args, system.kind, trees)
     return 0
 
 
@@ -120,8 +125,8 @@ def _cmd_bde(args) -> int:
         ]
     op = table.op(name)
     result = engine.interpret_op(table, op, handles)
-    tree = engine.observe(result, args.prefix)
-    _emit(args, f"{name}: {_obs_text(program.kind, tree)}", _obs_json(tree))
+    _emit_trees(args, program.kind,
+                [(name, engine.observe(result, args.prefix))])
     return 0
 
 
@@ -140,15 +145,12 @@ def _cmd_circuit(args) -> int:
               if args.output in (None, o[0], o[1])]
     if not wanted:
         raise CorecError(f"no output {args.output!r}")
-    lines = []
-    blob = {}
+    trees = []
     for symbol, node_id, input_ids in wanted:
         handle = engine.interpret_op(table, table.op(symbol),
                                      [feeds[i] for i in input_ids])
-        tree = engine.observe(handle, args.prefix)
-        lines.append(f"{node_id}: {_obs_text(table.kind, tree)}")
-        blob[node_id] = _obs_json(tree)
-    _emit(args, "\n".join(lines), blob)
+        trees.append((node_id, engine.observe(handle, args.prefix)))
+    _emit_trees(args, table.kind, trees)
     return 0
 
 
@@ -184,9 +186,8 @@ def _cmd_ccs(args) -> int:
     agent = args.agent or system.vars[0]
     if agent not in sol:
         raise CorecError(f"no agent {agent!r}")
-    tree = engine.observe(sol[agent], args.depth)
-    _emit(args, f"{agent}: {_obs_text(system.kind, tree)}",
-          {agent: _obs_json(tree)})
+    _emit_trees(args, system.kind,
+                [(agent, engine.observe(sol[agent], args.depth))])
     return 0
 
 

@@ -9,6 +9,7 @@ exactly.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,13 +34,8 @@ from .rules import (
     CtxApp,
     CtxGuard,
     GsosRule,
-    LAdd,
-    LArg,
-    LConst,
-    LMul,
     RpsDef,
     RuleTable,
-    eval_label_expr,
     extend_with_rps,
 )
 from .solver import FlatRhs, GuardedRhs, System
@@ -532,11 +528,16 @@ def _scan_bde_headers(toks):
 
 
 def _parse_head_expr(ts: TokenStream, head_kw, params):
+    """The initial-value expression as a function of the argument labels."""
+    def binary(op, a, b):
+        return lambda labels: op(a(labels), b(labels))
+
     def atom():
         t = ts.peek()
         if t.kind == "num":
             ts.next()
-            return LConst(_num_value(t))
+            value = _num_value(t)
+            return lambda labels: value
         if ts.eat_sym("("):
             e = add()
             ts.expect("sym", ")")
@@ -549,20 +550,21 @@ def _parse_head_expr(ts: TokenStream, head_kw, params):
             if var.value not in params:
                 raise ParseError(var.line, var.col,
                                  f"unknown argument {var.value!r}")
-            return LArg(params.index(var.value))
+            i = params.index(var.value)
+            return lambda labels: labels[i]
         raise ParseError(t.line, t.col,
                          f"bad initial-value expression at {t.value!r}")
 
     def mul():
         e = atom()
         while ts.eat_sym("*"):
-            e = LMul(e, atom())
+            e = binary(operator.mul, e, atom())
         return e
 
     def add():
         e = mul()
         while ts.eat_sym("+"):
-            e = LAdd(e, mul())
+            e = binary(operator.add, e, mul())
         return e
 
     return add()
@@ -716,8 +718,7 @@ def parse_bde(text: str) -> BdeProgram:
 
         def make_rule(head_expr=head_expr, derivs=tuple(derivs)):
             def conclude(op, args):
-                labels = [a.head for a in args]
-                label = eval_label_expr(head_expr, labels)
+                label = head_expr([a.head for a in args])
                 terms = [_bde_build(sum_sig, d, args) for d in derivs]
                 if kind_name == "stream":
                     return stream_step(label, terms[0])

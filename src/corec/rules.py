@@ -1,13 +1,14 @@
 """Executable rule tables and their extension by recursive definitions.
 
 A rule assigns to an operation symbol, given one observation per argument,
-a single conclusion step whose continuations are terms over the argument
-placeholders.  Tables are immutable; extending a table with new recursively
-defined operations returns a new table over the sum signature that carries
-the old rules over unchanged.  Each table records which signature every
-rule was written against, and the engine resolves the symbols of a
-conclusion through the table's rename map (``Signature.embeddings``), so
-old interpretations are untouched.
+a single conclusion step whose continuations are terms over the arguments
+and their continuations, which the rule sees as `Slot` leaves carrying
+their arena nodes.  Tables are immutable; extending a table with new
+recursively defined operations returns a new table over the sum signature
+that carries the old rules over unchanged.  Each table records which
+signature every rule was written against, and the engine resolves the
+symbols of a conclusion through the table's rename map
+(``Signature.embeddings``), so old interpretations are untouched.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Tuple
+from typing import Callable, Mapping
 
 from . import behavior
 from .behavior import Step, check_step
@@ -31,28 +32,16 @@ from .terms import (
     App,
     OpSym,
     Signature,
+    Slot,
     Term,
     Var,
-    free_vars,
     sig_sum,
     signature,
     subterms,
 )
 
 # ---------------------------------------------------------------------------
-# Premise observations and placeholder naming
-
-
-def placeholder_self(i: int) -> Var:
-    return Var(f"~a{i}")
-
-
-def placeholder_tail(i: int, port) -> Var:
-    return Var(f"~a{i}.{port}")
-
-
-def placeholder_move(i: int, j: int) -> Var:
-    return Var(f"~a{i}.m{j}")
+# Premise observations
 
 
 @dataclass(frozen=True)
@@ -61,7 +50,8 @@ class ArgObs:
 
     ``tails`` holds the port continuations of deterministic kinds, ``moves``
     the transition list of processes; continuations and ``self_term`` are
-    opaque placeholder terms to be used verbatim inside conclusions.
+    `Slot` leaves carrying the arena nodes they stand for, to be used
+    verbatim inside conclusions.
     """
 
     label: object
@@ -92,28 +82,17 @@ class ArgObs:
         raise KeyError(port)
 
 
-def arg_obs(kind, index: int, step: Step) -> Tuple[ArgObs, dict]:
-    """Placeholder view of an observed argument plus the name binding."""
-    binding = {}
-    self_t = placeholder_self(index)
-    binding[self_t.name] = ("self",)
-    tails = ()
-    moves = ()
+def arg_obs(kind, node, step: Step) -> ArgObs:
+    """The argument at arena node ``node`` (None when probing), observed as
+    ``step`` whose children are node ids, seen through `Slot` leaves."""
     if kind.deterministic:
-        out = []
-        for port, child in step.children:
-            v = placeholder_tail(index, port)
-            binding[v.name] = ("port", port)
-            out.append((port, v))
-        tails = tuple(out)
-    else:
-        out = []
-        for j, (port, child) in enumerate(step.children):
-            v = placeholder_move(index, j)
-            binding[v.name] = ("move", j)
-            out.append((behavior.move_action(port), v))
-        moves = tuple(out)
-    return ArgObs(step.label, tails, moves, self_t), binding
+        return ArgObs(step.label,
+                      tuple([(p, Slot(c)) for p, c in step.children]), (),
+                      Slot(node))
+    return ArgObs(step.label, (),
+                  tuple([(behavior.move_action(p), Slot(c))
+                         for p, c in step.children]),
+                  Slot(node))
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +105,9 @@ class GsosRule:
 
     ``conclude(op, args)`` receives the concrete symbol (carrying the family
     parameter, if any) and one ArgObs per argument; it must return a Step
-    whose continuations are terms over the declared placeholders and the
-    table's signature.  ``probe_params`` supplies example parameters so
-    parametric families can be validated.
+    whose continuations are terms over the ArgObs leaves and the table's
+    signature, with no variables.  ``probe_params`` supplies example
+    parameters so parametric families can be validated.
     """
 
     op: OpSym
@@ -269,10 +248,9 @@ def _probe_labels(kind, rng: random.Random):
     return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
 
 
-def _synthetic_args(kind, arity: int, rng: random.Random):
+def _synthetic_args(kind, arity: int, rng: random.Random) -> tuple:
     args = []
-    names = set()
-    for i in range(arity):
+    for _ in range(arity):
         if kind.deterministic:
             step = Step(_probe_labels(kind, rng),
                         tuple((p, None) for p in kind.ports))
@@ -280,69 +258,57 @@ def _synthetic_args(kind, arity: int, rng: random.Random):
             n = rng.randint(0, 2)
             step = Step(None, tuple(
                 (rng.choice(kind.actions), None) for _ in range(n)))
-        obs, binding = arg_obs(kind, i, step)
-        args.append(obs)
-        names.update(binding)
-    return args, names
+        args.append(arg_obs(kind, None, step))
+    return tuple(args)
 
 
-def _check_conclusion(table_sig: Signature, kind, step: Step, names):
+def _check_conclusion(table_sig: Signature, kind, step: Step):
     if not isinstance(step, Step):
         raise KindMismatch(f"rule conclusion is not a Step: {step!r}")
     check_step(kind, step)
     for _, t in step.children:
         if not isinstance(t, Term):
             raise KindMismatch(f"conclusion continuation is not a term: {t!r}")
-        loose = free_vars(t) - names
-        if loose:
-            raise ForeignSymbol(f"undeclared placeholders in conclusion: {loose}")
         for node in subterms(t):
+            if isinstance(node, Var):
+                raise ForeignSymbol(f"free variable {node!r} in conclusion")
             if isinstance(node, App) and not table_sig.contains(node.op):
                 raise ForeignSymbol(
                     f"conclusion uses {node.op!r} outside the table signature")
 
 
-def _probe_rule(kind, sig: Signature, name: str, rule: GsosRule,
-                rng: random.Random, rounds: int = 3):
+def _context_check(outer_names):
+    """`_check_conclusion` for every guard of an srps context, whose outer
+    part may only use the given symbols ``outer_names``."""
+    def check(table_sig: Signature, kind, ctx, path=()):
+        if isinstance(ctx, CtxGuard):
+            _check_conclusion(table_sig, kind, ctx.step)
+        elif isinstance(ctx, CtxApp):
+            if ctx.op.name not in outer_names:
+                raise ForeignSymbol(
+                    f"srps outer context uses {ctx.op!r}, not a given symbol")
+            if len(ctx.args) != ctx.op.arity:
+                raise ArityMismatch(f"{ctx.op!r} in context applied to "
+                                    f"{len(ctx.args)} arguments")
+            for i, sub in enumerate(ctx.args):
+                check(table_sig, kind, sub, path + (i,))
+        else:
+            raise UnguardedPath(
+                f"context path {path} ends in {ctx!r} with no guard")
+
+    return check
+
+
+def _probe(kind, sig: Signature, name: str, conclude, probe_params, check,
+           rng: random.Random, rounds: int = 3):
+    """Apply ``conclude`` to synthetic premises, ``rounds`` times per probe
+    parameter, and run ``check(sig, kind, conclusion)`` on each result."""
     decl = sig.decl(name)
-    for param in rule.probe_params:
+    for param in probe_params:
         op = sig.op(name, param) if decl.parametric else sig.op(name)
         for _ in range(rounds):
-            args, names = _synthetic_args(kind, op.arity, rng)
-            step = rule.conclude(op, tuple(args))
-            _check_conclusion(sig, kind, step, names)
-
-
-def _walk_context(ctx, on_guard, outer_names, path=()):
-    if isinstance(ctx, CtxGuard):
-        on_guard(ctx.step, path)
-        return
-    if isinstance(ctx, CtxApp):
-        if ctx.op.name not in outer_names:
-            raise ForeignSymbol(
-                f"srps outer context uses {ctx.op!r}, not a given symbol")
-        if len(ctx.args) != ctx.op.arity:
-            raise ArityMismatch(f"{ctx.op!r} in context applied to "
-                                f"{len(ctx.args)} arguments")
-        for i, sub in enumerate(ctx.args):
-            _walk_context(sub, on_guard, outer_names, path + (i,))
-        return
-    raise UnguardedPath(f"context path {path} ends in {ctx!r} with no guard")
-
-
-def _probe_srps(kind, sig: Signature, name: str, entry: _SrpsEntry,
-                rng: random.Random, rounds: int = 3):
-    decl = sig.decl(name)
-    for param in entry.probe_params:
-        op = sig.op(name, param) if decl.parametric else sig.op(name)
-        for _ in range(rounds):
-            args, names = _synthetic_args(kind, op.arity, rng)
-            ctx = entry.fn(op, tuple(args))
-            _walk_context(
-                ctx,
-                lambda step, path: _check_conclusion(sig, kind, step, names),
-                entry.outer_names,
-            )
+            check(sig, kind,
+                  conclude(op, _synthetic_args(kind, op.arity, rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +330,8 @@ def build_table(kind, sig: Signature, rules) -> RuleTable:
     table = RuleTable(kind, sig, by_name)
     rng = random.Random(0xC0)
     for name, r in by_name.items():
-        _probe_rule(kind, sig, name, r, rng)
+        _probe(kind, sig, name, r.conclude, r.probe_params, _check_conclusion,
+               rng)
     return table
 
 
@@ -389,7 +356,8 @@ def extend_with_rps(table: RuleTable, rps: RpsDef) -> RuleTable:
         new_name = emb_new[name]
         placed = GsosRule(sum_sig.template(new_name), rule.conclude,
                           rule.probe_params)
-        _probe_rule(table.kind, sum_sig, new_name, placed, rng)
+        _probe(table.kind, sum_sig, new_name, rule.conclude,
+               rule.probe_params, _check_conclusion, rng)
         rules[new_name] = placed
         origin[new_name] = (sum_sig, new_name)
     missing = [n for n in rps.new_sig.names if emb_new[n] not in rules]
@@ -412,7 +380,8 @@ def register_srps(table: RuleTable, srps_def: SrpsDef) -> RuleTable:
             raise ForeignSymbol(f"srps context for undeclared symbol {name!r}")
         entry = _SrpsEntry(fn, outer,
                            tuple(srps_def.probe_params.get(name, (None,))))
-        _probe_srps(table.kind, sum_sig, emb_new[name], entry, rng)
+        _probe(table.kind, sum_sig, emb_new[name], fn, entry.probe_params,
+               _context_check(outer), rng)
         srps[emb_new[name]] = entry
         origin[emb_new[name]] = (sum_sig, emb_new[name])
     missing = [n for n in srps_def.new_sig.names if emb_new[n] not in srps]
@@ -450,51 +419,15 @@ def validate_table(table: RuleTable) -> TableReport:
             violations.append(f"rule for foreign symbol {name!r}")
             continue
         try:
-            _probe_rule(table.kind, *table.origin[name], r, rng)
+            _probe(table.kind, *table.origin[name], r.conclude,
+                   r.probe_params, _check_conclusion, rng)
         except Exception as exc:  # noqa: BLE001 - collected into the report
             violations.append(f"rule {name!r}: {exc}")
     for name, entry in table.srps.items():
         try:
             sig, orig = table.origin.get(name, (table.sig, name))
-            _probe_srps(table.kind, sig, orig, entry, rng)
+            _probe(table.kind, sig, orig, entry.fn, entry.probe_params,
+                   _context_check(entry.outer_names), rng)
         except Exception as exc:  # noqa: BLE001
             violations.append(f"srps {name!r}: {exc}")
     return TableReport(tuple(violations))
-
-
-# ---------------------------------------------------------------------------
-# Label expressions (compiled by the frontends for deterministic kinds)
-
-
-@dataclass(frozen=True)
-class LConst:
-    value: object
-
-
-@dataclass(frozen=True)
-class LArg:
-    index: int
-
-
-@dataclass(frozen=True)
-class LAdd:
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
-class LMul:
-    a: object
-    b: object
-
-
-def eval_label_expr(expr, labels):
-    if isinstance(expr, LConst):
-        return expr.value
-    if isinstance(expr, LArg):
-        return labels[expr.index]
-    if isinstance(expr, LAdd):
-        return eval_label_expr(expr.a, labels) + eval_label_expr(expr.b, labels)
-    if isinstance(expr, LMul):
-        return eval_label_expr(expr.a, labels) * eval_label_expr(expr.b, labels)
-    raise TypeError(f"not a label expression: {expr!r}")

@@ -30,6 +30,7 @@ from .rules import CtxApp, CtxGuard, RuleTable, arg_obs
 from .terms import (
     App,
     Param,
+    Slot,
     Term,
     Var,
     free_vars,
@@ -180,11 +181,14 @@ class Engine:
     # -- term and context instantiation -------------------------------------
 
     def _term_to_node(self, table: RuleTable, t: Term, binding) -> int:
+        """Node of ``t``; equation variables are looked up in ``binding``
+        (None for rule conclusions, whose leaves are `Slot`s)."""
+        if isinstance(t, Slot):
+            return t.node
         if isinstance(t, Var):
-            try:
-                return binding[t.name]
-            except KeyError:
-                raise UnknownSymbol(f"unbound variable {t.name!r}") from None
+            if binding is None or t.name not in binding:
+                raise UnknownSymbol(f"unbound variable {t.name!r}")
+            return binding[t.name]
         if isinstance(t, Param):
             ref = t.ref
             self.check_handle(ref)
@@ -233,28 +237,18 @@ class Engine:
         self._memo[nid] = step
         return step
 
-    def _premises(self, kind, child_ids):
-        args = []
-        binding = {}
-        for i, cid in enumerate(child_ids):
-            st = self._unfold(cid)
-            obs, _ = arg_obs(kind, i, st)
-            binding[obs.self_term.name] = cid
-            pairs = obs.tails if kind.deterministic else obs.moves
-            for (_, var), (_, child) in zip(pairs, st.children):
-                binding[var.name] = child
-            args.append(obs)
-        return tuple(args), binding
-
     def _apply_rule(self, node: _Node) -> Step:
-        table, name = node.table, node.name
-        args, binding = self._premises(node.kind, node.children)
+        table, name, kind = node.table, node.name, node.kind
+        args = []
+        for cid in node.children:
+            args.append(arg_obs(kind, cid, self._unfold(cid)))
+        args = tuple(args)
         if table.srps_backed(name):
             ctx = table.srps[name].fn(node.op, args)
-            return self._elaborate(table, ctx, binding)
+            return self._elaborate(table, ctx, None)
         rule = table.rule_for(name)
         return self._instantiate_step(table, rule.conclude(node.op, args),
-                                      binding)
+                                      None)
 
     def _elaborate(self, table: RuleTable, ctx, binding) -> Step:
         return self._unfold(self._ctx_to_node(table, ctx, binding))
@@ -268,12 +262,30 @@ class Engine:
         raise ValidationFailed(f"unsolvable right-hand side {rhs!r}")
 
     def _observe(self, nid: int, depth: int) -> ObservationTree:
-        if depth <= 0:
-            return CUT
-        step = self._unfold(nid)
-        return ObservationTree(
-            step.label,
-            tuple((p, self._observe(c, depth - 1)) for p, c in step.children))
+        """Depth-bounded unfolding in pre-order, port order, without Python
+        recursion: ``todo`` holds ``(node, depth)`` pairs to unfold, each
+        unfolded step below its children, to be assembled once they are
+        done; finished subtrees wait on ``done``."""
+        todo = [(nid, depth)]
+        done = []
+        while todo:
+            item = todo.pop()
+            if isinstance(item, Step):
+                split = len(done) - len(item.children)
+                kids = done[split:]
+                del done[split:]
+                done.append(ObservationTree(item.label, tuple(
+                    (p, kid) for (p, _), kid in zip(item.children, kids))))
+                continue
+            nid, depth = item
+            if depth <= 0:
+                done.append(CUT)
+                continue
+            step = self._unfold(nid)
+            todo.append(step)
+            for _, c in reversed(step.children):
+                todo.append((c, depth - 1))
+        return done[0]
 
     # -- public operations ---------------------------------------------------
 

@@ -1,10 +1,11 @@
 """Signatures and finite terms over them.
 
 A signature is a finite list of operation symbol declarations.  Terms are
-immutable trees whose leaves are variables or references to already-solved
-states (parameters), shared by reference and compared structurally.  Sums of
-signatures rename colliding symbols and record the embedding, so terms built
-over a summand can be injected into the sum.
+immutable trees whose leaves are variables, references to already-solved
+states (parameters) or the engine's premise slots, shared by reference and
+compared structurally.  Sums of signatures rename colliding symbols and
+record the embedding, so terms built over a summand can be injected into
+the sum.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Hashable, Iterable, Mapping, Optional
 from .errors import ArityMismatch, ForeignSymbol, NotASummand, UnknownSymbol
 
 # Variable names starting with this prefix are reserved for engine-generated
-# placeholders and fresh states; user-facing formats reject them.
+# fresh states; user-facing formats reject them.
 RESERVED_PREFIX = "~"
 
 
@@ -215,6 +216,17 @@ class Param(Term):
 
 
 @dataclass(frozen=True)
+class Slot(Term):
+    """Leaf standing for an arena node the engine already holds: a rule's
+    premise (an argument or one of its continuations); ``None`` in probes."""
+
+    node: object
+
+    def __repr__(self):
+        return f"<node {self.node}>"
+
+
+@dataclass(frozen=True)
 class App(Term):
     op: OpSym
     args: tuple
@@ -249,7 +261,7 @@ def substitute(t: Term, env: Mapping[str, Term]) -> Term:
     """Simultaneous replacement of variables; missing entries stay in place."""
     if isinstance(t, Var):
         return env.get(t.name, t)
-    if isinstance(t, Param):
+    if not isinstance(t, App):
         return t
     changed = False
     new_args = []
@@ -274,7 +286,7 @@ def embed_signature(t: Term, into: Signature) -> Term:
         return OpSym(renames[op.name], op.arity, into.sig_id, op.param)
 
     def walk(node: Term) -> Term:
-        if isinstance(node, (Var, Param)):
+        if not isinstance(node, App):
             return node
         return App(emb_op(node.op), tuple(walk(a) for a in node.args))
 
@@ -282,7 +294,7 @@ def embed_signature(t: Term, into: Signature) -> Term:
 
 
 def subterms(t: Term):
-    """Every node of ``t``: variables, parameters and applications."""
+    """Every node of ``t``: its leaves and applications."""
     stack = [t]
     while stack:
         n = stack.pop()

@@ -4,6 +4,7 @@ import pytest
 
 from corec import cli
 from corec.cli import cli_main
+from corec.instances import oracle_eval
 
 
 TM = """kind stream
@@ -35,6 +36,10 @@ CIRCUIT = json.dumps({
               ["cp", "out"], ["cp", "reg"]],
 })
 
+TREES = "kind tree\nu = 1 . (v, u)\nv = 1/2 . (u, v)\n"
+
+LANGUAGE = "kind language ab\nx = 1 . (y, x)\ny = 0 . (x, y)\n"
+
 SHUFFLE_BDE = ("kind stream\n"
                "sh(x, y): head = head(x) * head(y); "
                "tail = plus(sh(x, tail(y)), sh(tail(x), y))\n")
@@ -45,7 +50,8 @@ def files(tmp_path):
     paths = {}
     for name, body in (("tm.sys", TM), ("anbbn.gnf", GRAMMAR),
                        ("milner.ccs", MILNER), ("circ.json", CIRCUIT),
-                       ("shuffle.bde", SHUFFLE_BDE)):
+                       ("shuffle.bde", SHUFFLE_BDE), ("trees.sys", TREES),
+                       ("lang.sys", LANGUAGE)):
         p = tmp_path / name
         p.write_text(body)
         paths[name] = str(p)
@@ -65,6 +71,39 @@ def test_solve_json(files, capsys):
     assert rc == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["u"]["label"] == "0"
+
+
+def test_solve_observes_5000_digits(files, capsys):
+    rc = cli_main(["solve", files["tm.sys"], "--observe", "u:5000"])
+    assert rc == 0
+    digits = capsys.readouterr().out.split()
+    assert digits[0] == "u:"
+    assert digits[1:] == [str(oracle_eval("thue_morse", k))
+                          for k in range(5000)]
+
+
+def _depth2(labels, ports):
+    """JSON of a depth-2 observation: the root, then one child per port."""
+    def node(label, kids):
+        return {"label": label, "children": [list(c) for c in zip(ports, kids)]}
+
+    root, *kids = labels
+    return node(root, [node(k, [{"cut": True}] * len(ports)) for k in kids])
+
+
+@pytest.mark.parametrize("name, var, text, blob", [
+    ("trees.sys", "u", "u: (1 L:(1/2 L:# R:#) R:(1 L:# R:#))",
+     _depth2(("1", "1/2", "1"), ("L", "R"))),
+    ("lang.sys", "x", "x: (1 a:(0 a:# b:#) b:(1 a:# b:#))",
+     _depth2((True, False, True), ("a", "b"))),
+])
+def test_solve_prints_trees_and_languages(files, capsys, name, var, text,
+                                          blob):
+    assert cli_main(["solve", files[name], "--observe", f"{var}:2"]) == 0
+    assert capsys.readouterr().out.strip() == text
+    assert cli_main(["--format", "json", "solve", files[name],
+                     "--observe", f"{var}:2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {var: blob}
 
 
 def test_member_true_and_false(files, capsys):

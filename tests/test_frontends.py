@@ -30,6 +30,7 @@ from corec.instances import (
     language_member,
     oracle_eval,
     periodic_stream,
+    periodic_values,
     stream_table,
     stream_take,
 )
@@ -163,6 +164,21 @@ def test_bde_convolution_matches_builtin(engine):
     mine = engine.interpret_op(table, table.op("cv"), [a, b])
     theirs = engine.interpret_op(builtin, builtin.op("conv"), [a, b])
     assert bounded_equal(mine, theirs, 10)
+
+
+def test_bde_head_expression_with_sums_and_parentheses(engine):
+    program = parse_bde(
+        "kind stream\n"
+        "f(x, y): head = 2*head(x) + (head(y) + 1) * 3; "
+        "tail = f(tail(x), tail(y))\n")
+    table = program.extended_table()
+    x = periodic_stream(engine, (1, 2), (Fraction(1, 2), -3))
+    y = periodic_stream(engine, (), (4, 0, Fraction(-2, 3)))
+    h = engine.interpret_op(table, table.op("f"), [x, y])
+    xs = periodic_values((1, 2), (Fraction(1, 2), -3), 12)
+    ys = periodic_values((), (4, 0, Fraction(-2, 3)), 12)
+    assert stream_take(h, 12) == [2 * a + (b + 1) * 3
+                                  for a, b in zip(xs, ys)]
 
 
 def test_bde_missing_tail_clause():

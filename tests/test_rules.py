@@ -125,7 +125,7 @@ def test_old_conclusions_are_embedded_verbatim():
         assert table.resolve(op) == embedded.op.name
         assert table.author_op(embedded.op.name, embedded.op) == op
     step = Step(Fraction(2), (("tail", None),))
-    obs = tuple(arg_obs(STREAM, i, step)[0] for i in range(2))
+    obs = tuple(arg_obs(STREAM, i, step) for i in range(2))
     old = base.rules["plus"].conclude(base.op("plus"), obs)
     for _, t in old.children:
         pairs = zip(subterms(t), subterms(embed_signature(t, table.sig)))
@@ -196,6 +196,19 @@ def test_foreign_conclusions_raise_when_probed_and_unfolded(bad_term):
     h = engine.interpret_op(table, table.op("bad"), [ones])
     with pytest.raises(ForeignSymbol):
         engine.unfold(h)
+
+
+def test_variables_in_conclusions_are_rejected():
+    sig = signature(("loose", 1))
+
+    def loose(op, args):
+        return stream_step(args[0].head, Var("x"))
+
+    with pytest.raises(ForeignSymbol):
+        build_table(STREAM, sig, [GsosRule(sig.op("loose"), loose)])
+    with pytest.raises(ForeignSymbol):
+        register_srps(stream_base_table(), SrpsDef(
+            sig, {"loose": lambda op, args: CtxGuard(loose(op, args))}))
 
 
 def test_add_rule_intersection_to_a_partial_language_table():

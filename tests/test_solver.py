@@ -106,6 +106,30 @@ def test_sandwiched_tm_is_thue_morse(engine):
     assert got == [oracle_eval("thue_morse", i) for i in range(16)]
 
 
+# Deep prefixes under the default recursion limit: observation unfolds
+# level by level without a Python frame per digit.
+
+
+def test_thue_morse_5000_digits(engine):
+    sol = engine.solve(sandwiched_tm_system())
+    got = stream_take(sol["u"], 5000)
+    assert got == [oracle_eval("thue_morse", k) for k in range(5000)]
+
+
+@pytest.mark.parametrize("op, oracle, n", [
+    ("conv", "cauchy_convolution", 2000),
+    ("shuffle", "binomial_shuffle", 600),
+])
+def test_deep_products_against_oracles(engine, op, oracle, n):
+    t = stream_table()
+    a = periodic_stream(engine, (1, 2), (3, -1))
+    b = periodic_stream(engine, (2,), (1, 0, -2))
+    got = stream_take(engine.interpret_op(t, t.op(op), [a, b]), n)
+    xs = [int(v) for v in periodic_values((1, 2), (3, -1), n)]
+    ys = [int(v) for v in periodic_values((2,), (1, 0, -2), n)]
+    assert got == oracle_eval(oracle, xs, ys)
+
+
 def test_swapped_guard_system_regression(engine):
     # the same equations with the other variable under each guard solve to
     # a different automatic sequence, pinned by its own recurrence

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from corec.errors import ArityMismatch, ForeignSymbol, NotASummand
 from corec.terms import (
     Param,
+    Slot,
     Var,
     embed_signature,
     free_vars,
@@ -11,6 +12,7 @@ from corec.terms import (
     mk_var,
     sig_sum,
     signature,
+    subterms,
     substitute,
     term_depth,
     term_size,
@@ -63,6 +65,18 @@ def test_substitute_leaves_params_alone():
     p = Param("some-handle")
     t = mk_app(PLUS, (p, Var("x")))
     assert substitute(t, {"x": Var("y")}) == mk_app(PLUS, (p, Var("y")))
+
+
+def test_slots_are_leaves_of_every_walker():
+    slot = Slot(7)
+    t = mk_app(PLUS, (slot, Var("x")))
+    assert substitute(t, {"x": slot}) == mk_app(PLUS, (slot, slot))
+    embedded = embed_signature(t, KV)
+    assert embedded.args == (slot, Var("x"))
+    assert free_vars(t) == {"x"}
+    assert slot in set(subterms(t))
+    assert (term_size(t), term_depth(t)) == (3, 1)
+    assert repr(slot) == "<node 7>"
 
 
 # -- random terms for the law tests -----------------------------------------
