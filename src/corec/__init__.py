@@ -33,6 +33,7 @@ from .rules import (
     CtxApp,
     CtxGuard,
     GsosRule,
+    Law,
     RpsDef,
     RuleTable,
     SrpsDef,

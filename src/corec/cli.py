@@ -160,9 +160,6 @@ def _cmd_member(args) -> int:
     engine = Engine()
     sol = engine.solve(system)
     word = args.word
-    for letter in word:
-        if letter not in grammar.terminals:
-            raise CorecError(f"letter {letter!r} is not a terminal")
     verdict = instances.language_member(sol[grammar.start], word)
     _emit(args, "true" if verdict else "false",
           {"word": word, "member": verdict})

@@ -28,11 +28,18 @@ from .behavior import (
     stream_step,
     tree_step,
 )
-from .errors import BadActionStructure, EmptyAlphabet, UnknownOracle
+from .errors import (
+    BadActionStructure,
+    EmptyAlphabet,
+    KindMismatch,
+    UnknownOracle,
+    UnknownSymbol,
+)
 from .rules import (
     CtxApp,
     CtxGuard,
     GsosRule,
+    Law,
     RpsDef,
     RuleTable,
     SrpsDef,
@@ -224,8 +231,10 @@ def language_table(alphabet) -> RuleTable:
         return language_step(not a.head, kids, letters)
 
     table = extend_with_rps(table, RpsDef(v1, {
-        "union": GsosRule(s1.op("union"), union_rule),
-        "inter": GsosRule(s1.op("inter"), inter_rule),
+        "union": GsosRule(s1.op("union"), union_rule,
+                          law=Law(unit="empty", semilattice=True)),
+        "inter": GsosRule(s1.op("inter"), inter_rule,
+                          law=Law(zero="empty", semilattice=True)),
         "compl": GsosRule(s1.op("compl"), compl_rule),
     }))
 
@@ -244,7 +253,9 @@ def language_table(alphabet) -> RuleTable:
         return language_step(a.head and b.head, kids, letters)
 
     table = extend_with_rps(
-        table, RpsDef(v2, {"concat": GsosRule(s2.op("concat"), concat_rule)}))
+        table, RpsDef(v2, {"concat": GsosRule(
+            s2.op("concat"), concat_rule,
+            law=Law(unit="eps", zero="empty"))}))
 
     # stage 4: Kleene star, using concatenation from the previous stage
     v3 = signature(("star", 1))
@@ -435,10 +446,20 @@ def stream_take(h: SolutionHandle, n: int):
 
 
 def language_member(h: SolutionHandle, word: str) -> bool:
-    """Membership by walking derivatives along the word."""
+    """Membership by walking derivatives along the word, on node ids."""
+    kind = getattr(h, "kind", None)
+    if not isinstance(kind, LanguageKind):
+        raise KindMismatch(f"{h!r} is not a language state")
+    bad = next((x for x in word if x not in kind.alphabet), None)
+    if bad is not None:
+        raise UnknownSymbol(f"letter {bad!r} is not in the alphabet "
+                            f"{kind.alphabet}")
+    engine = h.engine
+    engine.check_handle(h)
+    nid = h.node
     for letter in word:
-        h = h.engine.unfold(h).child(letter)
-    return h.engine.unfold(h).label
+        nid = engine.node_step(nid).child(letter)
+    return engine.node_step(nid).label
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ recursively defined operations returns a new table over the sum signature
 that carries the old rules over unchanged.  Each table records which
 signature every rule was written against, and the engine resolves the
 symbols of a conclusion through the table's rename map
-(``Signature.embeddings``), so old interpretations are untouched.
+(``Signature.embeddings``), so old interpretations are untouched.  A rule
+may also declare the algebraic law of its symbol (`Law`), which the engine
+applies when it builds nodes of that symbol.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Optional
 
 from . import behavior
 from .behavior import Step, check_step
 from .errors import (
     ArityMismatch,
+    CorecError,
     DuplicateRule,
     ForeignSymbol,
     KindMismatch,
@@ -30,6 +33,7 @@ from .errors import (
 )
 from .terms import (
     App,
+    OpDecl,
     OpSym,
     Signature,
     Slot,
@@ -100,6 +104,33 @@ def arg_obs(kind, node, step: Step) -> ArgObs:
 
 
 @dataclass(frozen=True)
+class Law:
+    """The law of an associative binary symbol ``op``: an optional nullary
+    ``unit`` (``op(x, unit) = op(unit, x) = x``) and ``zero``
+    (``op(x, zero) = op(zero, x) = zero``), named in the rule author's
+    signature; ``semilattice`` adds commutativity and idempotence.
+    Soundness is the author's claim, as a rule's totality is."""
+
+    unit: Optional[str] = None
+    zero: Optional[str] = None
+    semilattice: bool = False
+
+
+def _check_law(sig: Signature, name: str, law: Law):
+    """Raise unless ``law`` fits the symbol ``name`` of ``sig``: binary and
+    not parametric, with a unit and zero that are nullary symbols."""
+    d = sig.decl(name)
+    if d.arity != 2 or d.parametric:
+        raise ArityMismatch(f"law for {name!r}, which is not a binary symbol")
+    for role, other in (("unit", law.unit), ("zero", law.zero)):
+        if other is None:
+            continue
+        if other not in sig.names or sig.decl(other) != OpDecl(other, 0):
+            raise ForeignSymbol(f"{role} {other!r} of the law for {name!r} "
+                                f"is not a nullary symbol of {sig!r}")
+
+
+@dataclass(frozen=True)
 class GsosRule:
     """One rule: op symbol plus a total conclusion function.
 
@@ -107,12 +138,15 @@ class GsosRule:
     parameter, if any) and one ArgObs per argument; it must return a Step
     whose continuations are terms over the ArgObs leaves and the table's
     signature, with no variables.  ``probe_params`` supplies example
-    parameters so parametric families can be validated.
+    parameters so parametric families can be validated.  ``law``, for a
+    binary symbol, declares the equations its applications satisfy; the
+    engine hash-conses them modulo those equations.
     """
 
     op: OpSym
     conclude: Callable
     probe_params: tuple = (None,)
+    law: Optional[Law] = None
 
 
 @dataclass(frozen=True)
@@ -184,10 +218,12 @@ class RuleTable:
     ``origin`` maps each name to the signature and name its rule's author
     used (by default the table's own), and ``renames`` is the composed
     ``sig_id -> {name -> name here}`` map of ``sig`` and all its summands.
+    ``laws`` holds each well-formed rule law with its unit and zero under
+    their names here; `validate_table` reports the malformed ones.
     """
 
     __slots__ = ("kind", "sig", "rules", "srps", "origin", "renames",
-                 "_report")
+                 "laws", "_report")
 
     def __init__(self, kind, sig: Signature, rules, srps=None, origin=None):
         self.kind = kind
@@ -197,6 +233,18 @@ class RuleTable:
         self.origin = dict(origin) if origin is not None else \
             {name: (sig, name) for name in sig.names}
         self.renames = sig.embeddings()
+        self.laws = {}
+        for name, r in self.rules.items():
+            if r.law is None:
+                continue
+            author_sig, orig = self.origin[name]
+            try:
+                _check_law(author_sig, orig, r.law)
+            except CorecError:
+                continue
+            here = self.renames[author_sig.sig_id]
+            self.laws[name] = Law(here.get(r.law.unit), here.get(r.law.zero),
+                                  r.law.semilattice)
         self._report = None
 
     def resolve(self, op: OpSym) -> str:
@@ -330,6 +378,8 @@ def build_table(kind, sig: Signature, rules) -> RuleTable:
     table = RuleTable(kind, sig, by_name)
     rng = random.Random(0xC0)
     for name, r in by_name.items():
+        if r.law is not None:
+            _check_law(sig, name, r.law)
         _probe(kind, sig, name, r.conclude, r.probe_params, _check_conclusion,
                rng)
     return table
@@ -354,8 +404,10 @@ def extend_with_rps(table: RuleTable, rps: RpsDef) -> RuleTable:
         if name not in rps.new_sig.names:
             raise ForeignSymbol(f"rps rule for undeclared symbol {name!r}")
         new_name = emb_new[name]
+        if rule.law is not None:
+            _check_law(sum_sig, new_name, rule.law)
         placed = GsosRule(sum_sig.template(new_name), rule.conclude,
-                          rule.probe_params)
+                          rule.probe_params, rule.law)
         _probe(table.kind, sum_sig, new_name, rule.conclude,
                rule.probe_params, _check_conclusion, rng)
         rules[new_name] = placed
@@ -405,7 +457,8 @@ def add_rule(table: RuleTable, rule: GsosRule) -> RuleTable:
 
 
 def validate_table(table: RuleTable) -> TableReport:
-    """Report-based check of totality, arity, ports, and srps guardedness.
+    """Report-based check of totality, arity, ports, laws, and srps
+    guardedness.
 
     Every rule and srps entry is probed against the signature it was
     written for (``table.origin``), exactly as when it was first added."""
@@ -419,6 +472,8 @@ def validate_table(table: RuleTable) -> TableReport:
             violations.append(f"rule for foreign symbol {name!r}")
             continue
         try:
+            if r.law is not None:
+                _check_law(*table.origin[name], r.law)
             _probe(table.kind, *table.origin[name], r.conclude,
                    r.probe_params, _check_conclusion, rng)
         except Exception as exc:  # noqa: BLE001 - collected into the report

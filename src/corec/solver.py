@@ -2,8 +2,9 @@
 
 The engine owns an arena of nodes: equation variables, operation symbols
 applied to child nodes, and guard states holding a precomputed step.  Every
-node's one-step behavior is computed at most once and memoized; syntactically
-equal terms over the same states share a node.  Solving a system is cheap:
+node's one-step behavior is computed at most once and memoized; terms over
+the same states that are equal modulo the laws their rules declare
+(`rules.Law`) share a node.  Solving a system is cheap:
 it allocates one node per variable, and all behavior is produced on demand
 by `unfold`/`observe`.
 """
@@ -149,15 +150,59 @@ class Engine:
         return len(self._nodes) - 1
 
     def _term_node(self, table: RuleTable, name: str, op, child_ids) -> int:
-        """Node of the symbol ``op``, named ``name`` in ``table``."""
-        key = ("t", id(table), name, op.param, tuple(child_ids))
+        """Node of the symbol ``op``, named ``name`` in ``table``; for a
+        symbol with a law, the node of its normal form under the law."""
+        law = table.laws.get(name)
+        if law is not None:
+            return self._law_node(table, name, op, law, child_ids)
+        return self._cons_term(table, name, op, tuple(child_ids))
+
+    def _cons_term(self, table: RuleTable, name: str, op, children) -> int:
+        key = ("t", id(table), name, op.param, children)
         nid = self._cons.get(key)
         if nid is None:
             nid = self._add(_Node("term", table.kind, table=table, name=name,
                                   op=table.author_op(name, op),
-                                  children=tuple(child_ids)))
+                                  children=children))
             self._cons[key] = nid
         return nid
+
+    def _law_node(self, table: RuleTable, name: str, op, law, child_ids
+                  ) -> int:
+        """``name(l, r)`` modulo ``law``.  Only term nodes of ``table`` can
+        be units, zeros or same-symbol operands; every such node is already
+        normal: right-nested, with no unit, zero or same-symbol left
+        operand, and for a semilattice operands strictly ascending by id.
+        A zero absorbs and units drop.  A semilattice sorts and
+        de-duplicates the operands of both sides; otherwise the left side's
+        operands fold onto the right side, which is normal already."""
+        nodes = self._nodes
+        kept = []
+        for c in child_ids:
+            n = nodes[c]
+            if n.tag == "term" and n.table is table:
+                if n.name == law.zero:
+                    return c
+                if n.name == law.unit:
+                    continue
+            kept.append(c)
+        if not kept:
+            return self._cons_term(table, law.unit, table.op(law.unit), ())
+        acc = None if law.semilattice else kept.pop()
+        operands = []
+        for c in kept:
+            n = nodes[c]
+            while n.tag == "term" and n.table is table and n.name == name:
+                operands.append(n.children[0])
+                c = n.children[1]
+                n = nodes[c]
+            operands.append(c)
+        if law.semilattice:
+            operands = sorted(set(operands))
+            acc = operands.pop()
+        for c in reversed(operands):
+            acc = self._cons_term(table, name, op, (c, acc))
+        return acc
 
     def _guard_node(self, kind, step: Step) -> int:
         step = canonicalize_step(kind, step)

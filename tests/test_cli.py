@@ -117,6 +117,17 @@ def test_member_bad_letter(files, capsys):
     assert cli_main(["member", files["anbbn.gnf"], "abc"]) == 2
 
 
+def test_member_anbn_at_three_thousand(tmp_path, capsys):
+    gnf = tmp_path / "anbn.gnf"
+    gnf.write_text("terminals: a b\nnonterminals: S B\nstart: S\n"
+                   "S -> a S B\nS -> a B\nB -> b\n")
+    n = 3000
+    assert cli_main(["member", str(gnf), "a" * n + "b" * n]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+    assert cli_main(["member", str(gnf), "a" * n + "b" * (n + 1)]) == 0
+    assert capsys.readouterr().out.strip() == "false"
+
+
 def test_ccs_observe_and_bisim(files, capsys):
     assert cli_main(["ccs", files["milner.ccs"], "--agent", "P",
                      "--depth", "1"]) == 0
