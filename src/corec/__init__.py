@@ -16,7 +16,6 @@ from .behavior import (
     process_actions,
     rat,
     step_map,
-    stream_prefix,
     truncate,
 )
 from .checking import (

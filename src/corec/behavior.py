@@ -256,12 +256,3 @@ def is_prefix(shallow: ObservationTree, deep: ObservationTree) -> bool:
         p == q and is_prefix(c, d)
         for (p, c), (q, d) in zip(shallow.children, deep.children)
     )
-
-
-def stream_prefix(tree: ObservationTree):
-    """Labels along the single tail port, up to the cut."""
-    out = []
-    while not tree.cut:
-        out.append(tree.label)
-        tree = tree.children[0][1]
-    return out

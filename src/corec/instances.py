@@ -9,7 +9,6 @@ let the same randomly generated input drive both sides.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,11 +19,11 @@ from .behavior import (
     ProcessKind,
     STREAM,
     TREE,
+    StreamKind,
     language_step,
     process_actions,
     process_step,
     rat,
-    stream_prefix,
     stream_step,
     tree_step,
 )
@@ -88,7 +87,7 @@ def stream_base_table() -> RuleTable:
 
     return build_table(STREAM, sig, [
         GsosRule(sig.template("const"), const_rule, (Fraction(1),)),
-        GsosRule(sig.op("plus"), plus_rule),
+        GsosRule(sig.op("plus"), plus_rule, law=Law(additive=True)),
         GsosRule(sig.op("zip"), zip_rule),
         GsosRule(sig.template("mult"), mult_rule, (Fraction(2),)),
         GsosRule(sig.template("register"), register_rule, (Fraction(1),)),
@@ -162,7 +161,7 @@ def tree_table(pi_value: Fraction = Fraction(355, 113)) -> RuleTable:
 
     return build_table(TREE, sig, [
         GsosRule(sig.template("const"), const_rule, (Fraction(1),)),
-        GsosRule(sig.op("plus"), plus_rule),
+        GsosRule(sig.op("plus"), plus_rule, law=Law(additive=True)),
         GsosRule(sig.op("pi"), pi_rule),
     ])
 
@@ -441,8 +440,18 @@ def periodic_values(prefix, cycle, n):
 
 
 def stream_take(h: SolutionHandle, n: int):
-    """First n labels of a stream state."""
-    return stream_prefix(h.engine.observe(h, n))
+    """First n labels of a stream state, walking its tails on node ids."""
+    if not isinstance(getattr(h, "kind", None), StreamKind):
+        raise KindMismatch(f"{h!r} is not a stream state")
+    engine = h.engine
+    engine.check_handle(h)
+    out = []
+    nid = h.node
+    for _ in range(n):
+        step = engine.node_step(nid)
+        out.append(step.label)
+        nid = step.children[0][1]
+    return out
 
 
 def language_member(h: SolutionHandle, word: str) -> bool:
@@ -529,9 +538,14 @@ def _thue_morse(n: int) -> int:
 
 
 def _binomial_shuffle(xs, ys):
+    """``sum(comb(k, i) * xs[i] * ys[k - i])``, one Pascal row per k."""
     n = min(len(xs), len(ys))
-    return [sum(math.comb(k, i) * xs[i] * ys[k - i] for i in range(k + 1))
-            for k in range(n)]
+    out = []
+    row = [1]
+    for k in range(n):
+        out.append(sum(c * xs[i] * ys[k - i] for i, c in enumerate(row)))
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+    return out
 
 
 def _cauchy_convolution(xs, ys):

@@ -10,13 +10,15 @@ signature every rule was written against, and the engine resolves the
 symbols of a conclusion through the table's rename map
 (``Signature.embeddings``), so old interpretations are untouched.  A rule
 may also declare the algebraic law of its symbol (`Law`), which the engine
-applies when it builds nodes of that symbol.
+applies when it builds nodes of that symbol.  Tables built here record
+their `TableReport`: an extension probes only the rules it adds.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
@@ -30,6 +32,7 @@ from .errors import (
     KindMismatch,
     MissingRule,
     UnguardedPath,
+    ValidationFailed,
 )
 from .terms import (
     App,
@@ -109,19 +112,34 @@ class Law:
     ``unit`` (``op(x, unit) = op(unit, x) = x``) and ``zero``
     (``op(x, zero) = op(zero, x) = zero``), named in the rule author's
     signature; ``semilattice`` adds commutativity and idempotence.
-    Soundness is the author's claim, as a rule's totality is."""
+    Soundness is the author's claim, as a rule's totality is.
+
+    ``additive`` declares ``op`` the pointwise sum of a deterministic kind
+    with rational labels, so a sum is a multiset of its operands; it takes
+    no unit, zero or semilattice, and the probe checks the rule's shape:
+    label ``a.head + b.head``, each port continuing to ``op`` over the two
+    premises' continuations at that port."""
 
     unit: Optional[str] = None
     zero: Optional[str] = None
     semilattice: bool = False
+    additive: bool = False
 
 
-def _check_law(sig: Signature, name: str, law: Law):
+def _check_law(kind, sig: Signature, name: str, law: Law):
     """Raise unless ``law`` fits the symbol ``name`` of ``sig``: binary and
-    not parametric, with a unit and zero that are nullary symbols."""
+    not parametric, with a unit and zero that are nullary symbols; an
+    additive law stands alone, on states with rational labels."""
     d = sig.decl(name)
     if d.arity != 2 or d.parametric:
         raise ArityMismatch(f"law for {name!r}, which is not a binary symbol")
+    if law.additive:
+        if law.unit or law.zero or law.semilattice:
+            raise ValidationFailed(f"additive law for {name!r} with a unit, "
+                                   "zero or semilattice")
+        if not kind.deterministic or isinstance(kind, behavior.LanguageKind):
+            raise KindMismatch(f"additive law for {name!r} on {kind.name} "
+                               "states, whose labels are not rationals")
     for role, other in (("unit", law.unit), ("zero", law.zero)):
         if other is None:
             continue
@@ -220,12 +238,15 @@ class RuleTable:
     ``sig_id -> {name -> name here}`` map of ``sig`` and all its summands.
     ``laws`` holds each well-formed rule law with its unit and zero under
     their names here; `validate_table` reports the malformed ones.
+    ``report`` is the table's `TableReport` when its builder probed it;
+    otherwise `validation` probes on first use.
     """
 
     __slots__ = ("kind", "sig", "rules", "srps", "origin", "renames",
                  "laws", "_report")
 
-    def __init__(self, kind, sig: Signature, rules, srps=None, origin=None):
+    def __init__(self, kind, sig: Signature, rules, srps=None, origin=None,
+                 report=None):
         self.kind = kind
         self.sig = sig
         self.rules = dict(rules)
@@ -239,13 +260,13 @@ class RuleTable:
                 continue
             author_sig, orig = self.origin[name]
             try:
-                _check_law(author_sig, orig, r.law)
+                _check_law(kind, author_sig, orig, r.law)
             except CorecError:
                 continue
             here = self.renames[author_sig.sig_id]
-            self.laws[name] = Law(here.get(r.law.unit), here.get(r.law.zero),
-                                  r.law.semilattice)
-        self._report = None
+            self.laws[name] = replace(r.law, unit=here.get(r.law.unit),
+                                      zero=here.get(r.law.zero))
+        self._report = report
 
     def resolve(self, op: OpSym) -> str:
         """This table's name for ``op``, a symbol of the table signature or
@@ -297,17 +318,33 @@ def _probe_labels(kind, rng: random.Random):
 
 
 def _synthetic_args(kind, arity: int, rng: random.Random) -> tuple:
+    """Premises whose argument and continuation slots are pairwise
+    distinct (negative ids, which no arena node has)."""
     args = []
+    ids = itertools.count(-1, -1)
     for _ in range(arity):
         if kind.deterministic:
             step = Step(_probe_labels(kind, rng),
-                        tuple((p, None) for p in kind.ports))
+                        tuple((p, next(ids)) for p in kind.ports))
         else:
             n = rng.randint(0, 2)
             step = Step(None, tuple(
-                (rng.choice(kind.actions), None) for _ in range(n)))
-        args.append(arg_obs(kind, None, step))
+                (rng.choice(kind.actions), next(ids)) for _ in range(n)))
+        args.append(arg_obs(kind, next(ids), step))
     return tuple(args)
+
+
+def _check_additive(op: OpSym, args, step: Step):
+    """The shape an additive law claims: ``a.head + b.head``, and at each
+    port ``op`` over the premises' continuations at that port."""
+    a, b = args
+    if step.label != a.head + b.head:
+        raise ValidationFailed(f"additive {op!r} gives label {step.label} "
+                               f"on heads {a.head} and {b.head}")
+    for (port, t), (_, x), (_, y) in zip(step.children, a.tails, b.tails):
+        if t != App(op, (x, y)):
+            raise ValidationFailed(f"additive {op!r} continues at {port} to "
+                                   f"{t!r}, not to {App(op, (x, y))!r}")
 
 
 def _check_conclusion(table_sig: Signature, kind, step: Step):
@@ -348,15 +385,22 @@ def _context_check(outer_names):
 
 
 def _probe(kind, sig: Signature, name: str, conclude, probe_params, check,
-           rng: random.Random, rounds: int = 3):
-    """Apply ``conclude`` to synthetic premises, ``rounds`` times per probe
-    parameter, and run ``check(sig, kind, conclusion)`` on each result."""
+           rng: random.Random, law: Optional[Law] = None, rounds: int = 3):
+    """Check ``law`` if given, then apply ``conclude`` to synthetic
+    premises, ``rounds`` times per probe parameter, and run
+    ``check(sig, kind, conclusion)`` and an additive law's shape check on
+    each result."""
+    if law is not None:
+        _check_law(kind, sig, name, law)
     decl = sig.decl(name)
     for param in probe_params:
         op = sig.op(name, param) if decl.parametric else sig.op(name)
         for _ in range(rounds):
-            check(sig, kind,
-                  conclude(op, _synthetic_args(kind, op.arity, rng)))
+            args = _synthetic_args(kind, op.arity, rng)
+            step = conclude(op, args)
+            check(sig, kind, step)
+            if law is not None and law.additive:
+                _check_additive(op, args, step)
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +419,11 @@ def build_table(kind, sig: Signature, rules) -> RuleTable:
     missing = [n for n in sig.names if n not in by_name]
     if missing:
         raise MissingRule(f"no rule for symbols {missing}")
-    table = RuleTable(kind, sig, by_name)
     rng = random.Random(0xC0)
     for name, r in by_name.items():
-        if r.law is not None:
-            _check_law(sig, name, r.law)
         _probe(kind, sig, name, r.conclude, r.probe_params, _check_conclusion,
-               rng)
-    return table
+               rng, r.law)
+    return RuleTable(kind, sig, by_name, report=TableReport(()))
 
 
 def _carry_over(table: RuleTable, emb: Mapping[str, str]):
@@ -394,7 +435,9 @@ def _carry_over(table: RuleTable, emb: Mapping[str, str]):
 
 
 def extend_with_rps(table: RuleTable, rps: RpsDef) -> RuleTable:
-    """Adjoin recursively defined symbols; old interpretations carry over."""
+    """Adjoin recursively defined symbols; old interpretations carry over,
+    and so does the old table's report (if probed): only the new rules are
+    probed."""
     sum_sig = sig_sum(table.sig, rps.new_sig)
     emb_old = sum_sig.embedding_from(table.sig)
     emb_new = sum_sig.embedding_from(rps.new_sig)
@@ -404,18 +447,16 @@ def extend_with_rps(table: RuleTable, rps: RpsDef) -> RuleTable:
         if name not in rps.new_sig.names:
             raise ForeignSymbol(f"rps rule for undeclared symbol {name!r}")
         new_name = emb_new[name]
-        if rule.law is not None:
-            _check_law(sum_sig, new_name, rule.law)
         placed = GsosRule(sum_sig.template(new_name), rule.conclude,
                           rule.probe_params, rule.law)
         _probe(table.kind, sum_sig, new_name, rule.conclude,
-               rule.probe_params, _check_conclusion, rng)
+               rule.probe_params, _check_conclusion, rng, rule.law)
         rules[new_name] = placed
         origin[new_name] = (sum_sig, new_name)
     missing = [n for n in rps.new_sig.names if emb_new[n] not in rules]
     if missing:
         raise MissingRule(f"rps lacks rules for {missing}")
-    return RuleTable(table.kind, sum_sig, rules, srps, origin)
+    return RuleTable(table.kind, sum_sig, rules, srps, origin, table._report)
 
 
 def register_srps(table: RuleTable, srps_def: SrpsDef) -> RuleTable:
@@ -439,7 +480,7 @@ def register_srps(table: RuleTable, srps_def: SrpsDef) -> RuleTable:
     missing = [n for n in srps_def.new_sig.names if emb_new[n] not in srps]
     if missing:
         raise MissingRule(f"srps lacks contexts for {missing}")
-    return RuleTable(table.kind, sum_sig, rules, srps, origin)
+    return RuleTable(table.kind, sum_sig, rules, srps, origin, table._report)
 
 
 def add_rule(table: RuleTable, rule: GsosRule) -> RuleTable:
@@ -472,10 +513,8 @@ def validate_table(table: RuleTable) -> TableReport:
             violations.append(f"rule for foreign symbol {name!r}")
             continue
         try:
-            if r.law is not None:
-                _check_law(*table.origin[name], r.law)
             _probe(table.kind, *table.origin[name], r.conclude,
-                   r.probe_params, _check_conclusion, rng)
+                   r.probe_params, _check_conclusion, rng, r.law)
         except Exception as exc:  # noqa: BLE001 - collected into the report
             violations.append(f"rule {name!r}: {exc}")
     for name, entry in table.srps.items():

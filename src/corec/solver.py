@@ -1,9 +1,10 @@
 """Lazy memoized unfolding of terms over states and equation solving.
 
 The engine owns an arena of nodes: equation variables, operation symbols
-applied to child nodes, and guard states holding a precomputed step.  Every
-node's one-step behavior is computed at most once and memoized; terms over
-the same states that are equal modulo the laws their rules declare
+applied to child nodes, sums of an additive symbol as multisets of their
+operands, and guard states holding a precomputed step.  Every node's
+one-step behavior is computed at most once and memoized; terms over the
+same states that are equal modulo the laws their rules declare
 (`rules.Law`) share a node.  Solving a system is cheap:
 it allocates one node per variable, and all behavior is produced on demand
 by `unfold`/`observe`.
@@ -103,7 +104,9 @@ class SolutionHandle:
 
 class _Node:
     # Term nodes: ``name`` is the symbol's name in ``table``, ``op`` the
-    # symbol as the author of that name's rule knew it.
+    # symbol as the author of that name's rule knew it.  Sum nodes of an
+    # additive ``name``: ``children`` are ``(node, multiplicity)`` pairs,
+    # ascending by node.
     __slots__ = ("tag", "kind", "table", "name", "op", "children", "step",
                  "var", "rhs", "binding")
 
@@ -175,7 +178,10 @@ class Engine:
         operand, and for a semilattice operands strictly ascending by id.
         A zero absorbs and units drop.  A semilattice sorts and
         de-duplicates the operands of both sides; otherwise the left side's
-        operands fold onto the right side, which is normal already."""
+        operands fold onto the right side, which is normal already.  An
+        additive law gives a sum node (`_sum_node`)."""
+        if law.additive:
+            return self._sum_node(table, name, [(c, 1) for c in child_ids])
         nodes = self._nodes
         kept = []
         for c in child_ids:
@@ -203,6 +209,29 @@ class Engine:
         for c in reversed(operands):
             acc = self._cons_term(table, name, op, (c, acc))
         return acc
+
+    def _sum_node(self, table: RuleTable, name: str, weighted) -> int:
+        """The sum of the additive symbol ``name`` over ``(node,
+        multiplicity)`` pairs: operands that are sums of the same table and
+        symbol are flattened, their multiplicities multiplied, and the
+        multiset is hash-consed as one node."""
+        nodes = self._nodes
+        acc = {}
+        for c, m in weighted:
+            n = nodes[c]
+            if n.tag == "sum" and n.table is table and n.name == name:
+                for d, k in n.children:
+                    acc[d] = acc.get(d, 0) + m * k
+            else:
+                acc[c] = acc.get(c, 0) + m
+        children = tuple(sorted(acc.items()))
+        key = ("s", id(table), name, children)
+        nid = self._cons.get(key)
+        if nid is None:
+            nid = self._add(_Node("sum", table.kind, table=table, name=name,
+                                  children=children))
+            self._cons[key] = nid
+        return nid
 
     def _guard_node(self, kind, step: Step) -> int:
         step = canonicalize_step(kind, step)
@@ -277,6 +306,8 @@ class Engine:
             step = node.step
         elif node.tag == "term":
             step = self._apply_rule(node)
+        elif node.tag == "sum":
+            step = self._sum_step(node)
         else:
             step = self._eqvar_step(node)
         self._memo[nid] = step
@@ -294,6 +325,23 @@ class Engine:
         rule = table.rule_for(name)
         return self._instantiate_step(table, rule.conclude(node.op, args),
                                       None)
+
+    def _sum_step(self, node: _Node) -> Step:
+        """``Σ m·g`` steps to ``Σ m·label(g)`` and, at each port, the sum
+        of ``m·child(g)``; no rule runs."""
+        ports = node.kind.ports
+        label = 0
+        kids = [[] for _ in ports]
+        for c, m in node.children:
+            step = self._unfold(c)
+            label += m * step.label
+            for kid, (_, d) in zip(kids, step.children):
+                kid.append((d, m))
+        step = Step(label, tuple(
+            (p, self._sum_node(node.table, node.name, kid))
+            for p, kid in zip(ports, kids)))
+        check_step(node.kind, step)
+        return step
 
     def _elaborate(self, table: RuleTable, ctx, binding) -> Step:
         return self._unfold(self._ctx_to_node(table, ctx, binding))

@@ -8,7 +8,12 @@ from helpers import agent_handle, sos_agree
 
 from corec.behavior import process_actions
 from corec.checking import bounded_equal
-from corec.errors import BadActionStructure, EmptyAlphabet, UnknownOracle
+from corec.errors import (
+    BadActionStructure,
+    EmptyAlphabet,
+    KindMismatch,
+    UnknownOracle,
+)
 from corec.instances import (
     DEFAULT_ACTIONS,
     ccs_sos,
@@ -55,6 +60,15 @@ def test_multiplier(engine):
     m = engine.interpret_op(t, t.op("mult", Fraction(1, 2)), [h])
     assert stream_take(m, 4) == [Fraction(1, 2), 1, Fraction(3, 2),
                                  Fraction(3, 2)]
+
+
+def test_stream_take_rejects_other_kinds(engine):
+    tree = engine.interpret_op(tree_table(), tree_table().op("pi"), [])
+    lang = engine.interpret_term(language_table("ab"), language_term(
+        language_table("ab"), ("char", "a")))
+    for h in (tree, lang, None):
+        with pytest.raises(KindMismatch):
+            stream_take(h, 3)
 
 
 def test_convolution_against_oracle(engine):

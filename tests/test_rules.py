@@ -328,6 +328,31 @@ def test_instance_tables_validate_cleanly():
     assert validate_table(ccs_table(DEFAULT_ACTIONS)).ok
 
 
+def test_tables_are_probed_once(monkeypatch):
+    from corec import rules
+
+    probed = []
+    probe = rules._probe
+
+    def counting(kind, sig, name, *rest):
+        probed.append(name)
+        return probe(kind, sig, name, *rest)
+
+    monkeypatch.setattr(rules, "_probe", counting)
+    table = language_table.__wrapped__("ab")
+    assert len(probed) == 10
+    assert table.validation().ok and len(probed) == 10
+    idle = signature(("idle", 1)).op("idle")
+    wider = add_rule(table, GsosRule(
+        idle, lambda op, args: Step(args[0].label, args[0].tails)))
+    assert probed[10:] == ["idle"]
+    assert wider.validation().ok and len(probed) == 11
+    doubled = register_srps(stream_table(), _doubling_srps(stream_table().sig))
+    assert doubled.validation().ok and probed[11:] == ["twice"]
+    direct = RuleTable(table.kind, table.sig, table.rules, origin=table.origin)
+    assert direct.validation().ok and len(probed) == 22
+
+
 def _doubling_srps(base_sig):
     new = signature(("twice", 1))
     s = sig_sum(base_sig, new)

@@ -1,0 +1,196 @@
+"""Sums of an additive symbol hash-consed as weighted multisets.
+
+Every test here runs under the default recursion limit.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from corec.behavior import STREAM, TREE, language_step, stream_step, tree_step
+from corec.errors import KindMismatch, ValidationFailed
+from corec.instances import (
+    language_table,
+    oracle_eval,
+    periodic_stream,
+    periodic_values,
+    stream_table,
+    stream_take,
+    tree_table,
+)
+from corec.rules import GsosRule, Law, RuleTable, build_table, validate_table
+from corec.solver import Engine, FlatRhs, System
+from corec.terms import Param, Var, mk_app, signature
+
+
+def test_sums_are_multisets_of_their_operands():
+    table = stream_table()
+    engine = Engine()
+    x = periodic_stream(engine, (1,), (2,))
+    y = periodic_stream(engine, (), (3, 4))
+
+    def node(t):
+        return engine.interpret_term(table, t).node
+
+    def plus(a, b):
+        return mk_app(table.op("plus"), (a, b))
+
+    px, py = Param(x), Param(y)
+    assert node(plus(px, py)) == node(plus(py, px))
+    h = engine.interpret_term(table, plus(plus(px, py), px))
+    twice_x = h.node
+    assert twice_x == node(plus(px, plus(py, px)))
+    assert engine._nodes[twice_x].children == \
+        tuple(sorted(((x.node, 2), (y.node, 1))))
+    assert twice_x != node(plus(px, py))
+    doubled = node(plus(px, px))
+    assert doubled != x.node
+    assert engine._nodes[doubled].children == ((x.node, 2),)
+    assert stream_take(h, 5) == [5, 8, 7, 8, 7]
+
+
+def test_a_chain_of_ten_thousand_sums():
+    table = stream_table()
+    engine = Engine()
+    xs = [periodic_stream(engine, (), (k,)) for k in (1, 2, 3)]
+    h = xs[0]
+    for i in range(10_000):
+        h = engine.interpret_op(table, table.op("plus"), [xs[(i + 1) % 3], h])
+    digit = 1 + sum((i + 1) % 3 + 1 for i in range(10_000))
+    assert stream_take(h, 3) == [digit] * 3
+
+
+def _int_spec(rng):
+    return (tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 2))),
+            tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 3))))
+
+
+@pytest.mark.parametrize("op, oracle", [
+    ("shuffle", "binomial_shuffle"),
+    ("conv", "cauchy_convolution"),
+])
+def test_products_at_two_thousand_digits(op, oracle):
+    table = stream_table()
+    rng = random.Random(f"sums/{op}")
+    for _ in range(2):
+        a, b = _int_spec(rng), _int_spec(rng)
+        engine = Engine()
+        h = engine.interpret_op(table, table.op(op), [
+            periodic_stream(engine, *a), periodic_stream(engine, *b)])
+        n = 2000
+        got = stream_take(h, n)
+        xs = [int(v) for v in periodic_values(*a, n)]
+        ys = [int(v) for v in periodic_values(*b, n)]
+        assert got == oracle_eval(oracle, xs, ys), (a, b)
+        size_a, size_b = (len(a[0]) + len(a[1]), len(b[0]) + len(b[1]))
+        assert len(engine._nodes) <= \
+            n + 8 * size_a * size_b + 2 * (size_a + size_b)
+
+
+def _tree_graph(rng, prefix, size=4):
+    names = [f"{prefix}{i}" for i in range(size)]
+    return {n: (Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                rng.choice(names), rng.choice(names)) for n in names}
+
+
+def _tree_handle(engine, graph):
+    rhs = {n: FlatRhs(tree_step(label, Var(left), Var(right)))
+           for n, (label, left, right) in graph.items()}
+    sol = engine.solve(System(TREE, tree_table(), tuple(graph), rhs))
+    return sol[next(iter(graph))]
+
+
+def _nodewise(graphs_and_weights, depth):
+    """Observation of the weighted nodewise sum of the roots of ``graphs``,
+    as nested ``(label, left, right)``; None is a cut."""
+    if depth <= 0:
+        return None
+    label = sum(w * g[n][0] for g, n, w in graphs_and_weights)
+    return (label,
+            _nodewise([(g, g[n][1], w) for g, n, w in graphs_and_weights],
+                      depth - 1),
+            _nodewise([(g, g[n][2], w) for g, n, w in graphs_and_weights],
+                      depth - 1))
+
+
+def _as_tuple(tree):
+    if tree.cut:
+        return None
+    (_, left), (_, right) = tree.children
+    return (tree.label, _as_tuple(left), _as_tuple(right))
+
+
+def test_tree_sums_match_the_nodewise_oracle():
+    table = tree_table()
+    rng = random.Random(11)
+    plus = table.op("plus")
+    for _ in range(5):
+        engine = Engine()
+        g, k = _tree_graph(rng, "g"), _tree_graph(rng, "k")
+        x, y = _tree_handle(engine, g), _tree_handle(engine, k)
+        px, py = Param(x), Param(y)
+        h = engine.interpret_term(
+            table, mk_app(plus, (mk_app(plus, (px, py)), px)))
+        want = _nodewise([(g, "g0", 2), (k, "k0", 1)], 8)
+        assert _as_tuple(engine.observe(h, 8)) == want
+
+
+def _difference(op, args):
+    a, b = args
+    return stream_step(a.head - b.head, mk_app(op, (a.tail, b.tail)))
+
+
+def _left_twice(op, args):
+    a, b = args
+    return stream_step(a.head + b.head, mk_app(op, (a.tail, a.tail)))
+
+
+def _sum(op, args):
+    a, b = args
+    return stream_step(a.head + b.head, mk_app(op, (a.tail, b.tail)))
+
+
+@pytest.mark.parametrize("plus_rule, law", [
+    (_difference, Law(additive=True)),
+    (_left_twice, Law(additive=True)),
+    (_sum, Law(unit="one", additive=True)),
+])
+def test_malformed_additive_laws_are_rejected(plus_rule, law):
+    sig = signature(("one", 0), ("plus", 2))
+
+    def one(op, args):
+        return stream_step(1, mk_app(op, ()))
+
+    rules = {"one": GsosRule(sig.op("one"), one),
+             "plus": GsosRule(sig.op("plus"), plus_rule, law=law)}
+    with pytest.raises(ValidationFailed):
+        build_table(STREAM, sig, rules.values())
+    assert any(v.startswith("rule 'plus'") for v in
+               validate_table(RuleTable(STREAM, sig, rules)).violations)
+
+
+def test_additive_law_needs_rational_labels():
+    kind = language_table("ab").kind
+    sig = signature(("both", 2))
+
+    def both(op, args):
+        a, b = args
+        return language_step(a.head or b.head,
+                             {x: mk_app(op, (a.at(x), b.at(x)))
+                              for x in kind.alphabet}, kind.alphabet)
+
+    rule = GsosRule(sig.op("both"), both, law=Law(additive=True))
+    with pytest.raises(KindMismatch):
+        build_table(kind, sig, [rule])
+    table = RuleTable(kind, sig, {"both": rule})
+    assert table.laws == {}
+    assert any(v.startswith("rule 'both'")
+               for v in validate_table(table).violations)
+
+
+def test_the_sum_tables_declare_the_law():
+    assert stream_table().laws["plus"] == Law(additive=True)
+    assert tree_table().laws == {"plus": Law(additive=True)}
+    assert validate_table(stream_table()).ok
+    assert validate_table(tree_table()).ok
