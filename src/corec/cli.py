@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import checking, frontends, instances
-from .behavior import ObservationTree
+from .behavior import ObservationTree, move_action
 from .errors import CorecError
 from .solver import Engine
 
@@ -28,12 +28,9 @@ def _obs_json(tree: ObservationTree):
         label = frontends.format_rat(label)
     return {
         "label": label,
-        "children": [[_port_str(p), _obs_json(c)] for p, c in tree.children],
+        "children": [[move_action(p), _obs_json(c)]
+                     for p, c in tree.children],
     }
-
-
-def _port_str(port):
-    return port[0] if isinstance(port, tuple) else str(port)
 
 
 def _obs_text(kind, tree: ObservationTree) -> str:
@@ -50,16 +47,11 @@ def _obs_sexpr(kind, tree) -> str:
     if tree.cut:
         return "#"
     if kind.name == "process":
-        inner = " ".join(f"{_port_str(p)}.{_obs_sexpr(kind, c)}"
+        inner = " ".join(f"{move_action(p)}.{_obs_sexpr(kind, c)}"
                          for p, c in tree.children)
         return "{" + inner + "}"
-    label = tree.label
-    if isinstance(label, Fraction):
-        label = frontends.format_rat(label)
-    elif isinstance(label, bool):
-        label = "1" if label else "0"
     inner = " ".join(f"{p}:{_obs_sexpr(kind, c)}" for p, c in tree.children)
-    return f"({label} {inner})"
+    return f"({frontends.format_label(tree.label)} {inner})"
 
 
 def _emit(args, payload_text, payload_json):

@@ -18,6 +18,7 @@ from typing import Optional
 from .behavior import (
     LanguageKind,
     Step,
+    move_action,
     process_actions,
     process_step,
     stream_step,
@@ -47,6 +48,16 @@ def format_rat(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def format_label(value) -> str:
+    """A label or parameter as text: a rational through `format_rat`, a
+    bool as ``1``/``0``, anything else through ``str``."""
+    if isinstance(value, Fraction):
+        return format_rat(value)
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -416,32 +427,22 @@ def format_term(table: RuleTable, t: Term) -> str:
         return f"{format_rat(param)} . {format_term(table, t.args[0])}"
     if name == "prefix" and kind.name == "language":
         return f"{param} . {format_term(table, t.args[0])}"
-    return _format_call(kind, t.op, [format_term(table, a) for a in t.args])
+    return _format_call(t.op, [format_term(table, a) for a in t.args])
 
 
-def _format_call(kind, op, args) -> str:
+def _format_call(op, args) -> str:
     """``op`` applied to formatted ``args``, its parameter leading."""
     if op.param is None:
         return f"{op.name}({', '.join(args)})"
-    ptype = _PARAM_TYPE.get(kind.name, {}).get(op.name)
-    if ptype == "rat":
-        head = format_rat(op.param)
-    elif ptype == "bit":
-        head = "1" if op.param else "0"
-    else:
-        head = str(op.param)
-    return f"{op.name}({', '.join([head, *args])})"
+    return f"{op.name}({', '.join([format_label(op.param), *args])})"
 
 
 def _format_step(table: RuleTable, step: Step) -> str:
-    kind = table.kind
-    if kind.name == "stream":
-        return (f"{format_rat(step.label)} . "
-                f"{format_term(table, step.children[0][1])}")
+    label = format_label(step.label)
+    if table.kind.name == "stream":
+        return f"{label} . {format_term(table, step.children[0][1])}"
     inner = ", ".join(format_term(table, c) for _, c in step.children)
-    if kind.name == "tree":
-        return f"{format_rat(step.label)} . ({inner})"
-    return f"{1 if step.label else 0} . ({inner})"
+    return f"{label} . ({inner})"
 
 
 def _format_ctx(table: RuleTable, ctx) -> str:
@@ -449,8 +450,7 @@ def _format_ctx(table: RuleTable, ctx) -> str:
         return _format_step(table, ctx.step)
     if not ctx.args:
         return format_term(table, mk_app(ctx.op, ()))
-    return _format_call(table.kind, ctx.op,
-                        [_format_ctx(table, a) for a in ctx.args])
+    return _format_call(ctx.op, [_format_ctx(table, a) for a in ctx.args])
 
 
 def format_system(system: System) -> str:
@@ -971,7 +971,7 @@ def _format_ccs_term(kind, t) -> str:
             return "0"
         parts = []
         for port, term in moves:
-            action = port[0] if isinstance(port, tuple) else port
+            action = move_action(port)
             sub = _format_ccs_term(kind, term)
             atomic = isinstance(term, Var) or (
                 isinstance(term, App) and term.op.name == "sum"

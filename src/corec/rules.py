@@ -26,7 +26,6 @@ from . import behavior
 from .behavior import Step, check_step
 from .errors import (
     ArityMismatch,
-    CorecError,
     DuplicateRule,
     ForeignSymbol,
     KindMismatch,
@@ -236,10 +235,11 @@ class RuleTable:
     ``origin`` maps each name to the signature and name its rule's author
     used (by default the table's own), and ``renames`` is the composed
     ``sig_id -> {name -> name here}`` map of ``sig`` and all its summands.
-    ``laws`` holds each well-formed rule law with its unit and zero under
-    their names here; `validate_table` reports the malformed ones.
-    ``report`` is the table's `TableReport` when its builder probed it;
-    otherwise `validation` probes on first use.
+    ``report`` is the table's `TableReport` when its builder probed it; a
+    table given none probes at construction if its rules declare laws, and
+    otherwise `validation` probes on first use.  ``laws`` holds the law of
+    each rule that passed its probe, with its unit and zero under their
+    names here; the report names the rules left out.
     """
 
     __slots__ = ("kind", "sig", "rules", "srps", "origin", "renames",
@@ -254,19 +254,24 @@ class RuleTable:
         self.origin = dict(origin) if origin is not None else \
             {name: (sig, name) for name in sig.names}
         self.renames = sig.embeddings()
+        if report is None and any(r.law is not None
+                                  for r in self.rules.values()):
+            report = validate_table(self)
+        self._report = report
         self.laws = {}
         for name, r in self.rules.items():
             if r.law is None:
                 continue
             author_sig, orig = self.origin[name]
-            try:
-                _check_law(kind, author_sig, orig, r.law)
-            except CorecError:
-                continue
+            if not report.ok:
+                try:
+                    _probe(kind, author_sig, orig, r.conclude, r.probe_params,
+                           _check_conclusion, random.Random(0xC4), r.law)
+                except Exception:  # noqa: BLE001 - the report names it
+                    continue
             here = self.renames[author_sig.sig_id]
             self.laws[name] = replace(r.law, unit=here.get(r.law.unit),
                                       zero=here.get(r.law.zero))
-        self._report = report
 
     def resolve(self, op: OpSym) -> str:
         """This table's name for ``op``, a symbol of the table signature or

@@ -1,13 +1,14 @@
 """Lazy memoized unfolding of terms over states and equation solving.
 
-The engine owns an arena of nodes: equation variables, operation symbols
-applied to child nodes, sums of an additive symbol as multisets of their
-operands, and guard states holding a precomputed step.  Every node's
-one-step behavior is computed at most once and memoized; terms over the
-same states that are equal modulo the laws their rules declare
-(`rules.Law`) share a node.  Solving a system is cheap:
-it allocates one node per variable, and all behavior is produced on demand
-by `unfold`/`observe`.
+The engine owns an arena of nodes: operation symbols applied to child
+nodes, sums of an additive symbol as multisets of their operands, guard
+states holding a precomputed step, and the variables of sandwiched
+systems, each stepping as the node of its context.  Every node's one-step
+behavior is computed at most once and memoized; terms over the same states
+that are equal modulo the laws their rules declare (`rules.Law`) share a
+node.  Solving a system allocates one node per variable and then builds
+each right-hand side into the arena once, which is also where it is
+checked; behavior is produced on demand by `unfold`/`observe`.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from . import behavior
 from .behavior import CUT, ObservationTree, Step, canonicalize_step, check_step
 from .errors import (
     ArityMismatch,
-    ForeignSymbol,
     InvalidHandle,
     KindMismatch,
     RuleDiverged,
@@ -29,16 +28,7 @@ from .errors import (
     VariableClash,
 )
 from .rules import CtxApp, CtxGuard, RuleTable, arg_obs
-from .terms import (
-    App,
-    Param,
-    Slot,
-    Term,
-    Var,
-    free_vars,
-    is_reserved_name,
-    subterms,
-)
+from .terms import App, Param, Slot, Term, Var, is_reserved_name
 
 
 @dataclass
@@ -106,12 +96,12 @@ class _Node:
     # Term nodes: ``name`` is the symbol's name in ``table``, ``op`` the
     # symbol as the author of that name's rule knew it.  Sum nodes of an
     # additive ``name``: ``children`` are ``(node, multiplicity)`` pairs,
-    # ascending by node.
-    __slots__ = ("tag", "kind", "table", "name", "op", "children", "step",
-                 "var", "rhs", "binding")
+    # ascending by node.  A sandwiched variable (tag ``var``) has one
+    # child, the node of its context.
+    __slots__ = ("tag", "kind", "table", "name", "op", "children", "step")
 
     def __init__(self, tag, kind, table=None, name=None, op=None, children=(),
-                 step=None, var=None, rhs=None, binding=None):
+                 step=None):
         self.tag = tag
         self.kind = kind
         self.table = table
@@ -119,9 +109,6 @@ class _Node:
         self.op = op
         self.children = children
         self.step = step
-        self.var = var
-        self.rhs = rhs
-        self.binding = binding
 
 
 class Engine:
@@ -290,6 +277,9 @@ class Engine:
                 table.kind, self._instantiate_step(table, ctx.step, binding))
         if isinstance(ctx, CtxApp):
             name = table.resolve(ctx.op)
+            if len(ctx.args) != ctx.op.arity:
+                raise ArityMismatch(f"{ctx.op!r} in context applied to "
+                                    f"{len(ctx.args)} arguments")
             children = [self._ctx_to_node(table, a, binding) for a in ctx.args]
             return self._term_node(table, name, ctx.op, children)
         raise UnguardedPath(f"context leaf {ctx!r} has no guard")
@@ -309,7 +299,7 @@ class Engine:
         elif node.tag == "sum":
             step = self._sum_step(node)
         else:
-            step = self._eqvar_step(node)
+            step = self._unfold(node.children[0])
         self._memo[nid] = step
         return step
 
@@ -321,7 +311,7 @@ class Engine:
         args = tuple(args)
         if table.srps_backed(name):
             ctx = table.srps[name].fn(node.op, args)
-            return self._elaborate(table, ctx, None)
+            return self._unfold(self._ctx_to_node(table, ctx, None))
         rule = table.rule_for(name)
         return self._instantiate_step(table, rule.conclude(node.op, args),
                                       None)
@@ -342,17 +332,6 @@ class Engine:
             for p, kid in zip(ports, kids)))
         check_step(node.kind, step)
         return step
-
-    def _elaborate(self, table: RuleTable, ctx, binding) -> Step:
-        return self._unfold(self._ctx_to_node(table, ctx, binding))
-
-    def _eqvar_step(self, node: _Node) -> Step:
-        rhs = node.rhs
-        if isinstance(rhs, FlatRhs):
-            return self._instantiate_step(node.table, rhs.step, node.binding)
-        if isinstance(rhs, GuardedRhs):
-            return self._elaborate(node.table, rhs.ctx, node.binding)
-        raise ValidationFailed(f"unsolvable right-hand side {rhs!r}")
 
     def _observe(self, nid: int, depth: int) -> ObservationTree:
         """Depth-bounded unfolding in pre-order, port order, without Python
@@ -405,8 +384,7 @@ class Engine:
     def interpret_op(self, table: RuleTable, op, args) -> SolutionHandle:
         """The state denoting ``op`` applied to already-solved states."""
         args = tuple(args)
-        if not table.sig.contains(op):
-            raise ForeignSymbol(f"{op!r} is not in the table signature")
+        name = table.resolve(op)
         if len(args) != op.arity:
             raise ArityMismatch(f"{op!r} applied to {len(args)} states")
         for h in args:
@@ -415,7 +393,7 @@ class Engine:
                 raise KindMismatch(
                     f"argument of kind {h.kind.name} for a "
                     f"{table.kind.name} operation")
-        nid = self._term_node(table, op.name, op, [h.node for h in args])
+        nid = self._term_node(table, name, op, [h.node for h in args])
         return self._handle(nid)
 
     def interpret_term(self, table: RuleTable, t: Term,
@@ -434,29 +412,18 @@ class Engine:
             self.check_handle(h)
             node_binding[v] = h.node
         self._work = 0
-        step = self._elaborate(table, ctx, node_binding)
+        step = self._unfold(self._ctx_to_node(table, ctx, node_binding))
         return Step(step.label,
                     tuple((p, self._handle(c)) for p, c in step.children))
 
     def solve(self, system: System) -> dict:
         """Solutions of a flat or sandwiched equation system.
 
-        Returns one handle per variable; unfolding the handles satisfies
-        the defining equations (see `checking.diagram_check`).
+        Allocates one node per variable, then builds each right-hand side
+        over them once; the builders reject what is ill-formed.  Returns one
+        handle per variable; unfolding the handles satisfies the defining
+        equations (see `checking.diagram_check`).
         """
-        self._validate_system(system)
-        binding = {}
-        for v in system.vars:
-            rhs = system.rhs[v]
-            if isinstance(rhs, ConstRhs):
-                binding[v] = rhs.ref.node
-            else:
-                nid = self._add(_Node("eqvar", system.kind, table=system.table,
-                                      var=v, rhs=rhs, binding=binding))
-                binding[v] = nid
-        return {v: self._handle(binding[v]) for v in system.vars}
-
-    def _validate_system(self, system: System):
         report = system.table.validation()
         if not report.ok:
             raise ValidationFailed(f"table invalid: {report.violations}")
@@ -464,91 +431,60 @@ class Engine:
             raise KindMismatch("system kind differs from its table's kind")
         if len(set(system.vars)) != len(system.vars):
             raise VariableClash("duplicate variable names")
-        allowed = set(system.vars)
+        binding = {}
         for v in system.vars:
             if is_reserved_name(v):
                 raise ValidationFailed(f"variable name {v!r} is reserved")
             if v not in system.rhs:
                 raise ValidationFailed(f"no right-hand side for {v!r}")
-            self._validate_rhs(system, system.rhs[v], allowed)
+            rhs = system.rhs[v]
+            if isinstance(rhs, ConstRhs):
+                self.check_handle(rhs.ref)
+                if rhs.ref.kind != system.kind:
+                    raise KindMismatch("constant parameter of the wrong kind")
+                binding[v] = rhs.ref.node
+            else:
+                binding[v] = self._var_node(system.kind, rhs)
+        for v in system.vars:
+            self._define(system.table, binding[v], system.rhs[v], binding)
+        return {v: self._handle(binding[v]) for v in system.vars}
 
-    def _validate_rhs(self, system: System, rhs, allowed):
-        if isinstance(rhs, ConstRhs):
-            self.check_handle(rhs.ref)
-            if rhs.ref.kind != system.kind:
-                raise KindMismatch("constant parameter of the wrong kind")
-            return
+    def _var_node(self, kind, rhs) -> int:
+        """An empty node for a variable defined by ``rhs``: a guard node for
+        a flat rhs, a ``var`` node for a sandwiched one."""
+        if isinstance(rhs, FlatRhs):
+            return self._add(_Node("guard", kind))
+        if isinstance(rhs, GuardedRhs):
+            return self._add(_Node("var", kind))
         if isinstance(rhs, ExternalRhs):
             raise ValidationFailed(
                 "external variable references are only solvable through "
                 "compose_systems")
-        if isinstance(rhs, FlatRhs):
-            self._validate_rhs_step(system, rhs.step, allowed)
-            return
-        if isinstance(rhs, GuardedRhs):
-            self._validate_ctx(system, rhs.ctx, allowed)
-            return
         raise ValidationFailed(f"unrecognized right-hand side {rhs!r}")
 
-    def _validate_rhs_step(self, system: System, step: Step, allowed):
-        kind = system.kind
-        kind.check_label(step.label)
-        if kind.deterministic:
-            ports = tuple(p for p, _ in step.children)
-            if ports != tuple(kind.ports):
-                raise ValidationFailed(
-                    f"step must cover ports {kind.ports}, got {ports}")
-        for p, t in step.children:
-            if not kind.deterministic:
-                kind.action_index(behavior.move_action(p))
-            self._validate_rhs_term(system, t, allowed)
-
-    def _validate_rhs_term(self, system: System, t: Term, allowed):
-        loose = free_vars(t) - allowed
-        if loose:
-            raise ValidationFailed(f"undeclared variables {loose} in rhs")
-        for node in subterms(t):
-            if isinstance(node, Param):
-                self.check_handle(node.ref)
-                if node.ref.kind != system.kind:
-                    raise KindMismatch("parameter of the wrong kind in rhs")
-            elif isinstance(node, App) and \
-                    not system.table.sig.contains(node.op):
-                raise ValidationFailed(
-                    f"rhs uses {node.op!r} outside the table signature")
-
-    def _validate_ctx(self, system: System, ctx, allowed):
-        if isinstance(ctx, CtxGuard):
-            self._validate_rhs_step(system, ctx.step, allowed)
-            return
-        if isinstance(ctx, CtxApp):
-            if not system.table.sig.contains(ctx.op):
-                raise ValidationFailed(
-                    f"context uses {ctx.op!r} outside the table signature")
-            if len(ctx.args) != ctx.op.arity:
-                raise ValidationFailed(f"{ctx.op!r} misapplied in context")
-            for sub in ctx.args:
-                self._validate_ctx(system, sub, allowed)
-            return
-        raise UnguardedPath(f"context leaf {ctx!r} has no guard")
+    def _define(self, table: RuleTable, nid: int, rhs, binding):
+        """Fill the variable node ``nid`` with ``rhs`` built over the
+        variable nodes of ``binding``."""
+        if isinstance(rhs, FlatRhs):
+            self._nodes[nid].step = self._instantiate_step(table, rhs.step,
+                                                           binding)
+        elif isinstance(rhs, GuardedRhs):
+            self._nodes[nid].children = (
+                self._ctx_to_node(table, rhs.ctx, binding),)
 
     # -- rhs re-application, used by the solution-diagram check -------------
 
     def materialize_rhs(self, system: System, var: str,
                         sol: Mapping[str, SolutionHandle]) -> SolutionHandle:
-        """State obtained by applying ``var``'s rhs to the solved states."""
+        """State obtained by applying ``var``'s rhs to the solved states,
+        built as `solve` builds it."""
         rhs = system.rhs[var]
         if isinstance(rhs, ConstRhs):
             return rhs.ref
-        binding = {v: sol[v].node for v in system.vars}
-        self._work = 0
-        if isinstance(rhs, FlatRhs):
-            step = self._instantiate_step(system.table, rhs.step, binding)
-            return self._handle(self._guard_node(system.kind, step))
-        if isinstance(rhs, GuardedRhs):
-            return self._handle(
-                self._ctx_to_node(system.table, rhs.ctx, binding))
-        raise ValidationFailed(f"unsolvable right-hand side {rhs!r}")
+        nid = self._var_node(system.kind, rhs)
+        self._define(system.table, nid, rhs,
+                     {v: sol[v].node for v in system.vars})
+        return self._handle(nid)
 
     # -- composition of systems ----------------------------------------------
 

@@ -11,14 +11,17 @@ from helpers import (
     swapped_guard_values,
 )
 
-from corec.behavior import STREAM, stream_step
+from corec.behavior import STREAM, TREE, Step, process_step, stream_step, \
+    tree_step
 from corec.checking import bounded_equal, diagram_check
 from corec.errors import (
     ArityMismatch,
+    ForeignSymbol,
     InvalidHandle,
     KindMismatch,
     RuleDiverged,
     UnguardedPath,
+    UnknownSymbol,
     ValidationFailed,
     VariableClash,
 )
@@ -31,8 +34,10 @@ from corec.instances import (
     oracle_eval,
     periodic_stream,
     periodic_values,
+    stream_base_table,
     stream_table,
     stream_take,
+    tree_table,
 )
 from corec.rules import CtxApp, CtxGuard
 from corec.solver import (
@@ -43,8 +48,9 @@ from corec.solver import (
     FlatRhs,
     GuardedRhs,
     System,
+    interpret_op,
 )
-from corec.terms import Param, Var, mk_app
+from corec.terms import Param, Var, mk_app, signature
 
 
 @pytest.fixture()
@@ -402,3 +408,93 @@ def test_periodic_stream_matches_value_oracle(engine):
     pre, cyc = (Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))
     h = periodic_stream(engine, pre, cyc)
     assert stream_take(h, 9) == periodic_values(pre, cyc, 9)
+
+
+def _tree_state(engine):
+    sys = System(TREE, tree_table(), ("t",), {
+        "t": FlatRhs(tree_step(1, Var("t"), Var("t")))})
+    return engine.solve(sys)["t"]
+
+
+def _one(rhs, var="x"):
+    """A stream system defining ``var`` alone by ``rhs(engine)``, or by no
+    rhs at all when ``rhs`` is None."""
+    def system(engine):
+        table = stream_table()
+        return System(STREAM, table, (var,),
+                      {} if rhs is None else {var: rhs(engine)})
+    return system
+
+
+def _ccs_move(action):
+    def system(engine):
+        table = ccs_table(DEFAULT_ACTIONS)
+        return System(table.kind, table, ("p",), {
+            "p": FlatRhs(process_step(((action, Var("p")),)))})
+    return system
+
+
+_ZIP = stream_table().op("zip")
+_GUARD = CtxGuard(stream_step(1, Var("x")))
+
+
+@pytest.mark.parametrize("system, error", [
+    (_one(lambda e: FlatRhs(Step(Fraction(1), (("head", Var("x")),)))),
+     KindMismatch),
+    (_one(lambda e: FlatRhs(Step(1, (("tail", Var("x")),)))), KindMismatch),
+    (_ccs_move("zz"), KindMismatch),
+    (_one(lambda e: FlatRhs(stream_step(1, Var("y")))), UnknownSymbol),
+    (_one(lambda e: FlatRhs(stream_step(1, mk_app(
+        signature(("plus", 2)).op("plus"), (Var("x"), Var("x")))))),
+     ForeignSymbol),
+    (_one(lambda e: GuardedRhs(CtxApp(_ZIP, (_GUARD, _GUARD, _GUARD)))),
+     ArityMismatch),
+    (_one(lambda e: GuardedRhs(CtxApp(_ZIP, (_GUARD, Var("x"))))),
+     UnguardedPath),
+    (_one(lambda e: FlatRhs(stream_step(
+        1, Param(periodic_stream(Engine(), (), (1,)))))), InvalidHandle),
+    (_one(lambda e: FlatRhs(stream_step(1, Param(_tree_state(e))))),
+     KindMismatch),
+    (_one(lambda e: ExternalRhs("p")), ValidationFailed),
+    (_one(None), ValidationFailed),
+    (_one(lambda e: FlatRhs(stream_step(1, Var("~x"))), var="~x"),
+     ValidationFailed),
+], ids=["ports", "label", "action", "undeclared", "foreign", "ctx-arity",
+        "unguarded", "other-engine", "param-kind", "external", "missing",
+        "reserved"])
+def test_solve_rejects_each_malformed_rhs(engine, system, error):
+    with pytest.raises(error):
+        engine.solve(system(engine))
+
+
+def test_solve_accepts_a_summand_symbol(engine):
+    plus = stream_base_table().op("plus")
+    sys = _one(lambda e: FlatRhs(stream_step(
+        1, mk_app(plus, (Var("x"), Var("x"))))))(engine)
+    assert stream_take(engine.solve(sys)["x"], 4) == [1, 2, 4, 8]
+
+
+def test_interpret_op_accepts_a_summand_symbol(engine):
+    table = stream_table()
+    a, b = _two_constant_states(engine, table)
+    got = interpret_op(table, stream_base_table().op("plus"), [a, b])
+    assert got == interpret_op(table, table.op("plus"), [a, b])
+
+
+def test_observing_a_flat_solution_instantiates_nothing(engine, monkeypatch):
+    table = stream_table()
+    blink = System(table.kind, table, ("x", "y"), {
+        "x": FlatRhs(stream_step(0, Var("y"))),
+        "y": FlatRhs(stream_step(1, Var("x"))),
+    })
+    sol = engine.solve(blink)
+    calls = []
+    instantiate = Engine._instantiate_step
+
+    def counting(self, *args):
+        calls.append(args)
+        return instantiate(self, *args)
+
+    monkeypatch.setattr(Engine, "_instantiate_step", counting)
+    engine.observe(sol["x"], 8)
+    assert len(calls) == 0

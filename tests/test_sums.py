@@ -170,6 +170,24 @@ def test_malformed_additive_laws_are_rejected(plus_rule, law):
                validate_table(RuleTable(STREAM, sig, rules)).violations)
 
 
+def test_a_directly_built_table_admits_a_law_only_after_its_probe():
+    sig = signature(("const", 0, True), ("plus", 2))
+
+    def const(op, args):
+        return stream_step(op.param, mk_app(sig.op("const", Fraction(0)), ()))
+
+    rules = {"const": GsosRule(sig.template("const"), const, (Fraction(1),)),
+             "plus": GsosRule(sig.op("plus"), _difference,
+                              law=Law(additive=True))}
+    table = RuleTable(STREAM, sig, rules)
+    assert table.laws == {}
+    engine = Engine()
+    five, two = (engine.interpret_op(table, sig.op("const", Fraction(c)), [])
+                 for c in (5, 2))
+    h = engine.interpret_op(table, sig.op("plus"), [five, two])
+    assert stream_take(h, 3) == [3, 0, 0]
+
+
 def test_additive_law_needs_rational_labels():
     kind = language_table("ab").kind
     sig = signature(("both", 2))
