@@ -237,9 +237,9 @@ class RuleTable:
     ``sig_id -> {name -> name here}`` map of ``sig`` and all its summands.
     ``report`` is the table's `TableReport` when its builder probed it; a
     table given none probes at construction if its rules declare laws, and
-    otherwise `validation` probes on first use.  ``laws`` holds the law of
-    each rule that passed its probe, with its unit and zero under their
-    names here; the report names the rules left out.
+    otherwise `validation` probes on first use.  ``laws`` holds each rule's
+    law, with its unit and zero under their names here, when the report is
+    ok, and is empty otherwise.
     """
 
     __slots__ = ("kind", "sig", "rules", "srps", "origin", "renames",
@@ -260,15 +260,9 @@ class RuleTable:
         self._report = report
         self.laws = {}
         for name, r in self.rules.items():
-            if r.law is None:
+            if r.law is None or not report.ok:
                 continue
             author_sig, orig = self.origin[name]
-            if not report.ok:
-                try:
-                    _probe(kind, author_sig, orig, r.conclude, r.probe_params,
-                           _check_conclusion, random.Random(0xC4), r.law)
-                except Exception:  # noqa: BLE001 - the report names it
-                    continue
             here = self.renames[author_sig.sig_id]
             self.laws[name] = replace(r.law, unit=here.get(r.law.unit),
                                       zero=here.get(r.law.zero))

@@ -420,7 +420,8 @@ class Engine:
         """Solutions of a flat or sandwiched equation system.
 
         Allocates one node per variable, then builds each right-hand side
-        over them once; the builders reject what is ill-formed.  Returns one
+        over them once; the builders reject what is ill-formed, and a
+        rejected system leaves the arena as it was.  Returns one
         handle per variable; unfolding the handles satisfies the defining
         equations (see `checking.diagram_check`).
         """
@@ -431,6 +432,30 @@ class Engine:
             raise KindMismatch("system kind differs from its table's kind")
         if len(set(system.vars)) != len(system.vars):
             raise VariableClash("duplicate variable names")
+        n0 = len(self._nodes)
+        try:
+            binding = self._var_nodes(system)
+            for v in system.vars:
+                node = self._nodes[binding[v]]
+                rhs = system.rhs[v]
+                if isinstance(rhs, FlatRhs):
+                    node.step = self._instantiate_step(system.table, rhs.step,
+                                                       binding)
+                elif isinstance(rhs, GuardedRhs):
+                    node.children = (
+                        self._ctx_to_node(system.table, rhs.ctx, binding),)
+        except Exception:
+            # Nodes below n0 never point at later ones, so dropping the
+            # later ones and their hash-cons keys leaves the arena as it was.
+            del self._nodes[n0:]
+            self._cons = {k: i for k, i in self._cons.items() if i < n0}
+            raise
+        return {v: self._handle(binding[v]) for v in system.vars}
+
+    def _var_nodes(self, system: System) -> dict:
+        """One node per variable, still empty: a guard node for a flat rhs,
+        a ``var`` node for a sandwiched one, and the given state for a
+        constant."""
         binding = {}
         for v in system.vars:
             if is_reserved_name(v):
@@ -443,48 +468,36 @@ class Engine:
                 if rhs.ref.kind != system.kind:
                     raise KindMismatch("constant parameter of the wrong kind")
                 binding[v] = rhs.ref.node
+            elif isinstance(rhs, FlatRhs):
+                binding[v] = self._add(_Node("guard", system.kind))
+            elif isinstance(rhs, GuardedRhs):
+                binding[v] = self._add(_Node("var", system.kind))
+            elif isinstance(rhs, ExternalRhs):
+                raise ValidationFailed(
+                    "external variable references are only solvable through "
+                    "compose_systems")
             else:
-                binding[v] = self._var_node(system.kind, rhs)
-        for v in system.vars:
-            self._define(system.table, binding[v], system.rhs[v], binding)
-        return {v: self._handle(binding[v]) for v in system.vars}
-
-    def _var_node(self, kind, rhs) -> int:
-        """An empty node for a variable defined by ``rhs``: a guard node for
-        a flat rhs, a ``var`` node for a sandwiched one."""
-        if isinstance(rhs, FlatRhs):
-            return self._add(_Node("guard", kind))
-        if isinstance(rhs, GuardedRhs):
-            return self._add(_Node("var", kind))
-        if isinstance(rhs, ExternalRhs):
-            raise ValidationFailed(
-                "external variable references are only solvable through "
-                "compose_systems")
-        raise ValidationFailed(f"unrecognized right-hand side {rhs!r}")
-
-    def _define(self, table: RuleTable, nid: int, rhs, binding):
-        """Fill the variable node ``nid`` with ``rhs`` built over the
-        variable nodes of ``binding``."""
-        if isinstance(rhs, FlatRhs):
-            self._nodes[nid].step = self._instantiate_step(table, rhs.step,
-                                                           binding)
-        elif isinstance(rhs, GuardedRhs):
-            self._nodes[nid].children = (
-                self._ctx_to_node(table, rhs.ctx, binding),)
+                raise ValidationFailed(f"unrecognized right-hand side {rhs!r}")
+        return binding
 
     # -- rhs re-application, used by the solution-diagram check -------------
 
     def materialize_rhs(self, system: System, var: str,
                         sol: Mapping[str, SolutionHandle]) -> SolutionHandle:
         """State obtained by applying ``var``'s rhs to the solved states,
-        built as `solve` builds it."""
+        built with `solve`'s builders into hash-consed nodes, so that
+        repeating it adds no node."""
         rhs = system.rhs[var]
         if isinstance(rhs, ConstRhs):
             return rhs.ref
-        nid = self._var_node(system.kind, rhs)
-        self._define(system.table, nid, rhs,
-                     {v: sol[v].node for v in system.vars})
-        return self._handle(nid)
+        binding = {v: sol[v].node for v in system.vars}
+        if isinstance(rhs, FlatRhs):
+            step = self._instantiate_step(system.table, rhs.step, binding)
+            return self._handle(self._guard_node(system.kind, step))
+        if isinstance(rhs, GuardedRhs):
+            return self._handle(
+                self._ctx_to_node(system.table, rhs.ctx, binding))
+        raise ValidationFailed(f"unsolvable right-hand side {rhs!r}")
 
     # -- composition of systems ----------------------------------------------
 

@@ -463,8 +463,20 @@ _GUARD = CtxGuard(stream_step(1, Var("x")))
         "unguarded", "other-engine", "param-kind", "external", "missing",
         "reserved"])
 def test_solve_rejects_each_malformed_rhs(engine, system, error):
+    system = system(engine)
+    nodes, cons = len(engine._nodes), dict(engine._cons)
     with pytest.raises(error):
-        engine.solve(system(engine))
+        engine.solve(system)
+    assert len(engine._nodes) == nodes and engine._cons == cons
+
+
+def test_materialize_rhs_again_adds_no_node(engine):
+    for system in (flat_tm_system(), sandwiched_tm_system()):
+        sol = engine.solve(system)
+        assert diagram_check(system, sol, 8).passed
+        nodes = len(engine._nodes)
+        assert diagram_check(system, sol, 8).passed
+        assert len(engine._nodes) == nodes
 
 
 def test_solve_accepts_a_summand_symbol(engine):

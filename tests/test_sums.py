@@ -170,7 +170,7 @@ def test_malformed_additive_laws_are_rejected(plus_rule, law):
                validate_table(RuleTable(STREAM, sig, rules)).violations)
 
 
-def test_a_directly_built_table_admits_a_law_only_after_its_probe():
+def test_a_directly_built_table_admits_laws_only_once_its_probe_passes():
     sig = signature(("const", 0, True), ("plus", 2))
 
     def const(op, args):
