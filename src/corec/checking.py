@@ -355,11 +355,13 @@ def _star_derivative_report(rng) -> CheckReport:
         lang = engine.interpret_term(table, inst.language_term(table, expr))
         star = engine.interpret_op(table, table.op("star"), [lang])
         for letter in "ab":
-            lhs = engine.unfold(star).child(letter)
-            deriv = engine.unfold(lang).child(letter)
-            rhs = engine.interpret_op(table, table.op("concat"),
-                                      [deriv, star])
-            pairs.append((f"star-deriv {letter}", lhs, rhs))
+            lhs = engine.node_step(star.node).child(letter)
+            deriv = engine.node_step(lang.node).child(letter)
+            rhs = engine.interpret_op(
+                table, table.op("concat"),
+                [SolutionHandle(engine, deriv, table.kind), star])
+            pairs.append((f"star-deriv {letter}",
+                          SolutionHandle(engine, lhs, table.kind), rhs))
     w, label = _divergence_over(pairs, 5)
     return CheckReport("star-derivative-law", w is None, w,
                        label or "(L*)^a = L^a . L* at depth 5")

@@ -3,7 +3,8 @@
 Equation systems, behavioral differential equations, CCS agent files, and
 grammars are line-oriented text with `#` comments; circuits are JSON.
 Rational literals accept `p/q`, decimal, and integer forms and are read
-exactly.
+exactly.  Each text format is read in one pass over its tokens; BDE
+derivative clauses use the term grammar of equation systems, `_parse_expr`.
 """
 
 from __future__ import annotations
@@ -148,10 +149,6 @@ class TokenStream:
         self.skip_newlines()
 
 
-def _num_value(tok: Tok) -> Fraction:
-    return Fraction(tok.value)
-
-
 # ---------------------------------------------------------------------------
 # Expressions for the deterministic kinds
 #
@@ -170,7 +167,7 @@ def _parse_expr(ts: TokenStream):
     t = ts.peek()
     if t.kind == "num":
         ts.next()
-        value = _num_value(t)
+        value = Fraction(t.value)
         if ts.eat_sym("."):
             return ("guard", ("num", value), _parse_payload(ts), t)
         return ("num", value, t)
@@ -495,38 +492,6 @@ _PORT_CLAUSES = {"stream": (("tail", "tail"),),
 _HEAD_CLAUSE = {"stream": "head", "tree": "root"}
 
 
-def _scan_bde_headers(toks):
-    """First pass: definition names and arities, for mutual recursion."""
-    ts = TokenStream(list(toks))
-    ts.skip_newlines()
-    _parse_kind_header(ts)
-    headers = []
-    while ts.peek().kind != "eof":
-        t = ts.peek()
-        if t.kind == "ident" and t.value in ("given",):
-            while ts.peek().kind not in ("nl", "eof"):
-                ts.next()
-            ts.skip_newlines()
-            continue
-        if t.kind != "ident":
-            raise ParseError(t.line, t.col, "expected a definition")
-        name = ts.next().value
-        ts.expect("sym", "(")
-        arity = 0
-        if not ts.at_sym(")"):
-            ts.expect("ident")
-            arity = 1
-            while ts.eat_sym(","):
-                ts.expect("ident")
-                arity += 1
-        ts.expect("sym", ")")
-        headers.append((name, arity))
-        while ts.peek().kind not in ("nl", "eof"):
-            ts.next()
-        ts.skip_newlines()
-    return headers
-
-
 def _parse_head_expr(ts: TokenStream, head_kw, params):
     """The initial-value expression as a function of the argument labels."""
     def binary(op, a, b):
@@ -536,7 +501,7 @@ def _parse_head_expr(ts: TokenStream, head_kw, params):
         t = ts.peek()
         if t.kind == "num":
             ts.next()
-            value = _num_value(t)
+            value = Fraction(t.value)
             return lambda labels: value
         if ts.eat_sym("("):
             e = add()
@@ -570,80 +535,80 @@ def _parse_head_expr(ts: TokenStream, head_kw, params):
     return add()
 
 
-def _parse_bde_term(ts: TokenStream, kind_name, params, sum_sig):
-    """Term AST: ("self", i) ("port", i, p) ("head", i) ("lit", r)
-    ("app", opname, param-or-None, args) where a "rat" param may itself be
-    ("lit", r) or ("head", i)."""
+def _compile_bde_clause(sig, kind_name, params, node):
+    """A derivative clause's parse node (from `_parse_expr`) as a function
+    from the premises to the continuation term over ``sig``."""
     head_kw = _HEAD_CLAUSE[kind_name]
     ports = dict(_PORT_CLAUSES[kind_name])
 
-    def term():
-        t = ts.peek()
-        if t.kind == "num":
-            ts.next()
-            value = _num_value(t)
-            if ts.eat_sym("."):
-                if kind_name != "stream":
-                    raise ParseError(t.line, t.col,
-                                     "prefix terms are stream-only")
-                return ("app", "register", ("lit", value), [term()])
-            return ("lit", value)
-        if t.kind != "ident":
-            raise ParseError(t.line, t.col, f"expected a term, got {t.value!r}")
-        ts.next()
-        name = t.value
-        if name == head_kw or name in ports:
-            ts.expect("sym", "(")
-            var = ts.expect("ident")
-            ts.expect("sym", ")")
-            if var.value not in params:
-                raise ParseError(var.line, var.col,
-                                 f"unknown argument {var.value!r}")
-            i = params.index(var.value)
-            return ("head", i) if name == head_kw else ("port", i, ports[name])
-        if ts.eat_sym("("):
-            args = []
-            if not ts.at_sym(")"):
-                args.append(term())
-                while ts.eat_sym(","):
-                    args.append(term())
-            ts.expect("sym", ")")
-            try:
-                decl = sum_sig.decl(name)
-            except UnknownSymbol:
-                raise ParseError(t.line, t.col,
-                                 f"unknown operation {name!r}") from None
-            if decl.parametric:
-                if not args or args[0][0] not in ("lit", "head"):
-                    raise ParseError(t.line, t.col,
-                                     f"{name!r} needs a rational parameter")
-                return ("app", name, args[0], args[1:])
-            return ("app", name, None, args)
-        if name in params:
-            return ("self", params.index(name))
-        raise ParseError(t.line, t.col, f"unknown name {name!r}")
+    def argument(node):
+        # the `x` of head(x), tail(x), left(x), right(x), root(x)
+        _, name, args, tok = node
+        if len(args) != 1 or args[0][0] != "var":
+            raise ParseError(tok.line, tok.col,
+                             f"{name!r} takes one argument name")
+        var = args[0]
+        if var[1] not in params:
+            raise ParseError(var[2].line, var[2].col,
+                             f"unknown argument {var[1]!r}")
+        return params.index(var[1])
 
-    return term()
+    def app(op_of, kids):
+        return lambda a: mk_app(op_of(a), tuple(k(a) for k in kids))
 
+    def fixed(op):
+        return lambda a: op
 
-def _bde_build(sum_sig, ast, args):
-    tag = ast[0]
-    if tag == "self":
-        return args[ast[1]].self_term
-    if tag == "port":
-        return args[ast[1]].at(ast[2])
-    if tag == "head":
-        return mk_app(sum_sig.op("const", args[ast[1]].head), ())
-    if tag == "lit":
-        return mk_app(sum_sig.op("const", ast[1]), ())
-    _, name, param_ast, sub = ast
-    if param_ast is not None:
-        param = param_ast[1] if param_ast[0] == "lit" \
-            else args[param_ast[1]].head
-        op = sum_sig.op(name, param)
-    else:
-        op = sum_sig.op(name)
-    return mk_app(op, tuple(_bde_build(sum_sig, a, args) for a in sub))
+    def compile_node(node):
+        tag, tok = node[0], node[-1]
+        if tag == "num":
+            term = mk_app(sig.op("const", node[1]), ())
+            return lambda a: term
+        if tag == "var":
+            if node[1] not in params:
+                raise ParseError(tok.line, tok.col, f"unknown name {node[1]!r}")
+            i = params.index(node[1])
+            return lambda a: a[i].self_term
+        if tag == "guard":
+            _, (label_type, label), payload, _ = node
+            if label_type == "letter":
+                raise ParseError(tok.line, tok.col, f"unknown name {label!r}")
+            if kind_name != "stream":
+                raise ParseError(tok.line, tok.col,
+                                 "prefix terms are stream-only")
+            if len(payload) != 1:
+                raise ParseError(tok.line, tok.col,
+                                 "a prefix term is `rational . term`")
+            return app(fixed(sig.op("register", label)),
+                       [compile_node(payload[0])])
+        _, name, args, _ = node
+        if name == head_kw:
+            i = argument(node)
+            return lambda a: mk_app(sig.op("const", a[i].head), ())
+        if name in ports:
+            i, port = argument(node), ports[name]
+            return lambda a: a[i].at(port)
+        try:
+            decl = sig.decl(name)
+        except UnknownSymbol:
+            raise ParseError(tok.line, tok.col,
+                             f"unknown operation {name!r}") from None
+        if not decl.parametric:
+            op_of = fixed(sig.op(name))
+        elif args and args[0][0] == "num":
+            op_of, args = fixed(sig.op(name, args[0][1])), args[1:]
+        elif args and args[0][0] == "call" and args[0][1] == head_kw:
+            i, args = argument(args[0]), args[1:]
+            op_of = lambda a: sig.op(name, a[i].head)  # noqa: E731
+        else:
+            raise ParseError(tok.line, tok.col,
+                             f"{name!r} needs a rational parameter")
+        if len(args) != decl.arity:
+            raise ParseError(tok.line, tok.col,
+                             f"{name!r} expects {decl.arity} arguments")
+        return app(op_of, [compile_node(n) for n in args])
+
+    return compile_node(node)
 
 
 def parse_bde(text: str) -> BdeProgram:
@@ -651,11 +616,12 @@ def parse_bde(text: str) -> BdeProgram:
 
     Stream definitions have the shape
     ``f(x, y): head = <expr>; tail = <term>``; tree definitions provide
-    ``root``, ``left``, and ``right`` clauses.  ``head(x)``/``root(x)``
-    inside a term denotes the argument's current output as a constant.
+    ``root``, ``left``, and ``right`` clauses.  Clauses are equation-system
+    terms in which ``x`` is the argument, ``tail(x)`` a continuation,
+    ``head(x)``/``root(x)`` the argument's output as a constant, and
+    ``r . t`` a stream register; ``mult(head(x), t)`` takes a parameter.
     """
-    toks = tokenize(text)
-    ts = TokenStream(toks)
+    ts = TokenStream(tokenize(text))
     kind_name, _ = _parse_kind_header(ts)
     if kind_name is None:
         kind_name = "stream"
@@ -663,17 +629,6 @@ def parse_bde(text: str) -> BdeProgram:
         raise ParseError(1, 1, "bde files are `kind stream` or `kind tree`")
     given = instances.stream_table() if kind_name == "stream" \
         else instances.tree_table()
-    kind = given.kind
-
-    headers = _scan_bde_headers(toks)
-    names = [n for n, _ in headers]
-    for n in names:
-        if names.count(n) > 1:
-            raise ParseError(1, 1, f"operation {n!r} defined twice")
-        if n in given.sig.names:
-            raise ParseError(1, 1, f"operation {n!r} shadows a given")
-    new_sig = signature(*headers)
-    sum_sig = sig_sum(given.sig, new_sig)
 
     ts.skip_newlines()
     if ts.peek().kind == "ident" and ts.peek().value == "given":
@@ -686,9 +641,16 @@ def parse_bde(text: str) -> BdeProgram:
         ts.end_line()
 
     head_kw = _HEAD_CLAUSE[kind_name]
-    rules = {}
+    defs = {}
     while ts.peek().kind != "eof":
         name_tok = ts.expect("ident")
+        name = name_tok.value
+        if name in defs:
+            raise ParseError(name_tok.line, name_tok.col,
+                             f"operation {name!r} defined twice")
+        if name in given.sig.names:
+            raise ParseError(name_tok.line, name_tok.col,
+                             f"operation {name!r} shadows a given")
         ts.expect("sym", "(")
         params = []
         if not ts.at_sym(")"):
@@ -703,7 +665,7 @@ def parse_bde(text: str) -> BdeProgram:
                              f"definition must start with `{head_kw} =`")
         ts.expect("sym", "=")
         head_expr = _parse_head_expr(ts, head_kw, params)
-        derivs = []
+        clauses = []
         for clause, _port in _PORT_CLAUSES[kind_name]:
             if not ts.eat_sym(";"):
                 t = ts.peek()
@@ -713,25 +675,26 @@ def parse_bde(text: str) -> BdeProgram:
                 raise ParseError(kw.line, kw.col,
                                  f"expected clause {clause!r}")
             ts.expect("sym", "=")
-            derivs.append(_parse_bde_term(ts, kind_name, params, sum_sig))
+            clauses.append(_parse_expr(ts))
         ts.end_line()
+        defs[name] = (params, head_expr, clauses)
 
-        def make_rule(head_expr=head_expr, derivs=tuple(derivs)):
-            def conclude(op, args):
-                label = head_expr([a.head for a in args])
-                terms = [_bde_build(sum_sig, d, args) for d in derivs]
-                if kind_name == "stream":
-                    return stream_step(label, terms[0])
-                return Step(label, (("L", terms[0]), ("R", terms[1])))
+    new_sig = signature(*((n, len(d[0])) for n, d in defs.items()))
+    sum_sig = sig_sum(given.sig, new_sig)
+    rules = {}
+    for name, (params, head_expr, clauses) in defs.items():
+        derivs = tuple(_compile_bde_clause(sum_sig, kind_name, params, node)
+                       for node in clauses)
 
-            return conclude
+        def conclude(op, args, head_expr=head_expr, derivs=derivs):
+            label = head_expr([a.head for a in args])
+            terms = [d(args) for d in derivs]
+            if kind_name == "stream":
+                return stream_step(label, terms[0])
+            return Step(label, (("L", terms[0]), ("R", terms[1])))
 
-        rules[name_tok.value] = GsosRule(sum_sig.template(name_tok.value),
-                                         make_rule())
-
-    if set(rules) != set(names):
-        raise ParseError(1, 1, "definition headers and bodies disagree")
-    return BdeProgram(kind, given, RpsDef(new_sig, rules), tuple(names))
+        rules[name] = GsosRule(sum_sig.template(name), conclude)
+    return BdeProgram(given.kind, given, RpsDef(new_sig, rules), tuple(defs))
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +708,11 @@ def parse_bde(text: str) -> BdeProgram:
 _CCS_RESERVED = {"alt", "seq", "tau", "kind"}
 
 
-def _parse_ccs_expr(ts: TokenStream, variables):
+def _parse_ccs_expr(ts: TokenStream, actions, names):
+    """One agent expression.  Action names go into ``actions``; each
+    identifier read as an action prefix or an agent reference goes into
+    ``names`` as ``(token, is_prefix)``, to be checked once every agent is
+    known."""
     def atom():
         t = ts.peek()
         if t.kind == "num" and t.value == "0":
@@ -766,57 +733,47 @@ def _parse_ccs_expr(ts: TokenStream, variables):
             b = expr()
             ts.expect("sym", ")")
             return (name, a, b)
-        if ts.at_sym("."):
-            if name in variables:
-                raise ParseError(t.line, t.col,
-                                 f"{name!r} is an agent, not an action")
-            ts.next()
-            return ("pref", name, prefix())
-        if name in variables:
-            return ("ref", name)
-        raise ParseError(t.line, t.col, f"unknown agent {name!r}")
+        if ts.eat_sym("."):
+            names.append((t, True))
+            actions.add(name)
+            return ("pref", name, postfix())
+        names.append((t, False))
+        return ("ref", name)
+
+    def action():
+        a = ts.expect("ident").value
+        actions.add(a)
+        return a
 
     def postfix():
         e = atom()
         while True:
             if ts.eat_sym("["):
                 pairs = []
-                a = ts.expect("ident").value
-                ts.expect("arrow", "->")
-                pairs.append((a, ts.expect("ident").value))
-                while ts.eat_sym(","):
-                    a = ts.expect("ident").value
+                while True:
+                    a = action()
                     ts.expect("arrow", "->")
-                    pairs.append((a, ts.expect("ident").value))
+                    pairs.append((a, action()))
+                    if not ts.eat_sym(","):
+                        break
                 ts.expect("sym", "]")
                 e = ("relabel", tuple(pairs), e)
             elif ts.eat_sym("\\"):
                 ts.expect("sym", "{")
-                names = []
+                restricted = []
                 if not ts.at_sym("}"):
-                    names.append(ts.expect("ident").value)
+                    restricted.append(action())
                     while ts.eat_sym(","):
-                        names.append(ts.expect("ident").value)
+                        restricted.append(action())
                 ts.expect("sym", "}")
-                e = ("restrict", tuple(sorted(names)), e)
+                e = ("restrict", tuple(sorted(restricted)), e)
             else:
                 return e
 
-    def prefix():
-        t = ts.peek()
-        if t.kind == "ident" and t.value not in variables \
-                and t.value not in ("alt", "seq"):
-            nxt = ts.toks[ts.i + 1]
-            if nxt.kind == "sym" and nxt.value == ".":
-                ts.next()
-                ts.next()
-                return ("pref", t.value, prefix())
-        return postfix()
-
     def seq_level():
-        e = prefix()
+        e = postfix()
         while ts.eat_sym(";"):
-            e = ("seq", e, prefix())
+            e = ("seq", e, postfix())
         return e
 
     def par_level():
@@ -837,128 +794,66 @@ def _parse_ccs_expr(ts: TokenStream, variables):
     return expr()
 
 
-def _ccs_actions_of(ast, out):
-    tag = ast[0]
-    if tag == "pref":
-        out.add(ast[1])
-        _ccs_actions_of(ast[2], out)
-    elif tag == "sum":
-        for sub in ast[1]:
-            _ccs_actions_of(sub, out)
-    elif tag in ("par", "seq", "alt"):
-        _ccs_actions_of(ast[1], out)
-        _ccs_actions_of(ast[2], out)
-    elif tag == "relabel":
-        for a, b in ast[1]:
-            out.update((a, b))
-        _ccs_actions_of(ast[2], out)
-    elif tag == "restrict":
-        out.update(ast[1])
-        _ccs_actions_of(ast[2], out)
-
-
-def _ccs_flat_moves(table, ast):
-    """Moves when the agent is a sum of prefixed agents, else None."""
-    tag = ast[0]
-    if tag == "pref":
-        return [(ast[1], instances.ccs_term(table, ast[2]))]
-    if tag == "sum":
-        moves = []
-        for sub in ast[1]:
-            inner = _ccs_flat_moves(table, sub)
-            if inner is None:
-                return None
-            moves.extend(inner)
-        return moves
-    return None
-
-
 def _ccs_context(table, ast, path=()):
+    """Guarded context of an agent AST; a sum of guards is one guard."""
     tag = ast[0]
     if tag == "pref":
         return CtxGuard(process_step(
             ((ast[1], instances.ccs_term(table, ast[2])),)))
     if tag == "ref":
         raise Unguarded(ast[1], path)
-    if tag == "sum":
-        op = table.op("sum", len(ast[1]))
-        return CtxApp(op, tuple(_ccs_context(table, s, path + (i,))
-                                for i, s in enumerate(ast[1])))
-    if tag in ("par", "seq", "alt"):
-        return CtxApp(table.op(tag), (
-            _ccs_context(table, ast[1], path + (0,)),
-            _ccs_context(table, ast[2], path + (1,))))
-    if tag == "relabel":
-        op = table.op("relabel",
-                      instances.relabel_param(table.kind, dict(ast[1])))
-        return CtxApp(op, (_ccs_context(table, ast[2], path + (0,)),))
-    if tag == "restrict":
-        op = table.op("restrict",
-                      instances.restrict_param(table.kind, ast[1]))
-        return CtxApp(op, (_ccs_context(table, ast[2], path + (0,)),))
-    raise ParseError(1, 1, f"cannot place {ast!r} in a guarded context")
+    op, subs = instances.ccs_op(table, ast)
+    kids = tuple(_ccs_context(table, s, path + (i,))
+                 for i, s in enumerate(subs))
+    if tag == "sum" and all(isinstance(k, CtxGuard) for k in kids):
+        return CtxGuard(process_step(
+            tuple(m for k in kids for m in k.step.children)))
+    return CtxApp(op, kids)
 
 
 def parse_ccs(text: str) -> System:
     """Parse mutually recursive agent definitions into a process system.
 
-    Right-hand sides admit the prefix combinator anywhere inside terms;
-    every agent variable must occur weakly guarded.  Agent constants
-    require an explicit `.0` (`c.0`, not `c`).
+    One agent per line.  Right-hand sides admit the prefix combinator
+    anywhere inside terms; every agent variable must occur weakly guarded.
+    Agent constants require an explicit `.0` (`c.0`, not `c`).
     """
     ts = TokenStream(tokenize(text))
     ts.skip_newlines()
-    entries = []
+    asts, actions, names = {}, set(), []
     while ts.peek().kind != "eof":
         name_tok = ts.expect("ident")
-        if name_tok.value in _CCS_RESERVED or is_reserved_name(name_tok.value):
+        name = name_tok.value
+        if name in _CCS_RESERVED or is_reserved_name(name):
             raise ParseError(name_tok.line, name_tok.col,
-                             f"{name_tok.value!r} cannot name an agent")
+                             f"{name!r} cannot name an agent")
+        if name in asts:
+            raise ParseError(name_tok.line, name_tok.col,
+                             f"agent {name!r} defined twice")
         ts.expect("sym", "=")
-        entries.append((name_tok, ts.i))
-        depth = 0
-        while ts.peek().kind not in ("nl", "eof") or depth:
-            tok = ts.next()
-            if tok.kind == "eof":
-                break
-            if tok.kind == "sym" and tok.value == "(":
-                depth += 1
-            elif tok.kind == "sym" and tok.value == ")":
-                depth -= 1
-        ts.skip_newlines()
-    if not entries:
-        raise ParseError(1, 1, "empty agent file")
-    variables = []
-    for tok, _ in entries:
-        if tok.value in variables:
-            raise ParseError(tok.line, tok.col,
-                             f"agent {tok.value!r} defined twice")
-        variables.append(tok.value)
-
-    asts = {}
-    for tok, pos in entries:
-        sub = TokenStream(ts.toks)
-        sub.i = pos
-        asts[tok.value] = _parse_ccs_expr(sub, set(variables))
-        t = sub.peek()
+        asts[name] = _parse_ccs_expr(ts, actions, names)
+        t = ts.peek()
         if t.kind not in ("nl", "eof"):
             raise ParseError(t.line, t.col, f"junk after agent: {t.value!r}")
+        ts.skip_newlines()
+    if not asts:
+        raise ParseError(1, 1, "empty agent file")
+    for t, is_prefix in names:
+        if is_prefix and t.value in asts:
+            raise ParseError(t.line, t.col,
+                             f"{t.value!r} is an agent, not an action")
+        if not is_prefix and t.value not in asts:
+            raise ParseError(t.line, t.col, f"unknown agent {t.value!r}")
 
-    actions = set()
-    for ast in asts.values():
-        _ccs_actions_of(ast, actions)
     bases = sorted({a.rstrip("'") for a in actions} - {"tau"})
     kind = process_actions(*bases)
     table = instances.ccs_table(kind)
-
     rhs = {}
-    for v in variables:
-        moves = _ccs_flat_moves(table, asts[v])
-        if moves is not None:
-            rhs[v] = FlatRhs(process_step(tuple(moves)))
-        else:
-            rhs[v] = GuardedRhs(_ccs_context(table, asts[v]))
-    return System(kind, table, tuple(variables), rhs)
+    for v, ast in asts.items():
+        ctx = _ccs_context(table, ast)
+        rhs[v] = FlatRhs(ctx.step) if isinstance(ctx, CtxGuard) \
+            else GuardedRhs(ctx)
+    return System(kind, table, tuple(asts), rhs)
 
 
 def _format_ccs_term(kind, t) -> str:
@@ -1290,26 +1185,26 @@ def compile_circuit(cf: CircuitFile) -> CompiledCircuit:
     new_sig = signature(*decls)
     sum_sig = sig_sum(base.sig, new_sig)
 
-    def whole_input(arg_obs):
-        # the input stream itself, rebuilt as head.tail
-        return mk_app(sum_sig.op("register", arg_obs.head), (arg_obs.tail,))
-
-    def register_call(reg_id, args, arg_of):
-        sub = tuple(whole_input(args[arg_of[i]]) for i in reg_args[reg_id])
-        return mk_app(sum_sig.op(f"g_{reg_id}"), sub)
-
-    def build_tail(ast, args, arg_of, input_leaf):
+    def tail_term(ast, leaf):
+        """A stream over the adder/multiplier AST; ``leaf`` builds its
+        inputs and registers."""
         tag = ast[0]
-        if tag == "in":
-            return input_leaf(args[arg_of[ast[1]]])
-        if tag == "reg":
-            return register_call(ast[1], args, arg_of)
         if tag == "mult":
-            return mk_app(sum_sig.op("mult", ast[1]),
-                          (build_tail(ast[2], args, arg_of, input_leaf),))
-        return mk_app(sum_sig.op("plus"),
-                      (build_tail(ast[1], args, arg_of, input_leaf),
-                       build_tail(ast[2], args, arg_of, input_leaf)))
+            return mk_app(sum_sig.op("mult", ast[1]), (tail_term(ast[2], leaf),))
+        if tag == "plus":
+            return mk_app(sum_sig.op("plus"), (tail_term(ast[1], leaf),
+                                               tail_term(ast[2], leaf)))
+        return leaf(ast)
+
+    def whole_leaf(args, arg_of):
+        # an input is the premise itself, a register its operation applied
+        # to the premises of the inputs it reaches
+        def leaf(ast):
+            if ast[0] == "in":
+                return args[arg_of[ast[1]]].self_term
+            return mk_app(sum_sig.op(f"g_{ast[1]}"), tuple(
+                args[arg_of[i]].self_term for i in reg_args[ast[1]]))
+        return leaf
 
     def eval_head(ast, args, arg_of):
         tag = ast[0]
@@ -1326,8 +1221,8 @@ def compile_circuit(cf: CircuitFile) -> CompiledCircuit:
         arg_of = {nid: i for i, nid in enumerate(reg_args[r.id])}
 
         def reg_rule(op, args, r=r, arg_of=arg_of):
-            term = build_tail(reg_term[r.id], args, arg_of, whole_input)
-            return stream_step(r.value, term)
+            return stream_step(r.value, tail_term(reg_term[r.id],
+                                                  whole_leaf(args, arg_of)))
 
         rules[f"g_{r.id}"] = GsosRule(sum_sig.template(f"g_{r.id}"), reg_rule)
 
@@ -1335,23 +1230,17 @@ def compile_circuit(cf: CircuitFile) -> CompiledCircuit:
         arg_of = {nid: i for i, nid in enumerate(out_args[o.id])}
 
         def out_rule(op, args, o=o, arg_of=arg_of):
-            head = eval_head(out_term[o.id], args, arg_of)
+            whole = whole_leaf(args, arg_of)
 
             # the derivative replaces inputs by their tails and registers
-            # by the tails of their defining streams
-            def build(ast):
-                tag = ast[0]
-                if tag == "in":
+            # by their defining streams
+            def leaf(ast):
+                if ast[0] == "in":
                     return args[arg_of[ast[1]]].tail
-                if tag == "reg":
-                    return build_tail(reg_term[ast[1]], args, arg_of,
-                                      whole_input)
-                if tag == "mult":
-                    return mk_app(sum_sig.op("mult", ast[1]), (build(ast[2]),))
-                return mk_app(sum_sig.op("plus"),
-                              (build(ast[1]), build(ast[2])))
+                return tail_term(reg_term[ast[1]], whole)
 
-            return stream_step(head, build(out_term[o.id]))
+            return stream_step(eval_head(out_term[o.id], args, arg_of),
+                               tail_term(out_term[o.id], leaf))
 
         rules[f"f_{o.id}"] = GsosRule(sum_sig.template(f"f_{o.id}"), out_rule)
 

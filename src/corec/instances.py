@@ -496,30 +496,31 @@ def language_term(table: RuleTable, expr) -> Term:
     raise UnknownOracle(f"unknown language expression {expr!r}")
 
 
-def ccs_term(table: RuleTable, ast) -> Term:
-    """Compile a process AST into a term; ("ref", x) becomes a variable."""
+def ccs_op(table: RuleTable, ast):
+    """The root symbol of a process AST other than ("ref", x), and the
+    ASTs of its arguments."""
     kind = table.kind
     tag = ast[0]
-    if tag == "ref":
-        return Var(ast[1])
     if tag == "pref":
-        return mk_app(table.op("pref", ast[1]), (ccs_term(table, ast[2]),))
+        return table.op("pref", ast[1]), (ast[2],)
     if tag == "sum":
-        kids = tuple(ccs_term(table, a) for a in ast[1])
-        return mk_app(table.op("sum", len(kids)), kids)
-    if tag == "par":
-        return mk_app(table.op("par"), (ccs_term(table, ast[1]),
-                                        ccs_term(table, ast[2])))
+        return table.op("sum", len(ast[1])), ast[1]
+    if tag in ("par", "seq", "alt"):
+        return table.op(tag), ast[1:]
     if tag == "relabel":
-        return mk_app(table.op("relabel", relabel_param(kind, dict(ast[1]))),
-                      (ccs_term(table, ast[2]),))
+        return (table.op("relabel", relabel_param(kind, dict(ast[1]))),
+                (ast[2],))
     if tag == "restrict":
-        return mk_app(table.op("restrict", restrict_param(kind, ast[1])),
-                      (ccs_term(table, ast[2]),))
-    if tag in ("seq", "alt"):
-        return mk_app(table.op(tag), (ccs_term(table, ast[1]),
-                                      ccs_term(table, ast[2])))
+        return table.op("restrict", restrict_param(kind, ast[1])), (ast[2],)
     raise UnknownOracle(f"unknown process expression {ast!r}")
+
+
+def ccs_term(table: RuleTable, ast) -> Term:
+    """Compile a process AST into a term; ("ref", x) becomes a variable."""
+    if ast[0] == "ref":
+        return Var(ast[1])
+    op, subs = ccs_op(table, ast)
+    return mk_app(op, tuple(ccs_term(table, a) for a in subs))
 
 
 # ---------------------------------------------------------------------------

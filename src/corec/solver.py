@@ -120,13 +120,8 @@ class Engine:
         self._memo = {}
         self._cons = {}
         self._work = 0
-        self._fresh = 0
 
     # -- bookkeeping --------------------------------------------------------
-
-    def fresh_var(self) -> str:
-        self._fresh += 1
-        return f"~g{self._fresh}"
 
     def _tick(self):
         self._work += 1

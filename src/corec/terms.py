@@ -17,8 +17,8 @@ from typing import Hashable, Iterable, Mapping, Optional
 
 from .errors import ArityMismatch, ForeignSymbol, NotASummand, UnknownSymbol
 
-# Variable names starting with this prefix are reserved for engine-generated
-# fresh states; user-facing formats reject them.
+# Variable names starting with this prefix are reserved: `Engine.solve` and
+# the user-facing formats reject them.
 RESERVED_PREFIX = "~"
 
 

@@ -181,6 +181,18 @@ def test_bde_head_expression_with_sums_and_parentheses(engine):
                                   for a, b in zip(xs, ys)]
 
 
+def test_bde_clause_prefix_and_head_parameter(engine):
+    # p(x) = 1, 3, x0*x0, x0*x1, x0*x2, ...
+    program = parse_bde(
+        "kind stream\n"
+        "p(x): head = 1; tail = 3 . mult(head(x), x)\n")
+    table = program.extended_table()
+    x = periodic_stream(engine, (2, 5), (7, -1))
+    h = engine.interpret_op(table, table.op("p"), [x])
+    xs = periodic_values((2, 5), (7, -1), 6)
+    assert stream_take(h, 8) == [1, 3] + [2 * v for v in xs]
+
+
 def test_bde_missing_tail_clause():
     with pytest.raises(ParseError):
         parse_bde("kind stream\nf(x): head = head(x)\n")
@@ -307,6 +319,79 @@ def test_ccs_weak_guardedness_inside_terms(engine):
     # variables under a prefix anywhere in the term are fine
     system = parse_ccs("P = a.P | b.(P + a.0)\n")
     engine.solve(system)
+
+
+# -- parse errors ----------------------------------------------------------------
+
+
+def _bde_table(text):
+    return parse_bde(text).extended_table()
+
+
+_S = "kind stream\n"
+
+PARSE_ERRORS = [
+    ("bde-missing-tail", _bde_table, _S + "f(x): head = head(x)\n",
+     ParseError, "line 2, col 21: missing `tail =` clause"),
+    ("bde-unknown-op", _bde_table,
+     _S + "f(x): head = head(x); tail = mystery(x)\n",
+     ParseError, "line 2, col 30: unknown operation 'mystery'"),
+    ("bde-unknown-arg", _bde_table,
+     _S + "f(x): head = head(x); tail = f(tail(z))\n",
+     ParseError, "line 2, col 37: unknown argument 'z'"),
+    ("bde-unknown-name", _bde_table,
+     _S + "f(x): head = head(x); tail = plus(x, y)\n",
+     ParseError, "line 2, col 38: unknown name 'y'"),
+    ("bde-mult-param", _bde_table,
+     _S + "f(x): head = head(x); tail = mult(x, x)\n",
+     ParseError, "line 2, col 30: 'mult' needs a rational parameter"),
+    ("bde-tree-prefix", _bde_table,
+     "kind tree\nf(x): root = 1; left = 3 . f(x); right = x\n",
+     ParseError, "line 2, col 24: prefix terms are stream-only"),
+    ("bde-given-nope", _bde_table,
+     _S + "given nope\nf(x): head = 1; tail = x\n",
+     ParseError, "line 2, col 7: no given operation 'nope'"),
+    ("bde-tail-pi", _bde_table, _S + "f(x): head = 1; tail = pi\n",
+     ParseError, "line 2, col 24: unknown name 'pi'"),
+    ("bde-letter-guard", _bde_table, _S + "f(x): head = 1; tail = a . x\n",
+     ParseError, "line 2, col 24: unknown name 'a'"),
+    ("bde-arity", _bde_table, _S + "f(x): head = 1; tail = f(x, x)\n",
+     ParseError, "line 2, col 24: 'f' expects 1 arguments"),
+    ("bde-defined-twice", _bde_table,
+     _S + "f(x): head = 1; tail = x\nf(y): head = 2; tail = y\n",
+     ParseError, "line 3, col 1: operation 'f' defined twice"),
+    ("bde-shadows-given", _bde_table,
+     _S + "f(x): head = 1; tail = x\nzip(y): head = 2; tail = y\n",
+     ParseError, "line 3, col 1: operation 'zip' shadows a given"),
+    ("ccs-constant-without-dot-zero", parse_ccs, "P = a.(P | c) + b.0\n",
+     ParseError, "line 1, col 12: unknown agent 'c'"),
+    ("ccs-agent-as-action", parse_ccs, "P = a.P\nQ = P.0\n",
+     ParseError, "line 2, col 5: 'P' is an agent, not an action"),
+    ("ccs-unknown-agent", parse_ccs, "P = a.Q\n",
+     ParseError, "line 1, col 7: unknown agent 'Q'"),
+    ("ccs-defined-twice", parse_ccs, "P = a.P\nP = b.P\n",
+     ParseError, "line 2, col 1: agent 'P' defined twice"),
+    ("ccs-tau-agent", parse_ccs, "tau = a.0\n",
+     ParseError, "line 1, col 1: 'tau' cannot name an agent"),
+    ("ccs-junk", parse_ccs, "P = a.0 b.0\n",
+     ParseError, "line 1, col 9: junk after agent: 'b'"),
+    ("ccs-empty", parse_ccs, "# nothing\n",
+     ParseError, "line 1, col 1: empty agent file"),
+    ("ccs-unguarded", parse_ccs, "P = P | a.0\n",
+     Unguarded, "variable 'P' is unguarded at (0,)"),
+    ("ccs-one-agent-per-line", parse_ccs, "P = (a.0 +\n b.0)\n",
+     ParseError, "line 1, col 11: expected an agent, got '\\n'"),
+]
+
+
+@pytest.mark.parametrize("parse, text, exc, message",
+                         [row[1:] for row in PARSE_ERRORS],
+                         ids=[row[0] for row in PARSE_ERRORS])
+def test_parse_error_class_and_position(parse, text, exc, message):
+    with pytest.raises(exc) as err:
+        parse(text)
+    assert type(err.value) is exc
+    assert str(err.value) == message
 
 
 # -- circuits --------------------------------------------------------------------

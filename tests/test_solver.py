@@ -290,12 +290,6 @@ def test_rule_fuse_trips_as_diverged():
         small.observe(h, 12)
 
 
-def test_fresh_names_are_reserved(engine):
-    from corec.terms import is_reserved_name
-
-    assert is_reserved_name(engine.fresh_var())
-
-
 def test_compose_systems_ccs_matches_displayed_combination(engine):
     table = ccs_table(DEFAULT_ACTIONS)
     f = milner_system(table)
