@@ -3,8 +3,10 @@
 Equation systems, behavioral differential equations, CCS agent files, and
 grammars are line-oriented text with `#` comments; circuits are JSON.
 Rational literals accept `p/q`, decimal, and integer forms and are read
-exactly.  Each text format is read in one pass over its tokens; BDE
-derivative clauses use the term grammar of equation systems, `_parse_expr`.
+exactly.  `tokenize` reads a text with one regular-expression pass, and
+each text format is then read in one pass over its tokens, so parsing takes
+time linear in the file size; BDE derivative clauses use the term grammar of
+equation systems, `_parse_expr`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .behavior import (
     LanguageKind,
@@ -41,7 +43,7 @@ from .rules import (
     extend_with_rps,
 )
 from .solver import FlatRhs, GuardedRhs, System
-from .terms import App, Term, Var, is_reserved_name, mk_app, sig_sum, signature
+from .terms import App, Term, Var, mk_app, sig_sum, signature
 from . import instances
 
 
@@ -65,19 +67,22 @@ def format_label(value) -> str:
 # Lexer
 
 
+# One match per token: leading blanks and a comment are swallowed before
+# the token itself; `eof` ends the text and `bad` is any other character.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
-  | (?P<arrow>->)
-  | (?P<num>-?\d+(?:/\d+|\.\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)
-  | (?P<sym>[().,;:=+*|\\{}\[\]])
-""", re.VERBOSE)
+    [ \t\r]*(?:\#[^\n]*)?
+    (?:
+      (?P<nl>\n)
+    | (?P<arrow>->)
+    | (?P<num>-?\d+(?:/\d+|\.\d+)?)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)
+    | (?P<sym>[().,;:=+*|\\{}\[\]])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Tok:
+class Tok(NamedTuple):
     kind: str
     value: str
     line: int
@@ -85,26 +90,23 @@ class Tok:
 
 
 def tokenize(text: str):
+    """All tokens of ``text``, ending with one `eof` token; a character no
+    token starts with raises ParseError before anything is parsed."""
     toks = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(line, col, f"unexpected character {text[pos]!r}")
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
+        value = m.group(kind)
+        start = m.end() - len(value)
+        if kind == "bad":
+            raise ParseError(line, start - line_start + 1,
+                             f"unexpected character {value!r}")
+        toks.append(Tok(kind, value, line, start - line_start + 1))
         if kind == "nl":
-            toks.append(Tok("nl", value, line, col))
             line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                toks.append(Tok(kind, value, line, col))
-            col += len(value)
-        pos = m.end()
-    toks.append(Tok("eof", "", line, col))
-    return toks
+            line_start = start + 1
+        elif kind == "eof":
+            return toks
 
 
 class TokenStream:
@@ -132,13 +134,13 @@ class TokenStream:
             raise ParseError(t.line, t.col, f"expected {want!r}, got {t.value!r}")
         return t
 
+    # No other token kind has a punctuation value, so the value decides.
     def at_sym(self, value) -> bool:
-        t = self.peek()
-        return t.kind in ("sym", "arrow") and t.value == value
+        return self.toks[self.i].value == value
 
     def eat_sym(self, value) -> bool:
-        if self.at_sym(value):
-            self.next()
+        if self.toks[self.i].value == value:
+            self.i += 1
             return True
         return False
 
@@ -200,10 +202,11 @@ def _parse_payload(ts: TokenStream):
 class _DetCompiler:
     """Turns parse nodes into terms and guarded contexts over a table."""
 
-    def __init__(self, table: RuleTable, variables):
+    def __init__(self, table: RuleTable, variables, ops):
         self.table = table
         self.kind = table.kind
-        self.vars = set(variables)
+        self.vars = variables
+        self.ops = ops
         self.param_type = _PARAM_TYPE[self.kind.name]
 
     def _op(self, name, args, tok):
@@ -241,7 +244,7 @@ class _DetCompiler:
             name = node[1]
             if name in self.vars:
                 return Var(name)
-            if name in self.table.sig.names:
+            if name in self.ops:
                 op, _ = self._op(name, [], node[2])
                 return mk_app(op, ())
             raise ParseError(node[2].line, node[2].col,
@@ -396,18 +399,19 @@ def parse_system(text: str, kind=None) -> System:
     if not entries:
         raise ParseError(1, 1, "empty system")
 
-    variables = []
-    for tok, _ in entries:
-        if tok.value in table.sig.names or is_reserved_name(tok.value):
+    ops = set(table.sig.names)
+    variables = {}
+    for tok, node in entries:
+        if tok.value in ops:
             raise ParseError(tok.line, tok.col,
                              f"variable {tok.value!r} shadows an operation")
         if tok.value in variables:
             raise ParseError(tok.line, tok.col,
                              f"variable {tok.value!r} defined twice")
-        variables.append(tok.value)
+        variables[tok.value] = node
 
-    comp = _DetCompiler(table, variables)
-    rhs = {tok.value: comp.rhs(node) for tok, node in entries}
+    comp = _DetCompiler(table, variables, ops)
+    rhs = {v: comp.rhs(node) for v, node in variables.items()}
     return System(table.kind, table, tuple(variables), rhs)
 
 
@@ -654,9 +658,14 @@ def parse_bde(text: str) -> BdeProgram:
         ts.expect("sym", "(")
         params = []
         if not ts.at_sym(")"):
-            params.append(ts.expect("ident").value)
-            while ts.eat_sym(","):
-                params.append(ts.expect("ident").value)
+            while True:
+                p = ts.expect("ident")
+                if p.value in params:
+                    raise ParseError(p.line, p.col,
+                                     f"argument {p.value!r} named twice")
+                params.append(p.value)
+                if not ts.eat_sym(","):
+                    break
         ts.expect("sym", ")")
         ts.expect("sym", ":")
         kw = ts.expect("ident")
@@ -824,7 +833,7 @@ def parse_ccs(text: str) -> System:
     while ts.peek().kind != "eof":
         name_tok = ts.expect("ident")
         name = name_tok.value
-        if name in _CCS_RESERVED or is_reserved_name(name):
+        if name in _CCS_RESERVED:
             raise ParseError(name_tok.line, name_tok.col,
                              f"{name!r} cannot name an agent")
         if name in asts:

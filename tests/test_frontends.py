@@ -25,6 +25,7 @@ from corec.frontends import (
     parse_gnf,
     parse_stream_spec,
     parse_system,
+    tokenize,
 )
 from corec.instances import (
     language_member,
@@ -51,6 +52,38 @@ SANDWICHED = """kind stream
 t = zip(1 . u, 0 . t)
 u = zip(0 . t, 1 . u)
 """
+
+
+# One text that holds every token kind, every symbol, primed identifiers,
+# the three literal forms, comments, tabs, a CRLF line ending, a blank line
+# and a last line with no newline.  Tabs count as one column.
+TOKEN_TEXT = ("kind stream\r\n"
+              "# a comment line\n"
+              "\n"
+              "x' = -3 . f(x'', 1/2)\t# tail comment\n"
+              "\ty_1 = 0.25 -> ( ) . , ; : = + * | \\ { } [ ]")
+
+TOKENS = [
+    ("ident", "kind", 1, 1), ("ident", "stream", 1, 6), ("nl", "\n", 1, 13),
+    ("nl", "\n", 2, 17),
+    ("nl", "\n", 3, 1),
+    ("ident", "x'", 4, 1), ("sym", "=", 4, 4), ("num", "-3", 4, 6),
+    ("sym", ".", 4, 9), ("ident", "f", 4, 11), ("sym", "(", 4, 12),
+    ("ident", "x''", 4, 13), ("sym", ",", 4, 16), ("num", "1/2", 4, 18),
+    ("sym", ")", 4, 21), ("nl", "\n", 4, 37),
+    ("ident", "y_1", 5, 2), ("sym", "=", 5, 6), ("num", "0.25", 5, 8),
+    ("arrow", "->", 5, 13), ("sym", "(", 5, 16), ("sym", ")", 5, 18),
+    ("sym", ".", 5, 20), ("sym", ",", 5, 22), ("sym", ";", 5, 24),
+    ("sym", ":", 5, 26), ("sym", "=", 5, 28), ("sym", "+", 5, 30),
+    ("sym", "*", 5, 32), ("sym", "|", 5, 34), ("sym", "\\", 5, 36),
+    ("sym", "{", 5, 38), ("sym", "}", 5, 40), ("sym", "[", 5, 42),
+    ("sym", "]", 5, 44), ("eof", "", 5, 45),
+]
+
+
+def test_tokens_kind_value_and_position():
+    assert [(t.kind, t.value, t.line, t.col)
+            for t in tokenize(TOKEN_TEXT)] == TOKENS
 
 
 def test_parse_flat_stream_system(engine):
@@ -360,6 +393,9 @@ PARSE_ERRORS = [
     ("bde-defined-twice", _bde_table,
      _S + "f(x): head = 1; tail = x\nf(y): head = 2; tail = y\n",
      ParseError, "line 3, col 1: operation 'f' defined twice"),
+    ("bde-argument-named-twice", _bde_table,
+     _S + "f(x, x): head = head(x); tail = x\n",
+     ParseError, "line 2, col 6: argument 'x' named twice"),
     ("bde-shadows-given", _bde_table,
      _S + "f(x): head = 1; tail = x\nzip(y): head = 2; tail = y\n",
      ParseError, "line 3, col 1: operation 'zip' shadows a given"),
@@ -381,6 +417,18 @@ PARSE_ERRORS = [
      Unguarded, "variable 'P' is unguarded at (0,)"),
     ("ccs-one-agent-per-line", parse_ccs, "P = (a.0 +\n b.0)\n",
      ParseError, "line 1, col 11: expected an agent, got '\\n'"),
+    ("system-bad-char", parse_system, _S + "x = 1 . x @\n",
+     ParseError, "line 2, col 11: unexpected character '@'"),
+    ("system-bad-char-after-comment", parse_system,
+     _S + "x = 1 . x  # fine\n%y = 0 . y\n",
+     ParseError, "line 3, col 1: unexpected character '%'"),
+    ("system-bad-char-before-syntax-error", parse_system,
+     _S + "x = = 1\ny = 1 . y ?\n",
+     ParseError, "line 3, col 11: unexpected character '?'"),
+    ("system-reserved-name", parse_system, _S + "~x = 1 . x\n",
+     ParseError, "line 2, col 1: unexpected character '~'"),
+    ("ccs-reserved-name", parse_ccs, "~P = a.0\n",
+     ParseError, "line 1, col 1: unexpected character '~'"),
 ]
 
 
@@ -392,6 +440,48 @@ def test_parse_error_class_and_position(parse, text, exc, message):
         parse(text)
     assert type(err.value) is exc
     assert str(err.value) == message
+
+
+# -- wide files -------------------------------------------------------------------
+
+
+WIDE = 20_000
+
+
+def _wide_system(n):
+    """x_i = (i mod 10) . plus(x_{i+1}, x_{7i+3}), indices mod n."""
+    lines = [f"x{i} = {i % 10} . plus(x{(i + 1) % n}, x{(7 * i + 3) % n})"
+             for i in range(n)]
+    return "kind stream\n" + "\n".join(lines) + "\n"
+
+
+def _wide_digits(n, i, depth):
+    """The first ``depth`` digits of x_i in `_wide_system`."""
+    if depth == 0:
+        return []
+    left = _wide_digits(n, (i + 1) % n, depth - 1)
+    right = _wide_digits(n, (7 * i + 3) % n, depth - 1)
+    return [i % 10] + [a + b for a, b in zip(left, right)]
+
+
+def test_wide_system_redefinition_reports_its_line():
+    with pytest.raises(ParseError) as err:
+        parse_system(_wide_system(WIDE) + "x0 = 1 . x0\n")
+    assert str(err.value) == "line 20002, col 1: variable 'x0' defined twice"
+
+
+def test_wide_system_solves(engine):
+    sol = engine.solve(parse_system(_wide_system(WIDE)))
+    assert stream_take(sol["x0"], 4) == _wide_digits(WIDE, 0, 4)
+
+
+def test_wide_ccs_file_reports_an_unknown_agent_on_its_last_line():
+    n = 5000
+    lines = [f"P{i} = a.P{i + 1} + b.P{3 * i % n}" for i in range(n - 1)]
+    text = "\n".join(lines + [f"P{n - 1} = a.P0 + b.Q"]) + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_ccs(text)
+    assert str(err.value) == "line 5000, col 18: unknown agent 'Q'"
 
 
 # -- circuits --------------------------------------------------------------------
