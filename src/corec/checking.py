@@ -135,14 +135,20 @@ def _path_to(parent, pair) -> tuple:
 
 
 class _Simulation:
-    """Depth-bounded mutual simulation, memoized on node-id pairs."""
+    """Depth-bounded mutual simulation, memoized on node-id pairs: a pair
+    related to depth d is related to every lesser depth, one refuted at d
+    to every greater one.  The search is depth first on an explicit stack
+    of `_expand` generators, one per pair being expanded, each sent the
+    verdicts of the child pairs it yields."""
 
     def __init__(self, e1, e2):
         self.e1, self.e2 = e1, e2
         self.same = e1 is e2
         self.proven, self.refuted = {}, {}
 
-    def related(self, a, b, d) -> bool:
+    def known(self, a, b, d):
+        """The verdict for ``(a, b)`` at depth ``d`` when a base case or the
+        memo gives it, else None."""
         if d <= 0 or (self.same and a == b):
             return True
         key = (a, b)
@@ -150,21 +156,46 @@ class _Simulation:
             return True
         if self.refuted.get(key, d + 1) <= d:
             return False
-        ok = self.unmatched(a, b, d) is None
-        (self.proven if ok else self.refuted)[key] = d
-        return ok
+        return None
 
     def unmatched(self, a, b, d):
-        """First move of either side with no depth-(d-1) match, or None."""
+        """First move of either side with no depth-(d-1) match, or None;
+        every pair expanded on the way, this one included, is memoized."""
+        stack = [(a, b, d, self._expand(a, b, d))]
+        verdict = None
+        while True:
+            a, b, d, frame = stack[-1]
+            try:
+                c1, c2 = frame.send(verdict)
+            except StopIteration as done:
+                stack.pop()
+                found = done.value
+                (self.proven if found is None else self.refuted)[(a, b)] = d
+                if not stack:
+                    return found
+                verdict = found is None
+                continue
+            verdict = self.known(c1, c2, d - 1)
+            if verdict is None:
+                stack.append((c1, c2, d - 1, self._expand(c1, c2, d - 1)))
+
+    def _expand(self, a, b, d):
+        """Yield, in move order, the child pairs that could match each move
+        of ``a`` and then of ``b`` (the other side's moves grouped by
+        action once), stopping at a move's first related pair; return the
+        first move with none as ``(side, port)``, or None."""
         s1, s2 = self.e1.node_step(a), self.e2.node_step(b)
-        for p, c1 in s1.children:
-            if not any(move_action(q) == move_action(p) and
-                       self.related(c1, c2, d - 1) for q, c2 in s2.children):
-                return "left", p
-        for q, c2 in s2.children:
-            if not any(move_action(p) == move_action(q) and
-                       self.related(c1, c2, d - 1) for p, c1 in s1.children):
-                return "right", q
+        for side, mine, theirs in (("left", s1.children, s2.children),
+                                   ("right", s2.children, s1.children)):
+            by_action = {}
+            for q, c in theirs:
+                by_action.setdefault(move_action(q), []).append(c)
+            for p, c in mine:
+                for other in by_action.get(move_action(p), ()):
+                    if (yield (c, other) if side == "left" else (other, c)):
+                        break
+                else:
+                    return side, p
         return None
 
 
@@ -173,7 +204,7 @@ def _simulation_search(e1, n1, e2, n2, depth) -> Optional[Witness]:
     the root deepened from depth 1, over the same memo, to find the least
     depth at which a move of one side has no match on the other."""
     sim = _Simulation(e1, e2)
-    if sim.related(n1, n2, depth):
+    if sim.known(n1, n2, depth) or sim.unmatched(n1, n2, depth) is None:
         return None
     for d in range(1, depth + 1):
         found = sim.unmatched(n1, n2, d)
@@ -327,7 +358,7 @@ def _compositionality_process(engine: Engine):
     from .rules import CtxApp, CtxGuard
 
     table = inst.ccs_table(inst.DEFAULT_ACTIONS)
-    zero = mk_app(table.op("sum", 0), ())
+    zero = mk_app(table.op("nil"), ())
     c0 = mk_app(table.op("pref", "c"), (zero,))
     par_xc = mk_app(table.op("par"), (Var("x"), c0))
     f = System(table.kind, table, ("x",), {

@@ -865,6 +865,12 @@ def parse_ccs(text: str) -> System:
     return System(kind, table, tuple(asts), rhs)
 
 
+def _is_ccs_atom(t) -> bool:
+    """Whether ``t`` needs no parentheses after a prefix."""
+    return isinstance(t, Var) or (isinstance(t, App) and (
+        t.op.name in ("nil", "pref") or t.op.name == "sum" and not t.args))
+
+
 def _format_ccs_term(kind, t) -> str:
     """Agent text of a term or of a guarded context (`CtxGuard` leaves)."""
     if isinstance(t, Var):
@@ -877,20 +883,16 @@ def _format_ccs_term(kind, t) -> str:
         for port, term in moves:
             action = move_action(port)
             sub = _format_ccs_term(kind, term)
-            atomic = isinstance(term, Var) or (
-                isinstance(term, App) and term.op.name == "sum"
-                and not term.args)
-            parts.append(f"{action}.{sub}" if atomic else f"{action}.({sub})")
+            parts.append(f"{action}.{sub}" if _is_ccs_atom(term)
+                         else f"{action}.({sub})")
         return "(" + " + ".join(parts) + ")" if len(parts) > 1 else parts[0]
     name, param = t.op.name, t.op.param
+    if name == "nil":
+        return "0"
     if name == "pref":
         sub = _format_ccs_term(kind, t.args[0])
-        inner = t.args[0]
-        atomic = isinstance(inner, Var) or (
-            isinstance(inner, App) and inner.op.name in ("pref",)
-        ) or (isinstance(inner, App) and inner.op.name == "sum"
-              and not inner.args)
-        return f"{param}.{sub}" if atomic else f"{param}.({sub})"
+        return f"{param}.{sub}" if _is_ccs_atom(t.args[0]) \
+            else f"{param}.({sub})"
     if name == "sum":
         if not t.args:
             return "0"

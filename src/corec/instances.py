@@ -64,18 +64,19 @@ def stream_base_table() -> RuleTable:
         ("register", 1, True),
     )
 
+    zero = mk_app(sig.op("const", Fraction(0)), ())
+    plus, zip_ = sig.op("plus"), sig.op("zip")
+
     def const_rule(op, args):
-        return stream_step(op.param, mk_app(sig.op("const", Fraction(0)), ()))
+        return stream_step(op.param, zero)
 
     def plus_rule(op, args):
         a, b = args
-        return stream_step(a.head + b.head,
-                           mk_app(sig.op("plus"), (a.tail, b.tail)))
+        return stream_step(a.head + b.head, mk_app(plus, (a.tail, b.tail)))
 
     def zip_rule(op, args):
         a, b = args
-        return stream_step(a.head,
-                           mk_app(sig.op("zip"), (b.self_term, a.tail)))
+        return stream_step(a.head, mk_app(zip_, (b.self_term, a.tail)))
 
     def mult_rule(op, args):
         (a,) = args
@@ -87,8 +88,8 @@ def stream_base_table() -> RuleTable:
 
     return build_table(STREAM, sig, [
         GsosRule(sig.template("const"), const_rule, (Fraction(1),)),
-        GsosRule(sig.op("plus"), plus_rule, law=Law(additive=True)),
-        GsosRule(sig.op("zip"), zip_rule),
+        GsosRule(plus, plus_rule, law=Law(additive=True)),
+        GsosRule(zip_, zip_rule),
         GsosRule(sig.template("mult"), mult_rule, (Fraction(2),)),
         GsosRule(sig.template("register"), register_rule, (Fraction(1),)),
     ])
@@ -97,30 +98,30 @@ def stream_base_table() -> RuleTable:
 def shuffle_rps(base: Signature) -> RpsDef:
     new = signature(("shuffle", 2))
     s = sig_sum(base, new)
+    shuffle, plus = s.op("shuffle"), s.op("plus")
 
     def shuffle_rule(op, args):
         a, b = args
-        left = mk_app(s.op("shuffle"), (a.self_term, b.tail))
-        right = mk_app(s.op("shuffle"), (a.tail, b.self_term))
-        return stream_step(a.head * b.head,
-                           mk_app(s.op("plus"), (left, right)))
+        left = mk_app(shuffle, (a.self_term, b.tail))
+        right = mk_app(shuffle, (a.tail, b.self_term))
+        return stream_step(a.head * b.head, mk_app(plus, (left, right)))
 
-    return RpsDef(new, {"shuffle": GsosRule(s.op("shuffle"), shuffle_rule)})
+    return RpsDef(new, {"shuffle": GsosRule(shuffle, shuffle_rule)})
 
 
 def convolution_rps(base: Signature) -> RpsDef:
     new = signature(("conv", 2))
     s = sig_sum(base, new)
+    conv, plus = s.op("conv"), s.op("plus")
 
     def conv_rule(op, args):
         a, b = args
-        left = mk_app(s.op("conv"), (a.tail, b.self_term))
+        left = mk_app(conv, (a.tail, b.self_term))
         head_const = mk_app(s.op("const", a.head), ())
-        right = mk_app(s.op("conv"), (head_const, b.tail))
-        return stream_step(a.head * b.head,
-                           mk_app(s.op("plus"), (left, right)))
+        right = mk_app(conv, (head_const, b.tail))
+        return stream_step(a.head * b.head, mk_app(plus, (left, right)))
 
-    return RpsDef(new, {"conv": GsosRule(s.op("conv"), conv_rule)})
+    return RpsDef(new, {"conv": GsosRule(conv, conv_rule)})
 
 
 @lru_cache(maxsize=None)
@@ -145,24 +146,24 @@ def tree_table(pi_value: Fraction = Fraction(355, 113)) -> RuleTable:
     """
     sig = signature(("const", 0, True), ("plus", 2), ("pi", 0))
     zero = mk_app(sig.op("const", Fraction(0)), ())
+    plus, pi = sig.op("plus"), sig.op("pi")
+    pi_me = mk_app(pi, ())
 
     def const_rule(op, args):
         return tree_step(op.param, zero, zero)
 
     def plus_rule(op, args):
         a, b = args
-        return tree_step(a.head + b.head,
-                         mk_app(sig.op("plus"), (a.left, b.left)),
-                         mk_app(sig.op("plus"), (a.right, b.right)))
+        return tree_step(a.head + b.head, mk_app(plus, (a.left, b.left)),
+                         mk_app(plus, (a.right, b.right)))
 
     def pi_rule(op, args):
-        me = mk_app(sig.op("pi"), ())
-        return tree_step(pi_value, me, me)
+        return tree_step(pi_value, pi_me, pi_me)
 
     return build_table(TREE, sig, [
         GsosRule(sig.template("const"), const_rule, (Fraction(1),)),
-        GsosRule(sig.op("plus"), plus_rule, law=Law(additive=True)),
-        GsosRule(sig.op("pi"), pi_rule),
+        GsosRule(plus, plus_rule, law=Law(additive=True)),
+        GsosRule(pi, pi_rule),
     ])
 
 
@@ -192,6 +193,7 @@ def language_table(alphabet) -> RuleTable:
     v0 = signature(("empty", 0), ("eps", 0), ("char", 0, True))
     s0 = sig_sum(table.sig, v0)
     none = {a: mk_app(s0.op("empty"), ()) for a in letters}
+    eps = mk_app(s0.op("eps"), ())
 
     def empty_rule(op, args):
         return language_step(False, none, letters)
@@ -201,7 +203,7 @@ def language_table(alphabet) -> RuleTable:
 
     def char_rule(op, args):
         kids = dict(none)
-        kids[op.param] = mk_app(s0.op("eps"), ())
+        kids[op.param] = eps
         return language_step(False, kids, letters)
 
     table = extend_with_rps(table, RpsDef(v0, {
@@ -213,61 +215,64 @@ def language_table(alphabet) -> RuleTable:
     # stage 2: union, intersection, complement
     v1 = signature(("union", 2), ("inter", 2), ("compl", 1))
     s1 = sig_sum(table.sig, v1)
+    union, inter, compl = s1.op("union"), s1.op("inter"), s1.op("compl")
 
     def union_rule(op, args):
         a, b = args
-        kids = {x: mk_app(s1.op("union"), (a.at(x), b.at(x))) for x in letters}
+        kids = {x: mk_app(union, (a.at(x), b.at(x))) for x in letters}
         return language_step(a.head or b.head, kids, letters)
 
     def inter_rule(op, args):
         a, b = args
-        kids = {x: mk_app(s1.op("inter"), (a.at(x), b.at(x))) for x in letters}
+        kids = {x: mk_app(inter, (a.at(x), b.at(x))) for x in letters}
         return language_step(a.head and b.head, kids, letters)
 
     def compl_rule(op, args):
         (a,) = args
-        kids = {x: mk_app(s1.op("compl"), (a.at(x),)) for x in letters}
+        kids = {x: mk_app(compl, (a.at(x),)) for x in letters}
         return language_step(not a.head, kids, letters)
 
     table = extend_with_rps(table, RpsDef(v1, {
-        "union": GsosRule(s1.op("union"), union_rule,
+        "union": GsosRule(union, union_rule,
                           law=Law(unit="empty", semilattice=True)),
-        "inter": GsosRule(s1.op("inter"), inter_rule,
+        "inter": GsosRule(inter, inter_rule,
                           law=Law(zero="empty", semilattice=True)),
-        "compl": GsosRule(s1.op("compl"), compl_rule),
+        "compl": GsosRule(compl, compl_rule),
     }))
 
     # stage 3: concatenation
     v2 = signature(("concat", 2))
     s2 = sig_sum(table.sig, v2)
+    concat, union2 = s2.op("concat"), s2.op("union")
 
     def concat_rule(op, args):
         a, b = args
         kids = {}
         for x in letters:
-            t = mk_app(s2.op("concat"), (a.at(x), b.self_term))
+            t = mk_app(concat, (a.at(x), b.self_term))
             if a.head:
-                t = mk_app(s2.op("union"), (t, b.at(x)))
+                t = mk_app(union2, (t, b.at(x)))
             kids[x] = t
         return language_step(a.head and b.head, kids, letters)
 
     table = extend_with_rps(
         table, RpsDef(v2, {"concat": GsosRule(
-            s2.op("concat"), concat_rule,
+            concat, concat_rule,
             law=Law(unit="eps", zero="empty"))}))
 
     # stage 4: Kleene star, using concatenation from the previous stage
     v3 = signature(("star", 1))
     s3 = sig_sum(table.sig, v3)
+    star, concat3 = s3.op("star"), s3.op("concat")
 
     def star_rule(op, args):
         (a,) = args
-        me = mk_app(s3.op("star"), (a.self_term,))
-        kids = {x: mk_app(s3.op("concat"), (a.at(x), me)) for x in letters}
+        me = mk_app(star, (a.self_term,))
+        kids = {x: mk_app(concat3, (a.at(x), me)) for x in letters}
         return language_step(True, kids, letters)
 
     table = extend_with_rps(
-        table, RpsDef(v3, {"star": GsosRule(s3.op("star"), star_rule)}))
+        table, RpsDef(v3, {"star": GsosRule(star, star_rule)}))
 
     # extras: prefixing a.L and the inverse of the coalgebra structure,
     # which rebuilds a language from derivatives and an acceptance bit
@@ -323,11 +328,15 @@ def restrict_param(kind: ProcessKind, actions):
 
 @lru_cache(maxsize=None)
 def ccs_table(kind: ProcessKind) -> RuleTable:
-    """Prefixing, finite sums, parallel, relabeling, restriction, and
-    sequential composition; alternation is sandwiched on top."""
+    """The inactive process `nil`, prefixing, finite sums, parallel,
+    relabeling, restriction, and sequential composition; alternation is
+    sandwiched on top.  Parallel composition is commutative and associative
+    with unit `nil` (Milner's laws for strong bisimilarity), so the engine
+    hash-conses it as a multiset of its operands."""
     if not isinstance(kind, ProcessKind):
         raise BadActionStructure("ccs_table needs a ProcessKind")
     sig = signature(
+        ("nil", 0),
         ("pref", 1, True),
         ("sum", None, True),
         ("par", 2),
@@ -335,6 +344,10 @@ def ccs_table(kind: ProcessKind) -> RuleTable:
         ("restrict", 1, True),
         ("seq", 2),
     )
+    nil, par, seq = sig.op("nil"), sig.op("par"), sig.op("seq")
+
+    def nil_rule(op, args):
+        return process_step(())
 
     def pref_rule(op, args):
         (a,) = args
@@ -345,13 +358,13 @@ def ccs_table(kind: ProcessKind) -> RuleTable:
 
     def par_rule(op, args):
         a, b = args
-        moves = [(act, mk_app(sig.op("par"), (x, b.self_term)))
-                 for act, x in a.moves]
-        moves += [(act, mk_app(sig.op("par"), (a.self_term, y)))
-                  for act, y in b.moves]
-        moves += [(kind.tau, mk_app(sig.op("par"), (x, y)))
-                  for act, x in a.moves if act != kind.tau
-                  for act2, y in b.moves if act2 == kind.co(act)]
+        moves = [(act, mk_app(par, (x, b.self_term))) for act, x in a.moves]
+        moves += [(act, mk_app(par, (a.self_term, y))) for act, y in b.moves]
+        for act, x in a.moves:
+            if act != kind.tau:
+                co = kind.co(act)
+                moves += [(kind.tau, mk_app(par, (x, y)))
+                          for act2, y in b.moves if act2 == co]
         return process_step(tuple(moves))
 
     def relabel_rule(op, args):
@@ -371,35 +384,36 @@ def ccs_table(kind: ProcessKind) -> RuleTable:
         a, b = args
         if a.moves:
             return process_step(tuple(
-                (act, mk_app(sig.op("seq"), (x, b.self_term)))
-                for act, x in a.moves))
+                (act, mk_app(seq, (x, b.self_term))) for act, x in a.moves))
         return process_step(tuple(b.moves))
 
     table = build_table(kind, sig, [
+        GsosRule(nil, nil_rule),
         GsosRule(sig.template("pref"), pref_rule, (kind.actions[0],)),
         GsosRule(sig.template("sum"), sum_rule, (0, 2)),
-        GsosRule(sig.op("par"), par_rule),
+        GsosRule(par, par_rule, law=Law(unit="nil", commutative=True)),
         GsosRule(sig.template("relabel"), relabel_rule,
                  (relabel_param(kind, {}),)),
         GsosRule(sig.template("restrict"), restrict_rule, ((),)),
-        GsosRule(sig.op("seq"), seq_rule),
+        GsosRule(seq, seq_rule),
     ])
 
     v = signature(("alt", 2))
     s = sig_sum(table.sig, v)
+    alt, seq_s = s.op("alt"), s.op("seq")
 
     def alt_context(op, args):
         a, b = args
-        me = mk_app(s.op("alt"), (a.self_term, b.self_term))
-        flipped = mk_app(s.op("alt"), (b.self_term, a.self_term))
+        me = mk_app(alt, (a.self_term, b.self_term))
+        flipped = mk_app(alt, (b.self_term, a.self_term))
         if b.moves:
             first = CtxGuard(process_step(tuple(a.moves)))
             second = CtxGuard(process_step(tuple(
-                (act, mk_app(s.op("seq"), (y, me))) for act, y in b.moves)))
-            return CtxApp(s.op("seq"), (first, second))
+                (act, mk_app(seq_s, (y, me))) for act, y in b.moves)))
+            return CtxApp(seq_s, (first, second))
         if a.moves:
             return CtxGuard(process_step(tuple(
-                (act, mk_app(s.op("seq"), (x, flipped))) for act, x in a.moves)))
+                (act, mk_app(seq_s, (x, flipped))) for act, x in a.moves)))
         return CtxGuard(process_step(()))
 
     return register_srps(table, SrpsDef(v, {"alt": alt_context}))
@@ -504,6 +518,8 @@ def ccs_op(table: RuleTable, ast):
     if tag == "pref":
         return table.op("pref", ast[1]), (ast[2],)
     if tag == "sum":
+        if not ast[1]:
+            return table.op("nil"), ()
         return table.op("sum", len(ast[1])), ast[1]
     if tag in ("par", "seq", "alt"):
         return table.op(tag), ast[1:]

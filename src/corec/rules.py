@@ -110,12 +110,14 @@ class Law:
     """The law of an associative binary symbol ``op``: an optional nullary
     ``unit`` (``op(x, unit) = op(unit, x) = x``) and ``zero``
     (``op(x, zero) = op(zero, x) = zero``), named in the rule author's
-    signature; ``semilattice`` adds commutativity and idempotence.
+    signature; ``commutative`` adds ``op(x, y) = op(y, x)``, so an
+    application is a multiset of its operands (CCS parallel composition),
+    and ``semilattice`` adds commutativity and idempotence, a set.
     Soundness is the author's claim, as a rule's totality is.
 
     ``additive`` declares ``op`` the pointwise sum of a deterministic kind
     with rational labels, so a sum is a multiset of its operands; it takes
-    no unit, zero or semilattice, and the probe checks the rule's shape:
+    no other field, and the probe checks the rule's shape:
     label ``a.head + b.head``, each port continuing to ``op`` over the two
     premises' continuations at that port."""
 
@@ -123,6 +125,7 @@ class Law:
     zero: Optional[str] = None
     semilattice: bool = False
     additive: bool = False
+    commutative: bool = False
 
 
 def _check_law(kind, sig: Signature, name: str, law: Law):
@@ -133,9 +136,9 @@ def _check_law(kind, sig: Signature, name: str, law: Law):
     if d.arity != 2 or d.parametric:
         raise ArityMismatch(f"law for {name!r}, which is not a binary symbol")
     if law.additive:
-        if law.unit or law.zero or law.semilattice:
+        if law.unit or law.zero or law.semilattice or law.commutative:
             raise ValidationFailed(f"additive law for {name!r} with a unit, "
-                                   "zero or semilattice")
+                                   "zero, semilattice or commutativity")
         if not kind.deterministic or isinstance(kind, behavior.LanguageKind):
             raise KindMismatch(f"additive law for {name!r} on {kind.name} "
                                "states, whose labels are not rationals")

@@ -157,11 +157,12 @@ class Engine:
         """``name(l, r)`` modulo ``law``.  Only term nodes of ``table`` can
         be units, zeros or same-symbol operands; every such node is already
         normal: right-nested, with no unit, zero or same-symbol left
-        operand, and for a semilattice operands strictly ascending by id.
-        A zero absorbs and units drop.  A semilattice sorts and
-        de-duplicates the operands of both sides; otherwise the left side's
-        operands fold onto the right side, which is normal already.  An
-        additive law gives a sum node (`_sum_node`)."""
+        operand, and for a commutative law operands ascending by id
+        (strictly, for a semilattice).  A zero absorbs and units drop.  A
+        commutative law sorts the operands of both sides, keeping
+        duplicates, and a semilattice also de-duplicates them; otherwise
+        the left side's operands fold onto the right side, which is normal
+        already.  An additive law gives a sum node (`_sum_node`)."""
         if law.additive:
             return self._sum_node(table, name, [(c, 1) for c in child_ids])
         nodes = self._nodes
@@ -176,7 +177,8 @@ class Engine:
             kept.append(c)
         if not kept:
             return self._cons_term(table, law.unit, table.op(law.unit), ())
-        acc = None if law.semilattice else kept.pop()
+        unordered = law.semilattice or law.commutative
+        acc = None if unordered else kept.pop()
         operands = []
         for c in kept:
             n = nodes[c]
@@ -185,8 +187,8 @@ class Engine:
                 c = n.children[1]
                 n = nodes[c]
             operands.append(c)
-        if law.semilattice:
-            operands = sorted(set(operands))
+        if unordered:
+            operands = sorted(set(operands) if law.semilattice else operands)
             acc = operands.pop()
         for c in reversed(operands):
             acc = self._cons_term(table, name, op, (c, acc))

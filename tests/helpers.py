@@ -97,7 +97,7 @@ def swapped_guard_values(n: int):
 def milner_system(table=None) -> System:
     """x = a.(x | c.0) + b.0 over the default action structure."""
     table = table or ccs_table(DEFAULT_ACTIONS)
-    zero = mk_app(table.op("sum", 0), ())
+    zero = mk_app(table.op("nil"), ())
     c0 = mk_app(table.op("pref", "c"), (zero,))
     par_xc = mk_app(table.op("par"), (Var("x"), c0))
     return System(table.kind, table, ("x",), {

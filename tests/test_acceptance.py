@@ -239,7 +239,7 @@ def test_criterion_09_ccs(engine):
                      ("pref", "b", zero_ast)))
     env = {"P": p_ast}
     step = engine.unfold(sol["x"])
-    zero = mk_app(table.op("sum", 0), ())
+    zero = mk_app(table.op("nil"), ())
     c0 = mk_app(table.op("pref", "c"), (zero,))
     expected_a = engine.interpret_term(
         table, mk_app(table.op("par"), (Param(sol["x"]), c0)))

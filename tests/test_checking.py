@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from corec.checking import (
     suite_names,
 )
 from corec.errors import InvalidHandle, KindMismatch, UnknownSuite
-from corec.frontends import parse_system
+from corec.frontends import parse_ccs, parse_system
 from corec.instances import (
     DEFAULT_ACTIONS,
     ccs_table,
@@ -238,6 +239,15 @@ def test_bounded_equal_runs_deep_without_recursion_error():
         "kind stream\na = 1 . b\nb = 2 . a\n"
         "p = 1 . q\nq = 2 . r\nr = 1 . s\ns = 2 . p\n"))
     assert bounded_equal(sol["a"], sol["p"], 5000)
+
+
+def test_process_simulation_runs_deep_without_recursion_error():
+    assert sys.getrecursionlimit() <= 1000
+    sol = Engine().solve(parse_ccs("P = a.P + b.0\nQ = b.0 + a.Q\n"
+                                   "R = a.R + c.0\n"))
+    assert bounded_equal(sol["P"], sol["Q"], 5000)
+    assert find_divergence(sol["P"], sol["R"], 5000) == \
+        Witness(0, (("b", 0),), "left move 'b' has no depth-0 match")
 
 
 def test_tree_search_visits_each_state_pair_once(monkeypatch):

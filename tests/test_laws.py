@@ -189,6 +189,8 @@ def _pair_rules(law_on=None, law=None):
     ("pair", Law(unit="ghost"), ForeignSymbol),
     ("pair", Law(zero="pair"), ForeignSymbol),
     ("pair", Law(unit="lit"), ForeignSymbol),
+    ("one", Law(commutative=True), ArityMismatch),
+    ("fam", Law(unit="nil", commutative=True), ArityMismatch),
 ])
 def test_malformed_laws_are_rejected(name, law, error):
     kind, sig, rules = _pair_rules(name, law)

@@ -151,7 +151,7 @@ def test_milner_equation_transitions(engine):
     actions = [p for p, _ in step.children]
     assert actions == [("a", 0), ("b", 0)]
     a_target = step.children[0][1]
-    zero = mk_app(table.op("sum", 0), ())
+    zero = mk_app(table.op("nil"), ())
     c0 = mk_app(table.op("pref", "c"), (zero,))
     expect = engine.interpret_term(
         table, mk_app(table.op("par"), (Param(sol["x"]), c0)))

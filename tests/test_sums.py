@@ -155,6 +155,7 @@ def _sum(op, args):
     (_difference, Law(additive=True)),
     (_left_twice, Law(additive=True)),
     (_sum, Law(unit="one", additive=True)),
+    (_sum, Law(additive=True, commutative=True)),
 ])
 def test_malformed_additive_laws_are_rejected(plus_rule, law):
     sig = signature(("one", 0), ("plus", 2))
