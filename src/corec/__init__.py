@@ -12,7 +12,6 @@ from .behavior import (
     TREE,
     canonicalize_step,
     is_prefix,
-    label_eq,
     process_actions,
     rat,
     step_map,
@@ -52,8 +51,6 @@ from .solver import (
     SolutionHandle,
     System,
     interpret_op,
-    observe,
-    unfold,
 )
 from .terms import (
     App,
@@ -65,7 +62,6 @@ from .terms import (
     embed_signature,
     free_vars,
     mk_app,
-    mk_var,
     sig_sum,
     signature,
     substitute,

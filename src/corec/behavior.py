@@ -210,13 +210,6 @@ def check_step(kind, step: Step):
             kind.action_index(move_action(p))
 
 
-def label_eq(kind, l1, l2) -> bool:
-    """Exact label comparison within one kind."""
-    kind.check_label(l1)
-    kind.check_label(l2)
-    return l1 == l2
-
-
 @dataclass(frozen=True)
 class ObservationTree:
     """Finite unfolding of steps; leaves below the depth bound are cuts."""

@@ -233,6 +233,18 @@ class _DetCompiler:
                              f"bad parameter for {name!r}")
         return self.table.sig.op(name, param), rest
 
+    def _call(self, node):
+        """The symbol of a call node and its argument nodes."""
+        _, name, args, tok = node
+        if name in self.vars:
+            raise ParseError(tok.line, tok.col,
+                             f"variable {name!r} applied to arguments")
+        op, rest = self._op(name, args, tok)
+        if len(rest) != op.arity:
+            raise ParseError(tok.line, tok.col,
+                             f"{name!r} expects {op.arity} arguments")
+        return op, rest
+
     def term(self, node) -> Term:
         tag = node[0]
         if tag == "num":
@@ -250,14 +262,7 @@ class _DetCompiler:
             raise ParseError(node[2].line, node[2].col,
                              f"unknown name {name!r}")
         if tag == "call":
-            _, name, args, tok = node
-            if name in self.vars:
-                raise ParseError(tok.line, tok.col,
-                                 f"variable {name!r} applied to arguments")
-            op, rest = self._op(name, args, tok)
-            if len(rest) != op.arity:
-                raise ParseError(tok.line, tok.col,
-                                 f"{name!r} expects {op.arity} arguments")
+            op, rest = self._call(node)
             return mk_app(op, tuple(self.term(a) for a in rest))
         # guard in term position: register for streams, prefixing for languages
         _, label, payload, tok = node
@@ -315,14 +320,7 @@ class _DetCompiler:
                 raise Unguarded(node[1], path)
             return CtxApp(self.term(node).op, ())
         if tag == "call":
-            _, name, args, tok = node
-            if name in self.vars:
-                raise ParseError(tok.line, tok.col,
-                                 f"variable {name!r} applied to arguments")
-            op, rest = self._op(name, args, tok)
-            if len(rest) != op.arity:
-                raise ParseError(tok.line, tok.col,
-                                 f"{name!r} expects {op.arity} arguments")
+            op, rest = self._call(node)
             return CtxApp(op, tuple(self.context(a, path + (i,))
                                     for i, a in enumerate(rest)))
         # a bare constant is a closed given term, vacuously guarded
@@ -639,7 +637,7 @@ def parse_bde(text: str) -> BdeProgram:
         ts.next()
         while ts.peek().kind == "ident":
             g = ts.next()
-            if g.value not in given.sig.names:
+            if g.value not in given.sig:
                 raise ParseError(g.line, g.col,
                                  f"no given operation {g.value!r}")
         ts.end_line()
@@ -652,7 +650,7 @@ def parse_bde(text: str) -> BdeProgram:
         if name in defs:
             raise ParseError(name_tok.line, name_tok.col,
                              f"operation {name!r} defined twice")
-        if name in given.sig.names:
+        if name in given.sig:
             raise ParseError(name_tok.line, name_tok.col,
                              f"operation {name!r} shadows a given")
         ts.expect("sym", "(")
@@ -803,8 +801,13 @@ def _parse_ccs_expr(ts: TokenStream, actions, names):
     return expr()
 
 
+_NO_MOVES = CtxGuard(process_step(()))
+
+
 def _ccs_context(table, ast, path=()):
-    """Guarded context of an agent AST; a sum of guards is one guard."""
+    """Guarded context of an agent AST; a sum of guards is one guard, and a
+    guard with no moves (`0`) below any other operator is `nil`, which the
+    `par` law drops."""
     tag = ast[0]
     if tag == "pref":
         return CtxGuard(process_step(
@@ -817,7 +820,8 @@ def _ccs_context(table, ast, path=()):
     if tag == "sum" and all(isinstance(k, CtxGuard) for k in kids):
         return CtxGuard(process_step(
             tuple(m for k in kids for m in k.step.children)))
-    return CtxApp(op, kids)
+    nil = CtxApp(table.op("nil"), ())
+    return CtxApp(op, tuple(nil if k == _NO_MOVES else k for k in kids))
 
 
 def parse_ccs(text: str) -> System:
@@ -1012,7 +1016,7 @@ def compile_gnf(g: GnfFile) -> System:
     _check_gnf_shape(g)
     table = instances.language_table("".join(g.terminals))
     for n in g.nonterminals:
-        if n in table.sig.names:
+        if n in table.sig:
             raise NotGnf(f"nonterminal {n!r} shadows a language operation")
     letters = table.kind.alphabet
     empty = mk_app(table.op("empty"), ())
@@ -1094,8 +1098,8 @@ def load_circuit(text: str) -> CircuitFile:
                 r"[A-Za-z_][A-Za-z0-9_]*", node_id):
             raise InvalidCircuit(f"bad node id {node_id!r}")
         nodes.append(CircuitNode(node_id, kind, value))
-    ids = [n.id for n in nodes]
-    if len(set(ids)) != len(ids):
+    ids = {n.id for n in nodes}
+    if len(ids) != len(nodes):
         raise InvalidCircuit("duplicate node ids")
     edges = []
     for src, dst in raw.get("edges", ()):

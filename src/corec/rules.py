@@ -8,10 +8,13 @@ recursively defined operations returns a new table over the sum signature
 that carries the old rules over unchanged.  Each table records which
 signature every rule was written against, and the engine resolves the
 symbols of a conclusion through the table's rename map
-(``Signature.embeddings``), so old interpretations are untouched.  A rule
-may also declare the algebraic law of its symbol (`Law`), which the engine
-applies when it builds nodes of that symbol.  Tables built here record
-their `TableReport`: an extension probes only the rules it adds.
+(``Signature.embeddings``), so old interpretations are untouched.  A
+sandwiched definition is a rule too, one whose conclusion is a context of
+given operations above the guards; both kinds are adjoined to a table the
+same way.  A rule may also declare the algebraic law of its symbol (`Law`),
+which the engine applies when it builds nodes of that symbol.  Every table
+holds its `TableReport` from construction: an extension probes only the
+rules it adds.
 """
 
 from __future__ import annotations
@@ -145,7 +148,7 @@ def _check_law(kind, sig: Signature, name: str, law: Law):
     for role, other in (("unit", law.unit), ("zero", law.zero)):
         if other is None:
             continue
-        if other not in sig.names or sig.decl(other) != OpDecl(other, 0):
+        if other not in sig or sig.decl(other) != OpDecl(other, 0):
             raise ForeignSymbol(f"{role} {other!r} of the law for {name!r} "
                                 f"is not a nullary symbol of {sig!r}")
 
@@ -161,12 +164,19 @@ class GsosRule:
     parameters so parametric families can be validated.  ``law``, for a
     binary symbol, declares the equations its applications satisfy; the
     engine hash-conses them modulo those equations.
+
+    A sandwiched rule has ``outer``, the names of the given symbols it may
+    use above its guards, in the table it was adjoined to; it concludes a
+    context (`CtxApp` over `CtxGuard` leaves) in place of a step, and every
+    path from the root to a continuation passes exactly one guard.
+    ``outer`` is None for an ordinary rule.
     """
 
     op: OpSym
     conclude: Callable
     probe_params: tuple = (None,)
     law: Optional[Law] = None
+    outer: Optional[frozenset] = None
 
 
 @dataclass(frozen=True)
@@ -182,9 +192,6 @@ class CtxGuard:
     """Guard leaf: a full one-step observation over continuation terms."""
 
     step: Step
-
-
-Context = object  # CtxApp | CtxGuard; a bare Term is an unguarded leaf
 
 
 @dataclass(frozen=True)
@@ -204,21 +211,15 @@ class RpsDef:
 class SrpsDef:
     """Sandwiched definitions: the guard may sit inside a context of givens.
 
-    ``contexts`` maps each new symbol to a host function
-    ``(op, args) -> Context``; every path from the context root to a
-    continuation term must pass exactly one guard.
+    ``contexts`` maps each new symbol to a conclusion function
+    ``(op, args) -> CtxApp | CtxGuard``; `register_srps` adjoins each as a
+    sandwiched `GsosRule` whose ``outer`` is every symbol of the table it
+    extends.
     """
 
     new_sig: Signature
     contexts: Mapping[str, Callable]
     probe_params: Mapping[str, tuple] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class _SrpsEntry:
-    fn: Callable
-    outer_names: frozenset
-    probe_params: tuple = (None,)
 
 
 @dataclass(frozen=True)
@@ -233,37 +234,31 @@ class TableReport:
 class RuleTable:
     """An abstract GSOS rule as an executable table, one rule per symbol.
 
-    ``rules`` and ``srps`` are keyed by the names of ``sig``.  A rule
-    carried over from an older table is stored as it was written;
-    ``origin`` maps each name to the signature and name its rule's author
-    used (by default the table's own), and ``renames`` is the composed
-    ``sig_id -> {name -> name here}`` map of ``sig`` and all its summands.
-    ``report`` is the table's `TableReport` when its builder probed it; a
-    table given none probes at construction if its rules declare laws, and
-    otherwise `validation` probes on first use.  ``laws`` holds each rule's
-    law, with its unit and zero under their names here, when the report is
-    ok, and is empty otherwise.
+    ``rules`` is keyed by the names of ``sig``, ordinary and sandwiched
+    rules alike.  A rule carried over from an older table is stored as it
+    was written; ``origin`` maps each name to the signature and name its
+    rule's author used (by default the table's own), and ``renames`` is the
+    composed ``sig_id -> {name -> name here}`` map of ``sig`` and all its
+    summands.  ``report`` is the table's `TableReport` when its builder
+    probed it; a table given none probes all its rules at construction.
+    ``laws`` holds each rule's law, with its unit and zero under their names
+    here, when the report is ok, and is empty otherwise.
     """
 
-    __slots__ = ("kind", "sig", "rules", "srps", "origin", "renames",
-                 "laws", "_report")
+    __slots__ = ("kind", "sig", "rules", "origin", "renames", "laws",
+                 "_report")
 
-    def __init__(self, kind, sig: Signature, rules, srps=None, origin=None,
-                 report=None):
+    def __init__(self, kind, sig: Signature, rules, origin=None, report=None):
         self.kind = kind
         self.sig = sig
         self.rules = dict(rules)
-        self.srps = dict(srps or {})
         self.origin = dict(origin) if origin is not None else \
             {name: (sig, name) for name in sig.names}
         self.renames = sig.embeddings()
-        if report is None and any(r.law is not None
-                                  for r in self.rules.values()):
-            report = validate_table(self)
-        self._report = report
+        self._report = report if report is not None else validate_table(self)
         self.laws = {}
         for name, r in self.rules.items():
-            if r.law is None or not report.ok:
+            if r.law is None or not self._report.ok:
                 continue
             author_sig, orig = self.origin[name]
             here = self.renames[author_sig.sig_id]
@@ -295,15 +290,10 @@ class RuleTable:
         except KeyError:
             raise MissingRule(f"no rule for symbol {name!r}") from None
 
-    def srps_backed(self, name: str) -> bool:
-        return name in self.srps
-
     def op(self, name: str, param=None) -> OpSym:
         return self.sig.op(name, param)
 
     def validation(self) -> TableReport:
-        if self._report is None:
-            self._report = validate_table(self)
         return self._report
 
 
@@ -364,45 +354,48 @@ def _check_conclusion(table_sig: Signature, kind, step: Step):
                     f"conclusion uses {node.op!r} outside the table signature")
 
 
-def _context_check(outer_names):
-    """`_check_conclusion` for every guard of an srps context, whose outer
-    part may only use the given symbols ``outer_names``."""
-    def check(table_sig: Signature, kind, ctx, path=()):
+def _check_context(table_sig: Signature, kind, ctx, outer):
+    """`_check_conclusion` for every guard of a sandwiched rule's context,
+    whose part above the guards may only use the given symbols ``outer``."""
+    todo = [(ctx, ())]
+    while todo:
+        ctx, path = todo.pop()
         if isinstance(ctx, CtxGuard):
             _check_conclusion(table_sig, kind, ctx.step)
         elif isinstance(ctx, CtxApp):
-            if ctx.op.name not in outer_names:
+            if ctx.op.name not in outer:
                 raise ForeignSymbol(
                     f"srps outer context uses {ctx.op!r}, not a given symbol")
             if len(ctx.args) != ctx.op.arity:
                 raise ArityMismatch(f"{ctx.op!r} in context applied to "
                                     f"{len(ctx.args)} arguments")
-            for i, sub in enumerate(ctx.args):
-                check(table_sig, kind, sub, path + (i,))
+            todo.extend((sub, path + (i,)) for i, sub in enumerate(ctx.args))
         else:
             raise UnguardedPath(
                 f"context path {path} ends in {ctx!r} with no guard")
 
-    return check
 
-
-def _probe(kind, sig: Signature, name: str, conclude, probe_params, check,
-           rng: random.Random, law: Optional[Law] = None, rounds: int = 3):
-    """Check ``law`` if given, then apply ``conclude`` to synthetic
-    premises, ``rounds`` times per probe parameter, and run
-    ``check(sig, kind, conclusion)`` and an additive law's shape check on
-    each result."""
+def _probe(kind, sig: Signature, name: str, rule: GsosRule,
+           rng: random.Random, rounds: int = 3):
+    """Check the rule's law if it has one, then apply the rule to synthetic
+    premises, ``rounds`` times per probe parameter, and check each
+    conclusion: a step, or the context of a sandwiched rule, and the shape
+    an additive law claims."""
+    law = rule.law
     if law is not None:
         _check_law(kind, sig, name, law)
     decl = sig.decl(name)
-    for param in probe_params:
+    for param in rule.probe_params:
         op = sig.op(name, param) if decl.parametric else sig.op(name)
         for _ in range(rounds):
             args = _synthetic_args(kind, op.arity, rng)
-            step = conclude(op, args)
-            check(sig, kind, step)
+            out = rule.conclude(op, args)
+            if rule.outer is None:
+                _check_conclusion(sig, kind, out)
+            else:
+                _check_context(sig, kind, out, rule.outer)
             if law is not None and law.additive:
-                _check_additive(op, args, step)
+                _check_additive(op, args, out)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +408,7 @@ def build_table(kind, sig: Signature, rules) -> RuleTable:
     for r in rules:
         if r.op.name in by_name:
             raise DuplicateRule(f"two rules for {r.op.name!r}")
-        if r.op.name not in sig.names:
+        if r.op.name not in sig:
             raise ForeignSymbol(f"rule for {r.op!r} outside the signature")
         by_name[r.op.name] = r
     missing = [n for n in sig.names if n not in by_name]
@@ -423,66 +416,51 @@ def build_table(kind, sig: Signature, rules) -> RuleTable:
         raise MissingRule(f"no rule for symbols {missing}")
     rng = random.Random(0xC0)
     for name, r in by_name.items():
-        _probe(kind, sig, name, r.conclude, r.probe_params, _check_conclusion,
-               rng, r.law)
+        _probe(kind, sig, name, r, rng)
     return RuleTable(kind, sig, by_name, report=TableReport(()))
 
 
-def _carry_over(table: RuleTable, emb: Mapping[str, str]):
-    """The old table's rules, srps entries and origins under their names in
-    the sum; the rules themselves are kept as written."""
-    return ({emb[n]: r for n, r in table.rules.items()},
-            {emb[n]: e for n, e in table.srps.items()},
-            {emb[n]: o for n, o in table.origin.items()})
+def _adjoin(table: RuleTable, new_sig: Signature, new_rules, what: str
+            ) -> RuleTable:
+    """``table`` extended by the symbols of ``new_sig`` and ``new_rules``,
+    keyed by their names there; each new rule is stored with its symbol in
+    the sum.  The old rules, origins and report carry over as they are
+    (`sig_sum` keeps the left summand's names), and only the new rules are
+    probed."""
+    sum_sig = sig_sum(table.sig, new_sig)
+    emb_new = sum_sig.embedding_from(new_sig)
+    rules, origin = dict(table.rules), dict(table.origin)
+    rng = random.Random(0xC1)
+    for name, rule in new_rules.items():
+        if name not in new_sig:
+            raise ForeignSymbol(f"{what} for undeclared symbol {name!r}")
+        new_name = emb_new[name]
+        rule = replace(rule, op=sum_sig.template(new_name))
+        _probe(table.kind, sum_sig, new_name, rule, rng)
+        rules[new_name] = rule
+        origin[new_name] = (sum_sig, new_name)
+    missing = [n for n in new_sig.names if n not in new_rules]
+    if missing:
+        raise MissingRule(f"no {what} for {missing}")
+    return RuleTable(table.kind, sum_sig, rules, origin, table._report)
 
 
 def extend_with_rps(table: RuleTable, rps: RpsDef) -> RuleTable:
     """Adjoin recursively defined symbols; old interpretations carry over,
-    and so does the old table's report (if probed): only the new rules are
-    probed."""
-    sum_sig = sig_sum(table.sig, rps.new_sig)
-    emb_old = sum_sig.embedding_from(table.sig)
-    emb_new = sum_sig.embedding_from(rps.new_sig)
-    rules, srps, origin = _carry_over(table, emb_old)
-    rng = random.Random(0xC1)
-    for name, rule in rps.rules.items():
-        if name not in rps.new_sig.names:
-            raise ForeignSymbol(f"rps rule for undeclared symbol {name!r}")
-        new_name = emb_new[name]
-        placed = GsosRule(sum_sig.template(new_name), rule.conclude,
-                          rule.probe_params, rule.law)
-        _probe(table.kind, sum_sig, new_name, rule.conclude,
-               rule.probe_params, _check_conclusion, rng, rule.law)
-        rules[new_name] = placed
-        origin[new_name] = (sum_sig, new_name)
-    missing = [n for n in rps.new_sig.names if emb_new[n] not in rules]
-    if missing:
-        raise MissingRule(f"rps lacks rules for {missing}")
-    return RuleTable(table.kind, sum_sig, rules, srps, origin, table._report)
+    and so does the old table's report: only the new rules are probed."""
+    return _adjoin(table, rps.new_sig, rps.rules, "rps rule")
 
 
 def register_srps(table: RuleTable, srps_def: SrpsDef) -> RuleTable:
-    """Adjoin sandwiched definitions; their behavior is produced at solve
-    time by guard elaboration."""
-    sum_sig = sig_sum(table.sig, srps_def.new_sig)
-    emb_old = sum_sig.embedding_from(table.sig)
-    emb_new = sum_sig.embedding_from(srps_def.new_sig)
-    rules, srps, origin = _carry_over(table, emb_old)
-    outer = frozenset(emb_old[n] for n in table.sig.names)
-    rng = random.Random(0xC2)
-    for name, fn in srps_def.contexts.items():
-        if name not in srps_def.new_sig.names:
-            raise ForeignSymbol(f"srps context for undeclared symbol {name!r}")
-        entry = _SrpsEntry(fn, outer,
-                           tuple(srps_def.probe_params.get(name, (None,))))
-        _probe(table.kind, sum_sig, emb_new[name], fn, entry.probe_params,
-               _context_check(outer), rng)
-        srps[emb_new[name]] = entry
-        origin[emb_new[name]] = (sum_sig, emb_new[name])
-    missing = [n for n in srps_def.new_sig.names if emb_new[n] not in srps]
-    if missing:
-        raise MissingRule(f"srps lacks contexts for {missing}")
-    return RuleTable(table.kind, sum_sig, rules, srps, origin, table._report)
+    """Adjoin sandwiched definitions, as rules whose context may use every
+    symbol of ``table``; the engine elaborates their guards when it applies
+    them."""
+    outer = frozenset(table.sig.names)
+    rules = {name: GsosRule(None, fn,
+                            tuple(srps_def.probe_params.get(name, (None,))),
+                            outer=outer)
+             for name, fn in srps_def.contexts.items()}
+    return _adjoin(table, srps_def.new_sig, rules, "srps context")
 
 
 def add_rule(table: RuleTable, rule: GsosRule) -> RuleTable:
@@ -492,7 +470,7 @@ def add_rule(table: RuleTable, rule: GsosRule) -> RuleTable:
     carries non-default ``probe_params``.
     """
     name = rule.op.name
-    if name in table.sig.names:
+    if name in table.sig:
         raise DuplicateRule(f"symbol {name!r} already has a rule")
     parametric = rule.probe_params != (None,)
     one = signature((name, rule.op.arity, parametric))
@@ -500,30 +478,20 @@ def add_rule(table: RuleTable, rule: GsosRule) -> RuleTable:
 
 
 def validate_table(table: RuleTable) -> TableReport:
-    """Report-based check of totality, arity, ports, laws, and srps
-    guardedness.
+    """Report-based check of totality, arity, ports, laws, and the
+    guardedness of sandwiched rules.
 
-    Every rule and srps entry is probed against the signature it was
-    written for (``table.origin``), exactly as when it was first added."""
-    violations = []
+    Every rule is probed against the signature it was written for
+    (``table.origin``), exactly as when it was first added."""
+    violations = [f"missing rule for {name!r}" for name in table.sig.names
+                  if name not in table.rules]
     rng = random.Random(0xC3)
-    for name in table.sig.names:
-        if name not in table.rules and name not in table.srps:
-            violations.append(f"missing rule for {name!r}")
     for name, r in table.rules.items():
-        if name not in table.sig.names:
+        if name not in table.sig:
             violations.append(f"rule for foreign symbol {name!r}")
             continue
         try:
-            _probe(table.kind, *table.origin[name], r.conclude,
-                   r.probe_params, _check_conclusion, rng, r.law)
+            _probe(table.kind, *table.origin[name], r, rng)
         except Exception as exc:  # noqa: BLE001 - collected into the report
             violations.append(f"rule {name!r}: {exc}")
-    for name, entry in table.srps.items():
-        try:
-            sig, orig = table.origin.get(name, (table.sig, name))
-            _probe(table.kind, sig, orig, entry.fn, entry.probe_params,
-                   _context_check(entry.outer_names), rng)
-        except Exception as exc:  # noqa: BLE001
-            violations.append(f"srps {name!r}: {exc}")
     return TableReport(tuple(violations))

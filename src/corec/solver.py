@@ -301,17 +301,17 @@ class Engine:
         return step
 
     def _apply_rule(self, node: _Node) -> Step:
-        table, name, kind = node.table, node.name, node.kind
+        """The rule's conclusion: a step, or for a sandwiched rule the step
+        of its context's node."""
+        table, kind = node.table, node.kind
         args = []
         for cid in node.children:
             args.append(arg_obs(kind, cid, self._unfold(cid)))
-        args = tuple(args)
-        if table.srps_backed(name):
-            ctx = table.srps[name].fn(node.op, args)
-            return self._unfold(self._ctx_to_node(table, ctx, None))
-        rule = table.rule_for(name)
-        return self._instantiate_step(table, rule.conclude(node.op, args),
-                                      None)
+        rule = table.rule_for(node.name)
+        out = rule.conclude(node.op, tuple(args))
+        if rule.outer is None:
+            return self._instantiate_step(table, out, None)
+        return self._unfold(self._ctx_to_node(table, out, None))
 
     def _sum_step(self, node: _Node) -> Step:
         """``Σ m·g`` steps to ``Σ m·label(g)`` and, at each port, the sum
@@ -557,16 +557,7 @@ class Engine:
         return combined, None
 
 
-# Module-level conveniences mirroring the engine methods.
-
-def unfold(h: SolutionHandle) -> Step:
-    return h.engine.unfold(h)
-
-
-def observe(h: SolutionHandle, depth: int) -> ObservationTree:
-    return h.engine.observe(h, depth)
-
-
+# `Engine.interpret_op` on the engine of the first argument, or a fresh one.
 def interpret_op(table: RuleTable, op, args, engine: Optional[Engine] = None
                  ) -> SolutionHandle:
     if engine is None:

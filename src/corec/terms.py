@@ -106,6 +106,10 @@ class Signature:
     def names(self):
         return tuple(d.name for d in self.decls)
 
+    def __contains__(self, name: str) -> bool:
+        """Whether ``name`` is declared here, in constant time."""
+        return name in self._by_name
+
     def decl(self, name: str) -> OpDecl:
         try:
             return self._by_name[name]
@@ -237,10 +241,6 @@ class App(Term):
         return f"{self.op!r}({', '.join(map(repr, self.args))})"
 
 
-def mk_var(name: str) -> Var:
-    return Var(name)
-
-
 def mk_app(op: OpSym, args) -> App:
     args = tuple(args)
     if len(args) != op.arity:
@@ -305,15 +305,3 @@ def subterms(t: Term):
 
 def free_vars(t: Term) -> frozenset:
     return frozenset(n.name for n in subterms(t) if isinstance(n, Var))
-
-
-def term_size(t: Term) -> int:
-    if isinstance(t, App):
-        return 1 + sum(term_size(a) for a in t.args)
-    return 1
-
-
-def term_depth(t: Term) -> int:
-    if isinstance(t, App) and t.args:
-        return 1 + max(term_depth(a) for a in t.args)
-    return 1 if isinstance(t, App) else 0

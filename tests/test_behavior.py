@@ -13,7 +13,6 @@ from corec.behavior import (
     TREE,
     canonicalize_step,
     is_prefix,
-    label_eq,
     process_actions,
     process_step,
     rat,
@@ -21,7 +20,7 @@ from corec.behavior import (
     stream_step,
     truncate,
 )
-from corec.errors import BadActionStructure, KindMismatch
+from corec.errors import BadActionStructure
 
 ACTIONS = process_actions("a", "b")
 
@@ -79,20 +78,6 @@ def test_canonicalize_idempotent():
     s = process_step((("b", 1), ("a", 2), ("a", 3), ("a", 2)))
     once = canonicalize_step(ACTIONS, s)
     assert canonicalize_step(ACTIONS, once) == once
-
-
-def test_label_eq_exact_rationals():
-    assert label_eq(STREAM, Fraction(1, 3), Fraction(1, 3))
-    assert not label_eq(STREAM, Fraction(1, 3), Fraction(333, 1000))
-
-
-def test_label_eq_language_bits():
-    assert not label_eq(LanguageKind(("a",)), True, False)
-
-
-def test_label_eq_wrong_domain():
-    with pytest.raises(KindMismatch):
-        label_eq(STREAM, True, Fraction(1))
 
 
 def test_deterministic_step_equality_is_per_port():

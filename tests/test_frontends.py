@@ -425,6 +425,14 @@ PARSE_ERRORS = [
     ("system-bad-char-before-syntax-error", parse_system,
      _S + "x = = 1\ny = 1 . y ?\n",
      ParseError, "line 3, col 11: unexpected character '?'"),
+    ("system-variable-applied-in-context", parse_system, _S + "x = x(1 . x)\n",
+     ParseError, "line 2, col 5: variable 'x' applied to arguments"),
+    ("system-variable-applied-in-term", parse_system, _S + "x = 1 . x(x)\n",
+     ParseError, "line 2, col 9: variable 'x' applied to arguments"),
+    ("system-arity-in-context", parse_system, _S + "x = plus(1 . x)\n",
+     ParseError, "line 2, col 5: 'plus' expects 2 arguments"),
+    ("system-arity-in-term", parse_system, _S + "x = 1 . plus(x)\n",
+     ParseError, "line 2, col 9: 'plus' expects 2 arguments"),
     ("system-reserved-name", parse_system, _S + "~x = 1 . x\n",
      ParseError, "line 2, col 1: unexpected character '~'"),
     ("ccs-reserved-name", parse_ccs, "~P = a.0\n",
@@ -568,6 +576,23 @@ def test_two_output_circuit(engine):
     assert stream_take(doubled, 4) == [2, 4, 6, 6]
     plain = engine.interpret_op(table, table.op("f_o1"), [s])
     assert stream_take(plain, 4) == [1, 2, 3, 3]
+
+
+def test_wide_circuit_loads_and_compiles_in_linear_time(engine):
+    # 10,000 input -> output pairs: each adjoined symbol and each edge end
+    # is looked up in constant time, so this takes about a second.
+    n = 10_000
+    wide = {
+        "nodes": [{"id": f"i{k}", "kind": "input"} for k in range(n)]
+        + [{"id": f"o{k}", "kind": "output"} for k in range(n)],
+        "edges": [[f"i{k}", f"o{k}"] for k in range(n)],
+    }
+    compiled = compile_circuit(load_circuit(json.dumps(wide)))
+    table = compiled.table()
+    assert len(compiled.outputs) == n and table.validation().ok
+    s = periodic_stream(engine, (1, 2), (3,))
+    out = engine.interpret_op(table, table.op(f"f_o{n - 1}"), [s])
+    assert stream_take(out, 4) == [1, 2, 3, 3]
 
 
 def test_two_input_circuit_with_shared_register(engine):

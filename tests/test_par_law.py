@@ -10,7 +10,7 @@ import random
 from helpers import agent_handle, sos_agree
 
 from corec.checking import bounded_equal, find_divergence
-from corec.frontends import parse_ccs
+from corec.frontends import format_ccs_system, parse_ccs
 from corec.instances import DEFAULT_ACTIONS, ccs_table, random_agent
 from corec.rules import Law
 from corec.solver import Engine
@@ -32,6 +32,19 @@ def test_ccs_table_declares_the_law_and_zero_is_nil():
     zero = _node(engine, ZERO)
     assert engine._nodes[zero].name == "nil"
     assert engine.node_step(zero).children == ()
+
+
+def test_zero_in_context_position_is_nil():
+    for text in ("P = a.0 | 0\n", "P = (0 + 0) | a.0\n"):
+        system = parse_ccs(text)
+        engine = Engine()
+        p = engine.solve(system)["P"]
+        assert not any(n.tag == "term" and n.name == "par"
+                       for n in engine._nodes)
+        assert bounded_equal(p, engine.solve(parse_ccs("Q = a.0\n"))["Q"], 4)
+        assert parse_ccs(format_ccs_system(system)) == system
+    # in a sum, `0` adds no moves to the sum's one guard
+    assert parse_ccs("P = a.0 + 0\n") == parse_ccs("P = a.0\n")
 
 
 def test_nil_is_the_unit():

@@ -7,6 +7,7 @@ from corec.behavior import STREAM, Step, language_step, stream_step
 from corec.errors import (
     DuplicateRule,
     ForeignSymbol,
+    KindMismatch,
     MissingRule,
     UnguardedPath,
 )
@@ -26,7 +27,6 @@ from corec.rules import (
     RpsDef,
     RuleTable,
     SrpsDef,
-    _SrpsEntry,
     add_rule,
     arg_obs,
     build_table,
@@ -148,8 +148,6 @@ def test_carried_rules_survive_eight_add_rule_layers():
         table = add_rule(table, _identity_rule(f"id{k}"))
     for name, rule in base.rules.items():
         assert table.rules[name] is rule
-    for name, entry in base.srps.items():
-        assert table.srps[name] is entry
 
     def zip_prefix(t):
         engine = Engine()
@@ -184,10 +182,12 @@ def test_foreign_conclusions_raise_when_probed_and_unfolded(bad_term):
     rule = GsosRule(sig.op("bad"), bad_rule)
     with pytest.raises(ForeignSymbol):
         build_table(STREAM, sig, [rule])
-    # Unvalidated, then extended: the bad rule is carried over as written.
+    # Built directly, then extended: the bad rule and the report that
+    # names it are carried over as they are.
     table = add_rule(RuleTable(STREAM, sig, {"bad": rule}),
                      _identity_rule("idle"))
     assert table.rules["bad"] is rule
+    assert not table.validation().ok
     report = validate_table(table)
     assert any(v.startswith("rule 'bad'") and "outside the table" in v
                for v in report.violations)
@@ -269,7 +269,7 @@ def test_register_srps_degenerate_guard_is_accepted():
                                     mk_app(s.op("twice"), (a.tail,))))
 
     table = register_srps(base, SrpsDef(new, {"twice": ctx}))
-    assert table.srps_backed("twice")
+    assert table.rules["twice"].outer == frozenset(base.sig.names)
     assert table.validation().ok
 
 
@@ -303,20 +303,48 @@ def test_validate_reports_missing_rule():
     sig, rules = _zip_plus_table()
     table = RuleTable(STREAM, sig, {"plus": rules[0]})
     report = validate_table(table)
-    assert not report.ok
-    assert any("zip" in v for v in report.violations)
+    assert report.violations == ("missing rule for 'zip'",)
+    assert table.validation() == report
 
 
 def test_validate_reports_unguarded_srps():
     sig, rules = _zip_plus_table()
-    entry = _SrpsEntry(lambda op, args: args[0].self_term,
-                       frozenset(sig.names))
     bad_sig = sig_sum(sig, signature(("oops", 1)))
+    oops = GsosRule(bad_sig.op("oops"), lambda op, args: args[0].self_term,
+                    outer=frozenset(sig.names))
     table = RuleTable(STREAM, bad_sig,
-                      {r.op.name: r for r in rules}, {"oops": entry})
+                      {**{r.op.name: r for r in rules}, "oops": oops},
+                      origin={**{n: (sig, n) for n in sig.names},
+                              "oops": (bad_sig, "oops")})
     report = validate_table(table)
-    assert not report.ok
-    assert any("oops" in v for v in report.violations)
+    assert table.validation() == report
+    (violation,) = report.violations
+    assert violation.startswith("rule 'oops'") and "no guard" in violation
+
+
+def test_sandwiched_rules_carry_over_as_written():
+    from corec.instances import DEFAULT_ACTIONS, ccs_table
+
+    base = ccs_table(DEFAULT_ACTIONS)
+    alt = base.rules["alt"]
+    assert alt.outer is not None
+    assert all(r.outer is None for n, r in base.rules.items() if n != "alt")
+    table = base
+    for k in range(3):
+        table = add_rule(table, GsosRule(
+            signature((f"id{k}", 1)).op(f"id{k}"),
+            lambda op, args: Step(None, args[0].moves)))
+    assert table.rules["alt"] is alt
+    assert table.validation().ok
+
+
+def test_extend_rejects_an_ordinary_rule_concluding_a_context():
+    base = stream_base_table()
+    new = signature(("twice", 1))
+    twice = _doubling_srps(base.sig).contexts["twice"]
+    with pytest.raises(KindMismatch):
+        extend_with_rps(base, RpsDef(new, {"twice": GsosRule(new.op("twice"),
+                                                              twice)}))
 
 
 def test_instance_tables_validate_cleanly():
@@ -350,6 +378,7 @@ def test_tables_are_probed_once(monkeypatch):
     doubled = register_srps(stream_table(), _doubling_srps(stream_table().sig))
     assert doubled.validation().ok and probed[11:] == ["twice"]
     direct = RuleTable(table.kind, table.sig, table.rules, origin=table.origin)
+    assert len(probed) == 22
     assert direct.validation().ok and len(probed) == 22
 
 

@@ -9,13 +9,10 @@ from corec.terms import (
     embed_signature,
     free_vars,
     mk_app,
-    mk_var,
     sig_sum,
     signature,
     subterms,
     substitute,
-    term_depth,
-    term_size,
 )
 
 K = signature(("plus", 2), ("times", 2), ("zero", 0))
@@ -27,14 +24,9 @@ TIMES = K.op("times")
 ZERO = K.op("zero")
 
 
-def test_mk_var_is_a_leaf():
-    assert mk_var("x") == Var("x")
-    assert mk_var("x") != mk_var("y")
-
-
 def test_substituting_a_variable_gives_the_replacement():
     t = mk_app(PLUS, (Var("a"), Var("b")))
-    assert substitute(mk_var("x"), {"x": t}) == t
+    assert substitute(Var("x"), {"x": t}) == t
 
 
 def test_mk_app_examples():
@@ -75,7 +67,6 @@ def test_slots_are_leaves_of_every_walker():
     assert embedded.args == (slot, Var("x"))
     assert free_vars(t) == {"x"}
     assert slot in set(subterms(t))
-    assert (term_size(t), term_depth(t)) == (3, 1)
     assert repr(slot) == "<node 7>"
 
 
@@ -167,12 +158,6 @@ def test_free_vars_examples():
     assert free_vars(t) == {"x", "y"}
     assert free_vars(mk_app(ZERO, ())) == frozenset()
     assert free_vars(Param("p")) == frozenset()
-
-
-@given(_terms())
-def test_terms_are_finite(t):
-    assert term_size(t) >= 1
-    assert term_depth(t) <= term_size(t)
 
 
 def test_signature_sum_records_embedding():
