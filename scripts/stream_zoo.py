@@ -10,8 +10,7 @@ from corec import Engine, System, STREAM
 from corec.behavior import stream_step
 from corec.frontends import format_rat, parse_system
 from corec.instances import periodic_stream, stream_table, stream_take
-from corec.solver import FlatRhs
-from corec.terms import Var, mk_app
+from corec.terms import Guard, Var, mk_app
 
 TM = """kind stream
 u = 0 . t
@@ -50,8 +49,8 @@ def main():
 
     # powers of two, directly: s = 1.(s + s)
     s = System(STREAM, table, ("s",), {
-        "s": FlatRhs(stream_step(1, mk_app(table.op("plus"),
-                                           (Var("s"), Var("s"))))),
+        "s": Guard(stream_step(1, mk_app(table.op("plus"),
+                                         (Var("s"), Var("s"))))),
     })
     show("1.(s+s)", engine.solve(s)["s"])
 

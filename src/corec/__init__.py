@@ -14,7 +14,6 @@ from .behavior import (
     is_prefix,
     process_actions,
     rat,
-    step_map,
     truncate,
 )
 from .checking import (
@@ -28,8 +27,6 @@ from .checking import (
 )
 from .rules import (
     ArgObs,
-    CtxApp,
-    CtxGuard,
     GsosRule,
     Law,
     RpsDef,
@@ -42,18 +39,15 @@ from .rules import (
     validate_table,
 )
 from .solver import (
-    ConstRhs,
     Engine,
     EngineConfig,
     ExternalRhs,
-    FlatRhs,
-    GuardedRhs,
     SolutionHandle,
     System,
-    interpret_op,
 )
 from .terms import (
     App,
+    Guard,
     OpSym,
     Param,
     Signature,

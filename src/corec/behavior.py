@@ -156,36 +156,29 @@ def process_step(moves) -> Step:
     return Step(None, tuple(moves))
 
 
-def step_map(step: Step, f) -> Step:
-    return Step(step.label, tuple((p, f(x)) for p, x in step.children))
-
-
 def move_action(port):
     """Action name of a process port, which is either `a` or `(a, index)`."""
     return port[0] if isinstance(port, tuple) else port
 
 
-def canonicalize_step(kind, step: Step, key=None) -> Step:
+def canonicalize_step(kind, step: Step) -> Step:
     """Set semantics for process steps: sort, deduplicate, index ports.
 
-    Children are ordered by (action order, child key) and exact duplicates
+    Children are ordered by (action order, child) and exact duplicates
     (same action, same child) collapse; deterministic kinds pass through
-    unchanged.  ``key`` must give a total order on children; the engine
-    passes node ids, plain orderable values work as-is.
+    unchanged.  Children must be totally ordered, as the engine's node ids
+    are.
     """
     if kind.deterministic:
         return step
-    if key is None:
-        key = lambda x: x
     seen = set()
     moves = []
     for port, child in step.children:
         action = move_action(port)
-        k = (kind.action_index(action), key(child))
-        if (action, key(child)) in seen:
+        if (action, child) in seen:
             continue
-        seen.add((action, key(child)))
-        moves.append((k, action, child))
+        seen.add((action, child))
+        moves.append(((kind.action_index(action), child), action, child))
     moves.sort(key=lambda m: m[0])
     counts = {}
     out = []

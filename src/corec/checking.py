@@ -21,15 +21,8 @@ from typing import Optional
 
 from .behavior import move_action
 from .errors import KindMismatch, UnknownSuite
-from .solver import (
-    Engine,
-    ExternalRhs,
-    FlatRhs,
-    GuardedRhs,
-    SolutionHandle,
-    System,
-)
-from .terms import Var, mk_app
+from .solver import Engine, ExternalRhs, SolutionHandle, System
+from .terms import App, Guard, Var, mk_app
 
 
 @dataclass(frozen=True)
@@ -325,13 +318,13 @@ def _suite_modularity(seed: int):
 
 def _shuffle_as_srps(base_sig):
     from . import instances as inst
-    from .rules import CtxGuard, SrpsDef
+    from .rules import SrpsDef
 
     rps = inst.shuffle_rps(base_sig)
     rule = rps.rules["shuffle"].conclude
 
     def ctx(op, args):
-        return CtxGuard(rule(op, args))
+        return Guard(rule(op, args))
 
     return SrpsDef(rps.new_sig, {"shuffle": ctx})
 
@@ -343,10 +336,10 @@ def _compositionality_stream(engine: Engine):
     table = inst.stream_table()
     plus = table.op("plus")
     f = System(STREAM, table, ("p",),
-               {"p": FlatRhs(stream_step(1, Var("p")))})
+               {"p": Guard(stream_step(1, Var("p")))})
     e = System(STREAM, table, ("q", "w"), {
-        "q": FlatRhs(stream_step(Fraction(1, 2),
-                                 mk_app(plus, (Var("q"), Var("w"))))),
+        "q": Guard(stream_step(Fraction(1, 2),
+                               mk_app(plus, (Var("q"), Var("w"))))),
         "w": ExternalRhs("p"),
     })
     return engine.composition_witness(f, e, depth=12)[1]
@@ -355,21 +348,20 @@ def _compositionality_stream(engine: Engine):
 def _compositionality_process(engine: Engine):
     from . import instances as inst
     from .behavior import process_step
-    from .rules import CtxApp, CtxGuard
 
     table = inst.ccs_table(inst.DEFAULT_ACTIONS)
     zero = mk_app(table.op("nil"), ())
     c0 = mk_app(table.op("pref", "c"), (zero,))
     par_xc = mk_app(table.op("par"), (Var("x"), c0))
     f = System(table.kind, table, ("x",), {
-        "x": FlatRhs(process_step((("a", par_xc), ("b", zero)))),
+        "x": Guard(process_step((("a", par_xc), ("b", zero)))),
     })
     y_plus_z = mk_app(table.op("sum", 2), (Var("y"), Var("z")))
     e = System(table.kind, table, ("y", "z"), {
-        "y": GuardedRhs(CtxApp(table.op("par"), (
-            CtxGuard(process_step((("b", y_plus_z),))),
-            CtxGuard(process_step((("a", Var("z")),))),
-        ))),
+        "y": App(table.op("par"), (
+            Guard(process_step((("b", y_plus_z),))),
+            Guard(process_step((("a", Var("z")),))),
+        )),
         "z": ExternalRhs("x"),
     })
     return engine.composition_witness(f, e, depth=4)[1]

@@ -34,16 +34,9 @@ from .errors import (
     Unguarded,
     UnknownSymbol,
 )
-from .rules import (
-    CtxApp,
-    CtxGuard,
-    GsosRule,
-    RpsDef,
-    RuleTable,
-    extend_with_rps,
-)
-from .solver import FlatRhs, GuardedRhs, System
-from .terms import App, Term, Var, mk_app, sig_sum, signature
+from .rules import GsosRule, RpsDef, RuleTable, extend_with_rps
+from .solver import System
+from .terms import App, Guard, Term, Var, mk_app, sig_sum, signature
 from . import instances
 
 
@@ -311,27 +304,20 @@ class _DetCompiler:
                     tuple((a, self.term(p))
                           for a, p in zip(letters, payload)))
 
-    def context(self, node, path=()):
+    def rhs(self, node, path=()):
+        """The guarded term of a right-hand side, or of its part at
+        ``path``, which lies above the guards."""
         tag = node[0]
         if tag == "guard":
-            return CtxGuard(self.guard_step(node))
-        if tag == "var":
-            if node[1] in self.vars:
-                raise Unguarded(node[1], path)
-            return CtxApp(self.term(node).op, ())
+            return Guard(self.guard_step(node))
+        if tag == "var" and node[1] in self.vars:
+            raise Unguarded(node[1], path)
         if tag == "call":
             op, rest = self._call(node)
-            return CtxApp(op, tuple(self.context(a, path + (i,))
-                                    for i, a in enumerate(rest)))
+            return App(op, tuple(self.rhs(a, path + (i,))
+                                 for i, a in enumerate(rest)))
         # a bare constant is a closed given term, vacuously guarded
-        return CtxApp(self.term(node).op, ())
-
-    def rhs(self, node):
-        if node[0] == "guard":
-            return FlatRhs(self.guard_step(node))
-        if node[0] == "var" and node[1] in self.vars:
-            raise Unguarded(node[1], ())
-        return GuardedRhs(self.context(node))
+        return self.term(node)
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +431,12 @@ def _format_step(table: RuleTable, step: Step) -> str:
 
 
 def _format_ctx(table: RuleTable, ctx) -> str:
-    if isinstance(ctx, CtxGuard):
+    """A guarded term above its guards, where ``r . t`` is a `Guard`, not
+    the `register` or `prefix` it is below them."""
+    if isinstance(ctx, Guard):
         return _format_step(table, ctx.step)
     if not ctx.args:
-        return format_term(table, mk_app(ctx.op, ()))
+        return format_term(table, ctx)
     return _format_call(ctx.op, [_format_ctx(table, a) for a in ctx.args])
 
 
@@ -463,12 +451,9 @@ def format_system(system: System) -> str:
     lines = [header]
     for v in system.vars:
         rhs = system.rhs[v]
-        if isinstance(rhs, FlatRhs):
-            lines.append(f"{v} = {_format_step(system.table, rhs.step)}")
-        elif isinstance(rhs, GuardedRhs):
-            lines.append(f"{v} = {_format_ctx(system.table, rhs.ctx)}")
-        else:
+        if not isinstance(rhs, (Guard, App)):
             raise ValueError(f"rhs of {v!r} has no textual form")
+        lines.append(f"{v} = {_format_ctx(system.table, rhs)}")
     return "\n".join(lines) + "\n"
 
 
@@ -801,27 +786,27 @@ def _parse_ccs_expr(ts: TokenStream, actions, names):
     return expr()
 
 
-_NO_MOVES = CtxGuard(process_step(()))
+_NO_MOVES = Guard(process_step(()))
 
 
 def _ccs_context(table, ast, path=()):
-    """Guarded context of an agent AST; a sum of guards is one guard, and a
+    """Guarded term of an agent AST; a sum of guards is one guard, and a
     guard with no moves (`0`) below any other operator is `nil`, which the
     `par` law drops."""
     tag = ast[0]
     if tag == "pref":
-        return CtxGuard(process_step(
+        return Guard(process_step(
             ((ast[1], instances.ccs_term(table, ast[2])),)))
     if tag == "ref":
         raise Unguarded(ast[1], path)
     op, subs = instances.ccs_op(table, ast)
     kids = tuple(_ccs_context(table, s, path + (i,))
                  for i, s in enumerate(subs))
-    if tag == "sum" and all(isinstance(k, CtxGuard) for k in kids):
-        return CtxGuard(process_step(
+    if tag == "sum" and all(isinstance(k, Guard) for k in kids):
+        return Guard(process_step(
             tuple(m for k in kids for m in k.step.children)))
-    nil = CtxApp(table.op("nil"), ())
-    return CtxApp(op, tuple(nil if k == _NO_MOVES else k for k in kids))
+    nil = App(table.op("nil"), ())
+    return App(op, tuple(nil if k == _NO_MOVES else k for k in kids))
 
 
 def parse_ccs(text: str) -> System:
@@ -861,11 +846,7 @@ def parse_ccs(text: str) -> System:
     bases = sorted({a.rstrip("'") for a in actions} - {"tau"})
     kind = process_actions(*bases)
     table = instances.ccs_table(kind)
-    rhs = {}
-    for v, ast in asts.items():
-        ctx = _ccs_context(table, ast)
-        rhs[v] = FlatRhs(ctx.step) if isinstance(ctx, CtxGuard) \
-            else GuardedRhs(ctx)
+    rhs = {v: _ccs_context(table, ast) for v, ast in asts.items()}
     return System(kind, table, tuple(asts), rhs)
 
 
@@ -876,10 +857,10 @@ def _is_ccs_atom(t) -> bool:
 
 
 def _format_ccs_term(kind, t) -> str:
-    """Agent text of a term or of a guarded context (`CtxGuard` leaves)."""
+    """Agent text of a term, `Guard` leaves included."""
     if isinstance(t, Var):
         return t.name
-    if isinstance(t, CtxGuard):
+    if isinstance(t, Guard):
         moves = t.step.children
         if not moves:
             return "0"
@@ -924,13 +905,9 @@ def format_ccs_system(system: System) -> str:
     lines = []
     for v in system.vars:
         rhs = system.rhs[v]
-        if isinstance(rhs, FlatRhs):
-            body = _format_ccs_term(system.kind, CtxGuard(rhs.step))
-        elif isinstance(rhs, GuardedRhs):
-            body = _format_ccs_term(system.kind, rhs.ctx)
-        else:
+        if not isinstance(rhs, (Guard, App)):
             raise ValueError(f"rhs of {v!r} has no textual form")
-        lines.append(f"{v} = {body}")
+        lines.append(f"{v} = {_format_ccs_term(system.kind, rhs)}")
     return "\n".join(lines) + "\n"
 
 
@@ -1030,20 +1007,15 @@ def compile_gnf(g: GnfFile) -> System:
             term = mk_app(table.op("eps"), ())
         kids = {a: empty for a in letters}
         kids[terminal] = term
-        return CtxGuard(Step(False, tuple((a, kids[a]) for a in letters)))
+        return Guard(Step(False, tuple((a, kids[a]) for a in letters)))
 
     rhs = {}
     for n in g.nonterminals:
-        prods = [(a_rhs[0], a_rhs[1:]) for lhs, a_rhs in g.productions
-                 if lhs == n]
-        if not prods:
-            rhs[n] = GuardedRhs(CtxApp(table.op("empty"), ()))
-            continue
-        ctx = production_guard(*prods[0])
-        for terminal, body in prods[1:]:
-            ctx = CtxApp(table.op("union"),
-                         (ctx, production_guard(terminal, body)))
-        rhs[n] = GuardedRhs(ctx)
+        guards = [production_guard(a_rhs[0], a_rhs[1:])
+                  for lhs, a_rhs in g.productions if lhs == n]
+        rhs[n] = guards[0] if guards else empty
+        for guard in guards[1:]:
+            rhs[n] = App(table.op("union"), (rhs[n], guard))
     return System(table.kind, table, tuple(g.nonterminals), rhs)
 
 

@@ -35,8 +35,6 @@ from .errors import (
     UnknownSymbol,
 )
 from .rules import (
-    CtxApp,
-    CtxGuard,
     GsosRule,
     Law,
     RpsDef,
@@ -46,8 +44,8 @@ from .rules import (
     extend_with_rps,
     register_srps,
 )
-from .solver import Engine, FlatRhs, SolutionHandle, System
-from .terms import Signature, Term, Var, mk_app, sig_sum, signature
+from .solver import Engine, SolutionHandle, System
+from .terms import App, Guard, Signature, Term, Var, mk_app, sig_sum, signature
 
 # ---------------------------------------------------------------------------
 # Streams (componentwise givens, shuffle and convolution staged on top)
@@ -407,14 +405,14 @@ def ccs_table(kind: ProcessKind) -> RuleTable:
         me = mk_app(alt, (a.self_term, b.self_term))
         flipped = mk_app(alt, (b.self_term, a.self_term))
         if b.moves:
-            first = CtxGuard(process_step(tuple(a.moves)))
-            second = CtxGuard(process_step(tuple(
+            first = Guard(process_step(tuple(a.moves)))
+            second = Guard(process_step(tuple(
                 (act, mk_app(seq_s, (y, me))) for act, y in b.moves)))
-            return CtxApp(seq_s, (first, second))
+            return App(seq_s, (first, second))
         if a.moves:
-            return CtxGuard(process_step(tuple(
+            return Guard(process_step(tuple(
                 (act, mk_app(seq_s, (x, flipped))) for act, x in a.moves)))
-        return CtxGuard(process_step(()))
+        return Guard(process_step(()))
 
     return register_srps(table, SrpsDef(v, {"alt": alt_context}))
 
@@ -439,7 +437,7 @@ def periodic_stream(engine: Engine, prefix, cycle=(0,)) -> SolutionHandle:
             succ = names[i + 1]
         else:
             succ = names[len(prefix)]
-        rhs[name] = FlatRhs(stream_step(values[i], Var(succ)))
+        rhs[name] = Guard(stream_step(values[i], Var(succ)))
     sol = engine.solve(System(STREAM, stream_table(), tuple(names), rhs))
     return sol[names[0]]
 

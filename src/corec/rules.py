@@ -9,12 +9,12 @@ that carries the old rules over unchanged.  Each table records which
 signature every rule was written against, and the engine resolves the
 symbols of a conclusion through the table's rename map
 (``Signature.embeddings``), so old interpretations are untouched.  A
-sandwiched definition is a rule too, one whose conclusion is a context of
-given operations above the guards; both kinds are adjoined to a table the
-same way.  A rule may also declare the algebraic law of its symbol (`Law`),
-which the engine applies when it builds nodes of that symbol.  Every table
-holds its `TableReport` from construction: an extension probes only the
-rules it adds.
+sandwiched definition is a rule too, one whose conclusion is a guarded
+term, given operations above `Guard` leaves; both kinds are adjoined to a
+table the same way.  A rule may also declare the algebraic law of its
+symbol (`Law`), which the engine applies when it builds nodes of that
+symbol.  Every table holds its `TableReport` from construction: an
+extension probes only the rules it adds.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ from .errors import (
     ForeignSymbol,
     KindMismatch,
     MissingRule,
-    UnguardedPath,
     ValidationFailed,
 )
 from .terms import (
     App,
+    Guard,
     OpDecl,
     OpSym,
     Signature,
@@ -167,9 +167,9 @@ class GsosRule:
 
     A sandwiched rule has ``outer``, the names of the given symbols it may
     use above its guards, in the table it was adjoined to; it concludes a
-    context (`CtxApp` over `CtxGuard` leaves) in place of a step, and every
-    path from the root to a continuation passes exactly one guard.
-    ``outer`` is None for an ordinary rule.
+    guarded term in place of a step: applications of ``outer`` symbols
+    whose leaves are all `Guard`s, or one `Guard` alone.  ``outer`` is None
+    for an ordinary rule.
     """
 
     op: OpSym
@@ -177,21 +177,6 @@ class GsosRule:
     probe_params: tuple = (None,)
     law: Optional[Law] = None
     outer: Optional[frozenset] = None
-
-
-@dataclass(frozen=True)
-class CtxApp:
-    """Outer context node: a given symbol over sub-contexts."""
-
-    op: OpSym
-    args: tuple
-
-
-@dataclass(frozen=True)
-class CtxGuard:
-    """Guard leaf: a full one-step observation over continuation terms."""
-
-    step: Step
 
 
 @dataclass(frozen=True)
@@ -212,7 +197,8 @@ class SrpsDef:
     """Sandwiched definitions: the guard may sit inside a context of givens.
 
     ``contexts`` maps each new symbol to a conclusion function
-    ``(op, args) -> CtxApp | CtxGuard``; `register_srps` adjoins each as a
+    ``(op, args) -> Term``, a guarded term over the symbols of the table it
+    extends and `Guard` leaves; `register_srps` adjoins each as a
     sandwiched `GsosRule` whose ``outer`` is every symbol of the table it
     extends.
     """
@@ -355,24 +341,18 @@ def _check_conclusion(table_sig: Signature, kind, step: Step):
 
 
 def _check_context(table_sig: Signature, kind, ctx, outer):
-    """`_check_conclusion` for every guard of a sandwiched rule's context,
-    whose part above the guards may only use the given symbols ``outer``."""
-    todo = [(ctx, ())]
-    while todo:
-        ctx, path = todo.pop()
-        if isinstance(ctx, CtxGuard):
-            _check_conclusion(table_sig, kind, ctx.step)
-        elif isinstance(ctx, CtxApp):
-            if ctx.op.name not in outer:
-                raise ForeignSymbol(
-                    f"srps outer context uses {ctx.op!r}, not a given symbol")
-            if len(ctx.args) != ctx.op.arity:
-                raise ArityMismatch(f"{ctx.op!r} in context applied to "
-                                    f"{len(ctx.args)} arguments")
-            todo.extend((sub, path + (i,)) for i, sub in enumerate(ctx.args))
-        else:
-            raise UnguardedPath(
-                f"context path {path} ends in {ctx!r} with no guard")
+    """`_check_conclusion` for every guard of a sandwiched rule's guarded
+    term, whose part above the guards may only use the given symbols
+    ``outer``."""
+    for node in Guard.above(ctx):
+        if isinstance(node, Guard):
+            _check_conclusion(table_sig, kind, node.step)
+        elif node.op.name not in outer:
+            raise ForeignSymbol(
+                f"srps outer context uses {node.op!r}, not a given symbol")
+        elif len(node.args) != node.op.arity:
+            raise ArityMismatch(f"{node.op!r} in context applied to "
+                                f"{len(node.args)} arguments")
 
 
 def _probe(kind, sig: Signature, name: str, rule: GsosRule,

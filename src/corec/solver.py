@@ -8,7 +8,9 @@ behavior is computed at most once and memoized; terms over the same states
 that are equal modulo the laws their rules declare (`rules.Law`) share a
 node.  Solving a system allocates one node per variable and then builds
 each right-hand side into the arena once, which is also where it is
-checked; behavior is produced on demand by `unfold`/`observe`.
+checked; behavior is produced on demand by `unfold`/`observe`.  Terms,
+rule conclusions, contexts and right-hand sides alike are built by one
+builder, `Engine._term_to_node`.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ from .errors import (
     InvalidHandle,
     KindMismatch,
     RuleDiverged,
-    UnguardedPath,
     UnknownSymbol,
     ValidationFailed,
     VariableClash,
 )
-from .rules import CtxApp, CtxGuard, RuleTable, arg_obs
-from .terms import App, Param, Slot, Term, Var, is_reserved_name
+from .rules import RuleTable, arg_obs
+from .terms import App, Guard, Param, Slot, Term, Var, is_reserved_name
 
 
 @dataclass
@@ -36,30 +37,6 @@ class EngineConfig:
     """Operational limits; the fuse bounds rule applications per step."""
 
     unfold_fuse: int = 1_000_000
-
-
-# --- right-hand sides of equation systems ---------------------------------
-
-
-@dataclass(frozen=True)
-class FlatRhs:
-    """One guarded step whose continuations are terms over vars/params."""
-
-    step: Step
-
-
-@dataclass(frozen=True)
-class GuardedRhs:
-    """A guarded context of given operations (sandwiched format)."""
-
-    ctx: object
-
-
-@dataclass(frozen=True)
-class ConstRhs:
-    """A constant parameter: an already-solved state."""
-
-    ref: "SolutionHandle"
 
 
 @dataclass(frozen=True)
@@ -71,6 +48,12 @@ class ExternalRhs:
 
 @dataclass(frozen=True, eq=True)
 class System:
+    """Equations ``v = rhs[v]``, one per variable of ``vars``.
+
+    A right-hand side is a term over the variables, guarded: a `Guard` at
+    the root makes a flat equation, given symbols of ``table`` above
+    `Guard` leaves a sandwiched one, and a `Param` a constant."""
+
     kind: object
     table: RuleTable
     vars: tuple
@@ -236,13 +219,24 @@ class Engine:
     def _handle(self, nid: int) -> SolutionHandle:
         return SolutionHandle(self, nid, self._nodes[nid].kind)
 
-    # -- term and context instantiation -------------------------------------
+    # -- term instantiation --------------------------------------------------
 
     def _term_to_node(self, table: RuleTable, t: Term, binding) -> int:
         """Node of ``t``; equation variables are looked up in ``binding``
-        (None for rule conclusions, whose leaves are `Slot`s)."""
+        (None for rule conclusions, whose leaves are `Slot`s).  A guarded
+        term's part above the guards is checked first, by `Guard.above`."""
         if isinstance(t, Slot):
             return t.node
+        if isinstance(t, App):
+            op, args = t.op, t.args
+            name = table.resolve(op)
+            if len(args) != op.arity:
+                raise ArityMismatch(f"{op!r} applied to {len(args)} arguments")
+            children = [self._term_to_node(table, a, binding) for a in args]
+            return self._term_node(table, name, op, children)
+        if isinstance(t, Guard):
+            return self._guard_node(
+                table.kind, self._instantiate_step(table, t.step, binding))
         if isinstance(t, Var):
             if binding is None or t.name not in binding:
                 raise UnknownSymbol(f"unbound variable {t.name!r}")
@@ -255,10 +249,6 @@ class Engine:
                     f"parameter of kind {ref.kind.name} in a "
                     f"{table.kind.name} term")
             return ref.node
-        if isinstance(t, App):
-            name = table.resolve(t.op)
-            children = [self._term_to_node(table, a, binding) for a in t.args]
-            return self._term_node(table, name, t.op, children)
         raise TypeError(f"not a term: {t!r}")
 
     def _instantiate_step(self, table: RuleTable, step: Step, binding) -> Step:
@@ -267,19 +257,6 @@ class Engine:
         out = canonicalize_step(table.kind, Step(step.label, children))
         check_step(table.kind, out)
         return out
-
-    def _ctx_to_node(self, table: RuleTable, ctx, binding) -> int:
-        if isinstance(ctx, CtxGuard):
-            return self._guard_node(
-                table.kind, self._instantiate_step(table, ctx.step, binding))
-        if isinstance(ctx, CtxApp):
-            name = table.resolve(ctx.op)
-            if len(ctx.args) != ctx.op.arity:
-                raise ArityMismatch(f"{ctx.op!r} in context applied to "
-                                    f"{len(ctx.args)} arguments")
-            children = [self._ctx_to_node(table, a, binding) for a in ctx.args]
-            return self._term_node(table, name, ctx.op, children)
-        raise UnguardedPath(f"context leaf {ctx!r} has no guard")
 
     # -- unfolding -----------------------------------------------------------
 
@@ -302,7 +279,7 @@ class Engine:
 
     def _apply_rule(self, node: _Node) -> Step:
         """The rule's conclusion: a step, or for a sandwiched rule the step
-        of its context's node."""
+        of its guarded term's node."""
         table, kind = node.table, node.kind
         args = []
         for cid in node.children:
@@ -311,7 +288,8 @@ class Engine:
         out = rule.conclude(node.op, tuple(args))
         if rule.outer is None:
             return self._instantiate_step(table, out, None)
-        return self._unfold(self._ctx_to_node(table, out, None))
+        Guard.above(out)
+        return self._unfold(self._term_to_node(table, out, None))
 
     def _sum_step(self, node: _Node) -> Step:
         """``Σ m·g`` steps to ``Σ m·label(g)`` and, at each port, the sum
@@ -403,13 +381,14 @@ class Engine:
 
     def elaborate_guards(self, table: RuleTable, ctx,
                          binding: Mapping[str, SolutionHandle]) -> Step:
-        """One step of a guarded context over already-solved states."""
+        """One step of a guarded term over already-solved states."""
         node_binding = {}
         for v, h in binding.items():
             self.check_handle(h)
             node_binding[v] = h.node
         self._work = 0
-        step = self._unfold(self._ctx_to_node(table, ctx, node_binding))
+        Guard.above(ctx)
+        step = self._unfold(self._term_to_node(table, ctx, node_binding))
         return Step(step.label,
                     tuple((p, self._handle(c)) for p, c in step.children))
 
@@ -435,12 +414,13 @@ class Engine:
             for v in system.vars:
                 node = self._nodes[binding[v]]
                 rhs = system.rhs[v]
-                if isinstance(rhs, FlatRhs):
+                if isinstance(rhs, Guard):
                     node.step = self._instantiate_step(system.table, rhs.step,
                                                        binding)
-                elif isinstance(rhs, GuardedRhs):
+                elif not isinstance(rhs, Param):
+                    Guard.above(rhs)
                     node.children = (
-                        self._ctx_to_node(system.table, rhs.ctx, binding),)
+                        self._term_to_node(system.table, rhs, binding),)
         except Exception:
             # Nodes below n0 never point at later ones, so dropping the
             # later ones and their hash-cons keys leaves the arena as it was.
@@ -451,7 +431,7 @@ class Engine:
 
     def _var_nodes(self, system: System) -> dict:
         """One node per variable, still empty: a guard node for a flat rhs,
-        a ``var`` node for a sandwiched one, and the given state for a
+        a ``var`` node for any other term, and the given state for a
         constant."""
         binding = {}
         for v in system.vars:
@@ -460,19 +440,15 @@ class Engine:
             if v not in system.rhs:
                 raise ValidationFailed(f"no right-hand side for {v!r}")
             rhs = system.rhs[v]
-            if isinstance(rhs, ConstRhs):
-                self.check_handle(rhs.ref)
-                if rhs.ref.kind != system.kind:
-                    raise KindMismatch("constant parameter of the wrong kind")
-                binding[v] = rhs.ref.node
-            elif isinstance(rhs, FlatRhs):
-                binding[v] = self._add(_Node("guard", system.kind))
-            elif isinstance(rhs, GuardedRhs):
-                binding[v] = self._add(_Node("var", system.kind))
+            if isinstance(rhs, Param):
+                binding[v] = self._term_to_node(system.table, rhs, None)
             elif isinstance(rhs, ExternalRhs):
                 raise ValidationFailed(
                     "external variable references are only solvable through "
                     "compose_systems")
+            elif isinstance(rhs, Term):
+                binding[v] = self._add(_Node(
+                    "guard" if isinstance(rhs, Guard) else "var", system.kind))
             else:
                 raise ValidationFailed(f"unrecognized right-hand side {rhs!r}")
         return binding
@@ -482,19 +458,16 @@ class Engine:
     def materialize_rhs(self, system: System, var: str,
                         sol: Mapping[str, SolutionHandle]) -> SolutionHandle:
         """State obtained by applying ``var``'s rhs to the solved states,
-        built with `solve`'s builders into hash-consed nodes, so that
+        built with `solve`'s builder into hash-consed nodes, so that
         repeating it adds no node."""
         rhs = system.rhs[var]
-        if isinstance(rhs, ConstRhs):
+        if isinstance(rhs, Param):
             return rhs.ref
+        if not isinstance(rhs, Term):
+            raise ValidationFailed(f"unsolvable right-hand side {rhs!r}")
+        Guard.above(rhs)
         binding = {v: sol[v].node for v in system.vars}
-        if isinstance(rhs, FlatRhs):
-            step = self._instantiate_step(system.table, rhs.step, binding)
-            return self._handle(self._guard_node(system.kind, step))
-        if isinstance(rhs, GuardedRhs):
-            return self._handle(
-                self._ctx_to_node(system.table, rhs.ctx, binding))
-        raise ValidationFailed(f"unsolvable right-hand side {rhs!r}")
+        return self._handle(self._term_to_node(system.table, rhs, binding))
 
     # -- composition of systems ----------------------------------------------
 
@@ -542,7 +515,7 @@ class Engine:
         for v in e.vars:
             rhs = e.rhs[v]
             if isinstance(rhs, ExternalRhs):
-                staged_rhs[v] = ConstRhs(f_sol[rhs.var])
+                staged_rhs[v] = Param(f_sol[rhs.var])
             else:
                 staged_rhs[v] = rhs
         staged_sol = self.solve(System(e.kind, e.table, e.vars, staged_rhs))
@@ -555,11 +528,3 @@ class Engine:
             if witness is not None:
                 return combined, witness
         return combined, None
-
-
-# `Engine.interpret_op` on the engine of the first argument, or a fresh one.
-def interpret_op(table: RuleTable, op, args, engine: Optional[Engine] = None
-                 ) -> SolutionHandle:
-    if engine is None:
-        engine = args[0].engine if args else Engine()
-    return engine.interpret_op(table, op, args)

@@ -2,10 +2,12 @@
 
 A signature is a finite list of operation symbol declarations.  Terms are
 immutable trees whose leaves are variables, references to already-solved
-states (parameters) or the engine's premise slots, shared by reference and
-compared structurally.  Sums of signatures rename colliding symbols and
-record the embedding, so terms built over a summand can be injected into
-the sum.
+states (parameters), the engine's premise slots, or guards (one full
+observation over continuation terms), shared by reference and compared
+structurally.  A guarded term, such as the right-hand side of an equation
+or a sandwiched rule's conclusion, has only `Guard` leaves above its
+guards.  Sums of signatures rename colliding symbols and record the
+embedding, so terms built over a summand can be injected into the sum.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Optional
 
-from .errors import ArityMismatch, ForeignSymbol, NotASummand, UnknownSymbol
+from .errors import (
+    ArityMismatch,
+    ForeignSymbol,
+    NotASummand,
+    UnguardedPath,
+    UnknownSymbol,
+)
 
 # Variable names starting with this prefix are reserved: `Engine.solve` and
 # the user-facing formats reject them.
@@ -158,15 +166,17 @@ class Signature:
         nested summand, composed once and memoized; read-only.
 
         Summands are taken depth first from the left, so the leftmost
-        occurrence of a repeated summand wins.
+        occurrence of a repeated summand wins.  A summand none of whose
+        names was renamed shares its maps.
         """
         if self._embeddings is None:
             out = {self.sig_id: {d.name: d.name for d in self.decls}}
             for sub, renames in self.summands:
                 for sig_id, inner in sub.embeddings().items():
                     if sig_id not in out:
-                        out[sig_id] = {orig: renames.get(mid, mid)
-                                       for orig, mid in inner.items()}
+                        out[sig_id] = inner if not renames else {
+                            orig: renames.get(mid, mid)
+                            for orig, mid in inner.items()}
             self._embeddings = out
         return self._embeddings
 
@@ -177,7 +187,8 @@ def signature(*decls) -> Signature:
 
 
 def sig_sum(left: Signature, right: Signature) -> Signature:
-    """Disjoint sum of two signatures; right-hand collisions get primed names."""
+    """Disjoint sum of two signatures; right-hand collisions get primed
+    names, and each summand records only the names it renamed."""
     used = set(left.names)
     renames = {}
     decls = list(left.decls)
@@ -186,15 +197,10 @@ def sig_sum(left: Signature, right: Signature) -> Signature:
         while name in used:
             name += "'"
         used.add(name)
-        renames[d.name] = name
+        if name != d.name:
+            renames[d.name] = name
         decls.append(OpDecl(name, d.arity, d.parametric))
-    return Signature(
-        decls,
-        summands=(
-            (left, {n: n for n in left.names}),
-            (right, renames),
-        ),
-    )
+    return Signature(decls, summands=((left, {}), (right, renames)))
 
 
 class Term:
@@ -228,6 +234,32 @@ class Slot(Term):
 
     def __repr__(self):
         return f"<node {self.node}>"
+
+
+@dataclass(frozen=True)
+class Guard(Term):
+    """Leaf of one full observation, a `behavior.Step` whose continuations
+    are terms: one layer of behavior, under which variables are guarded.
+    `subterms` visits those terms; `substitute` and `embed_signature`
+    leave a guard as it is."""
+
+    step: object
+
+    @staticmethod
+    def above(t: Term) -> list:
+        """The `App` nodes and `Guard` leaves of ``t`` above its guards,
+        parents first.  Above the guards of a guarded term every leaf is a
+        `Guard`: any other leaf there raises UnguardedPath."""
+        out, todo = [], [(t, ())]
+        while todo:
+            node, path = todo.pop()
+            if isinstance(node, App):
+                todo.extend((a, path + (i,)) for i, a in enumerate(node.args))
+            elif not isinstance(node, Guard):
+                raise UnguardedPath(
+                    f"path {path} ends in {node!r} with no guard")
+            out.append(node)
+        return out
 
 
 @dataclass(frozen=True)
@@ -294,13 +326,16 @@ def embed_signature(t: Term, into: Signature) -> Term:
 
 
 def subterms(t: Term):
-    """Every node of ``t``: its leaves and applications."""
+    """Every node of ``t``: its leaves and applications, and the terms
+    below its guards."""
     stack = [t]
     while stack:
         n = stack.pop()
         yield n
         if isinstance(n, App):
             stack.extend(n.args)
+        elif isinstance(n, Guard):
+            stack.extend(c for _, c in n.step.children)
 
 
 def free_vars(t: Term) -> frozenset:

@@ -14,9 +14,7 @@ from corec.instances import (
     ccs_term,
     stream_table,
 )
-from corec.rules import CtxApp, CtxGuard
-from corec.solver import FlatRhs, GuardedRhs
-from corec.terms import Var, mk_app
+from corec.terms import App, Guard, Var, mk_app
 
 
 def flat_tm_system(table=None) -> System:
@@ -24,8 +22,8 @@ def flat_tm_system(table=None) -> System:
     table = table or stream_table()
     z = table.op("zip")
     return System(STREAM, table, ("t", "u"), {
-        "t": FlatRhs(stream_step(1, mk_app(z, (Var("u"), Var("t"))))),
-        "u": FlatRhs(stream_step(0, mk_app(z, (Var("t"), Var("u"))))),
+        "t": Guard(stream_step(1, mk_app(z, (Var("u"), Var("t"))))),
+        "u": Guard(stream_step(0, mk_app(z, (Var("t"), Var("u"))))),
     })
 
 
@@ -52,13 +50,13 @@ def sandwiched_tm_system(table=None) -> System:
     shift-by-two pair a = zip(1.a, 0.b), b = zip(0.b, 1.a)."""
     table = table or stream_table()
     z = table.op("zip")
-    g1a = CtxGuard(stream_step(1, Var("a")))
-    g0b = CtxGuard(stream_step(0, Var("b")))
+    g1a = Guard(stream_step(1, Var("a")))
+    g0b = Guard(stream_step(0, Var("b")))
     return System(STREAM, table, ("u", "t", "a", "b"), {
-        "u": FlatRhs(stream_step(0, Var("t"))),
-        "t": FlatRhs(stream_step(1, Var("a"))),
-        "a": GuardedRhs(CtxApp(z, (g1a, g0b))),
-        "b": GuardedRhs(CtxApp(z, (g0b, g1a))),
+        "u": Guard(stream_step(0, Var("t"))),
+        "t": Guard(stream_step(1, Var("a"))),
+        "a": App(z, (g1a, g0b)),
+        "b": App(z, (g0b, g1a)),
     })
 
 
@@ -67,11 +65,11 @@ def swapped_guard_system(table=None) -> System:
     variable, which yields a different automatic sequence than u = 0.t etc."""
     table = table or stream_table()
     z = table.op("zip")
-    g1u = CtxGuard(stream_step(1, Var("u")))
-    g0t = CtxGuard(stream_step(0, Var("t")))
+    g1u = Guard(stream_step(1, Var("u")))
+    g0t = Guard(stream_step(0, Var("t")))
     return System(STREAM, table, ("t", "u"), {
-        "t": GuardedRhs(CtxApp(z, (g1u, g0t))),
-        "u": GuardedRhs(CtxApp(z, (g0t, g1u))),
+        "t": App(z, (g1u, g0t)),
+        "u": App(z, (g0t, g1u)),
     })
 
 
@@ -101,7 +99,7 @@ def milner_system(table=None) -> System:
     c0 = mk_app(table.op("pref", "c"), (zero,))
     par_xc = mk_app(table.op("par"), (Var("x"), c0))
     return System(table.kind, table, ("x",), {
-        "x": FlatRhs(process_step((("a", par_xc), ("b", zero)))),
+        "x": Guard(process_step((("a", par_xc), ("b", zero)))),
     })
 
 

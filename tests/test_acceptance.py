@@ -42,8 +42,8 @@ from corec.instances import (
     stream_take,
 )
 from corec.rules import GsosRule, RpsDef, extend_with_rps
-from corec.solver import Engine, FlatRhs, System
-from corec.terms import Param, Var, mk_app, sig_sum, signature
+from corec.solver import Engine, System
+from corec.terms import Guard, Param, Var, mk_app, sig_sum, signature
 
 
 def _verdict(number, ok, text):
@@ -317,7 +317,7 @@ def _random_stream_system(rng, table, size):
         return mk_app(table.op("const",
                                Fraction(rng.randint(-3, 3))), ())
 
-    rhs = {n: FlatRhs(stream_step(Fraction(rng.randint(-5, 5)), term(2)))
+    rhs = {n: Guard(stream_step(Fraction(rng.randint(-5, 5)), term(2)))
            for n in names}
     return System(STREAM, table, tuple(names), rhs)
 

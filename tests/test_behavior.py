@@ -16,7 +16,6 @@ from corec.behavior import (
     process_actions,
     process_step,
     rat,
-    step_map,
     stream_step,
     truncate,
 )
@@ -31,26 +30,6 @@ def test_rat_parses_exactly():
     assert rat(7) == Fraction(7)
     with pytest.raises(TypeError):
         rat(0.1)
-
-
-def test_step_map_preserves_label():
-    s = stream_step(3, "x")
-    assert step_map(s, str.upper) == stream_step(3, "X")
-
-
-def test_step_map_on_empty_process_step():
-    assert step_map(process_step(()), lambda x: x) == process_step(())
-
-
-def test_step_map_identity_law():
-    s = Step(None, (("a", 1), ("b", 2)))
-    assert step_map(s, lambda x: x) == s
-
-
-def test_step_map_composes():
-    s = stream_step(1, 3)
-    f, g = (lambda x: x + 1), (lambda x: x * 2)
-    assert step_map(step_map(s, f), g) == step_map(s, lambda x: g(f(x)))
 
 
 def test_canonicalize_sorts_and_deduplicates():

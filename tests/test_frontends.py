@@ -35,7 +35,8 @@ from corec.instances import (
     stream_table,
     stream_take,
 )
-from corec.solver import Engine, FlatRhs, GuardedRhs
+from corec.solver import Engine
+from corec.terms import App, Guard
 
 
 @pytest.fixture()
@@ -89,14 +90,14 @@ def test_tokens_kind_value_and_position():
 def test_parse_flat_stream_system(engine):
     system = parse_system(FLAT_TM)
     assert system.vars == ("t", "u")
-    assert isinstance(system.rhs["t"], FlatRhs)
+    assert isinstance(system.rhs["t"], Guard)
     sol = engine.solve(system)
     assert stream_take(sol["t"], 4) == [1, 0, 1, 1]
 
 
 def test_parse_sandwiched_system(engine):
     system = parse_system(SANDWICHED)
-    assert isinstance(system.rhs["t"], GuardedRhs)
+    assert isinstance(system.rhs["t"], App)
     engine.solve(system)
 
 
@@ -312,7 +313,7 @@ def test_ccs_parse_and_round_trip(engine):
     text = "P = a.(P | c.0) + b.0\n"
     system = parse_ccs(text)
     assert system.vars == ("P",)
-    assert isinstance(system.rhs["P"], FlatRhs)
+    assert isinstance(system.rhs["P"], Guard)
     sol = engine.solve(system)
     assert [p[0] for p, _ in engine.unfold(sol["P"]).children] == ["a", "b"]
     assert parse_ccs(format_ccs_system(system)) == system
@@ -321,7 +322,7 @@ def test_ccs_parse_and_round_trip(engine):
 def test_ccs_sandwiched_rhs(engine):
     text = "Q = b.(Q + R) | a.R\nR = b.0\n"
     system = parse_ccs(text)
-    assert isinstance(system.rhs["Q"], GuardedRhs)
+    assert isinstance(system.rhs["Q"], App)
     engine.solve(system)
     assert parse_ccs(format_ccs_system(system)) == system
 

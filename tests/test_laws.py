@@ -20,8 +20,6 @@ from corec.instances import (
     random_language_expr,
 )
 from corec.rules import (
-    CtxApp,
-    CtxGuard,
     GsosRule,
     Law,
     RpsDef,
@@ -31,8 +29,8 @@ from corec.rules import (
     extend_with_rps,
     validate_table,
 )
-from corec.solver import Engine, GuardedRhs, System
-from corec.terms import Param, Var, mk_app, sig_sum, signature
+from corec.solver import Engine, System
+from corec.terms import App, Guard, Param, Var, mk_app, sig_sum, signature
 
 WORDS = ["".join(w) for n in range(7)
          for w in itertools.product("ab", repeat=n)]
@@ -44,13 +42,13 @@ def anbn_system(table):
     empty = mk_app(table.op("empty"), ())
 
     def guard(a_child, b_child):
-        return CtxGuard(Step(False, (("a", a_child), ("b", b_child))))
+        return Guard(Step(False, (("a", a_child), ("b", b_child))))
 
     s_b = mk_app(table.op("concat"), (Var("S"), Var("B")))
     return System(table.kind, table, ("S", "B"), {
-        "S": GuardedRhs(CtxApp(table.op("union"), (guard(s_b, empty),
-                                                   guard(Var("B"), empty)))),
-        "B": GuardedRhs(guard(empty, mk_app(table.op("eps"), ()))),
+        "S": App(table.op("union"), (guard(s_b, empty),
+                                     guard(Var("B"), empty))),
+        "B": guard(empty, mk_app(table.op("eps"), ())),
     })
 
 

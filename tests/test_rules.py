@@ -21,8 +21,6 @@ from corec.instances import (
     stream_take,
 )
 from corec.rules import (
-    CtxApp,
-    CtxGuard,
     GsosRule,
     RpsDef,
     RuleTable,
@@ -37,6 +35,7 @@ from corec.rules import (
 from corec.solver import Engine
 from corec.terms import (
     App,
+    Guard,
     OpSym,
     Signature,
     Var,
@@ -163,6 +162,14 @@ def test_carried_rules_survive_eight_add_rule_layers():
     assert digits == [v for pair in zip(xs, ys) for v in pair]
 
 
+def test_layers_share_the_maps_of_names_they_do_not_rename():
+    base = stream_base_table()
+    table = base
+    for k in range(3):
+        table = add_rule(table, _identity_rule(f"id{k}"))
+    assert table.renames[base.sig.sig_id] is base.renames[base.sig.sig_id]
+
+
 def _ghost_term(sig, a):
     return mk_app(signature(("ghost", 1)).op("ghost"), (a.tail,))
 
@@ -208,7 +215,17 @@ def test_variables_in_conclusions_are_rejected():
         build_table(STREAM, sig, [GsosRule(sig.op("loose"), loose)])
     with pytest.raises(ForeignSymbol):
         register_srps(stream_base_table(), SrpsDef(
-            sig, {"loose": lambda op, args: CtxGuard(loose(op, args))}))
+            sig, {"loose": lambda op, args: Guard(loose(op, args))}))
+
+
+def test_variables_below_a_nested_guard_are_rejected():
+    sig = signature(("loose", 1))
+
+    def loose(op, args):
+        return stream_step(args[0].head, Guard(stream_step(1, Var("x"))))
+
+    with pytest.raises(ForeignSymbol):
+        build_table(STREAM, sig, [GsosRule(sig.op("loose"), loose)])
 
 
 def test_add_rule_intersection_to_a_partial_language_table():
@@ -265,8 +282,8 @@ def test_register_srps_degenerate_guard_is_accepted():
 
     def ctx(op, args):
         (a,) = args
-        return CtxGuard(stream_step(2 * a.head,
-                                    mk_app(s.op("twice"), (a.tail,))))
+        return Guard(stream_step(2 * a.head,
+                                 mk_app(s.op("twice"), (a.tail,))))
 
     table = register_srps(base, SrpsDef(new, {"twice": ctx}))
     assert table.rules["twice"].outer == frozenset(base.sig.names)
@@ -292,8 +309,8 @@ def test_register_srps_outer_context_must_use_givens():
 
     def ctx(op, args):
         (a,) = args
-        inner = CtxGuard(stream_step(a.head, a.tail))
-        return CtxApp(s.op("weird"), (inner,))  # new symbol in the outer part
+        inner = Guard(stream_step(a.head, a.tail))
+        return App(s.op("weird"), (inner,))  # new symbol in the outer part
 
     with pytest.raises(ForeignSymbol):
         register_srps(base, SrpsDef(new, {"weird": ctx}))
@@ -388,8 +405,8 @@ def _doubling_srps(base_sig):
 
     def ctx(op, args):
         (a,) = args
-        return CtxGuard(stream_step(2 * a.head,
-                                    mk_app(s.op("twice"), (a.tail,))))
+        return Guard(stream_step(2 * a.head,
+                                 mk_app(s.op("twice"), (a.tail,))))
 
     return SrpsDef(new, {"twice": ctx})
 

@@ -39,18 +39,8 @@ from corec.instances import (
     stream_take,
     tree_table,
 )
-from corec.rules import CtxApp, CtxGuard
-from corec.solver import (
-    ConstRhs,
-    Engine,
-    EngineConfig,
-    ExternalRhs,
-    FlatRhs,
-    GuardedRhs,
-    System,
-    interpret_op,
-)
-from corec.terms import Param, Var, mk_app, signature
+from corec.solver import Engine, EngineConfig, ExternalRhs, System
+from corec.terms import App, Guard, Param, Var, mk_app, signature
 
 
 @pytest.fixture()
@@ -60,8 +50,8 @@ def engine():
 
 def _two_constant_states(engine, table):
     sys = System(STREAM, table, ("h1", "h2"), {
-        "h1": FlatRhs(stream_step(1, Var("h1"))),
-        "h2": FlatRhs(stream_step(2, Var("h2"))),
+        "h1": Guard(stream_step(1, Var("h1"))),
+        "h2": Guard(stream_step(2, Var("h2"))),
     })
     sol = engine.solve(sys)
     return sol["h1"], sol["h2"]
@@ -231,12 +221,19 @@ def test_interpret_op_errors(engine):
         engine.interpret_op(lang, lang.op("star"), [ones])
 
 
+def test_interpret_term_rejects_a_wrong_arity_app(engine):
+    table = stream_table()
+    p = Param(periodic_stream(engine, (), (1,)))
+    with pytest.raises(ArityMismatch):
+        engine.interpret_term(table, App(table.op("zip"), (p, p, p)))
+
+
 def test_cross_engine_parameters_are_rejected(engine):
     other = Engine()
     foreign = periodic_stream(other, (), (1,))
     table = stream_table()
     sys = System(STREAM, table, ("x",), {
-        "x": FlatRhs(stream_step(1, Param(foreign))),
+        "x": Guard(stream_step(1, Param(foreign))),
     })
     with pytest.raises(InvalidHandle):
         engine.solve(sys)
@@ -248,9 +245,9 @@ def test_constant_parameters_resolve(engine):
     table = stream_table()
     ones = periodic_stream(engine, (), (1,))
     sys = System(STREAM, table, ("x", "y"), {
-        "x": FlatRhs(stream_step(9, mk_app(table.op("plus"),
-                                           (Var("y"), Param(ones))))),
-        "y": ConstRhs(ones),
+        "x": Guard(stream_step(9, mk_app(table.op("plus"),
+                                         (Var("y"), Param(ones))))),
+        "y": Param(ones),
     })
     sol = engine.solve(sys)
     assert stream_take(sol["x"], 3) == [9, 2, 2]
@@ -267,7 +264,7 @@ def test_external_refs_do_not_solve_directly(engine):
 def test_reserved_variable_names_rejected(engine):
     table = stream_table()
     sys = System(STREAM, table, ("~x",), {
-        "~x": FlatRhs(stream_step(1, Var("~x")))})
+        "~x": Guard(stream_step(1, Var("~x")))})
     with pytest.raises(ValidationFailed):
         engine.solve(sys)
 
@@ -275,7 +272,7 @@ def test_reserved_variable_names_rejected(engine):
 def test_unguarded_context_rejected(engine):
     table = stream_table()
     sys = System(STREAM, table, ("x",), {
-        "x": GuardedRhs(CtxApp(table.op("zip"), (Var("x"), Var("x")))),
+        "x": App(table.op("zip"), (Var("x"), Var("x"))),
     })
     with pytest.raises(UnguardedPath):
         engine.solve(sys)
@@ -295,10 +292,10 @@ def test_compose_systems_ccs_matches_displayed_combination(engine):
     f = milner_system(table)
     y_plus_z = mk_app(table.op("sum", 2), (Var("y"), Var("z")))
     e = System(table.kind, table, ("y", "z"), {
-        "y": GuardedRhs(CtxApp(table.op("par"), (
-            CtxGuard(stream_like_process((("b", y_plus_z),))),
-            CtxGuard(stream_like_process((("a", Var("z")),))),
-        ))),
+        "y": App(table.op("par"), (
+            Guard(stream_like_process((("b", y_plus_z),))),
+            Guard(stream_like_process((("a", Var("z")),))),
+        )),
         "z": ExternalRhs("x"),
     })
     combined, ok = engine.compose_systems(f, e, depth=4)
@@ -318,10 +315,10 @@ def stream_like_process(moves):
 def test_compose_systems_streams(engine):
     table = stream_table()
     f = System(STREAM, table, ("p",), {
-        "p": FlatRhs(stream_step(1, Var("p")))})
+        "p": Guard(stream_step(1, Var("p")))})
     e = System(STREAM, table, ("q", "w"), {
-        "q": FlatRhs(stream_step(7, mk_app(table.op("plus"),
-                                           (Var("q"), Var("w"))))),
+        "q": Guard(stream_step(7, mk_app(table.op("plus"),
+                                         (Var("q"), Var("w"))))),
         "w": ExternalRhs("p"),
     })
     combined, ok = engine.compose_systems(f, e, depth=12)
@@ -333,9 +330,9 @@ def test_compose_systems_streams(engine):
 def test_compose_systems_variable_clash(engine):
     table = stream_table()
     f = System(STREAM, table, ("p",), {
-        "p": FlatRhs(stream_step(1, Var("p")))})
+        "p": Guard(stream_step(1, Var("p")))})
     e = System(STREAM, table, ("p",), {
-        "p": FlatRhs(stream_step(2, Var("p")))})
+        "p": Guard(stream_step(2, Var("p")))})
     with pytest.raises(VariableClash):
         engine.compose_systems(f, e)
 
@@ -343,7 +340,7 @@ def test_compose_systems_variable_clash(engine):
 def test_elaborate_guards_degenerate_root(engine):
     table = stream_table()
     ones = periodic_stream(engine, (), (1,))
-    ctx = CtxGuard(stream_step(3, Var("k")))
+    ctx = Guard(stream_step(3, Var("k")))
     step = engine.elaborate_guards(table, ctx, {"k": ones})
     assert step.label == 3
     assert stream_take(step.children[0][1], 2) == [1, 1]
@@ -353,9 +350,9 @@ def test_elaborate_guards_zip_of_guards(engine):
     table = stream_table()
     u = periodic_stream(engine, (), (4,))
     t = periodic_stream(engine, (), (9,))
-    ctx = CtxApp(table.op("zip"), (
-        CtxGuard(stream_step(1, Param(u))),
-        CtxGuard(stream_step(0, Param(t))),
+    ctx = App(table.op("zip"), (
+        Guard(stream_step(1, Param(u))),
+        Guard(stream_step(0, Param(t))),
     ))
     step = engine.elaborate_guards(table, ctx, {})
     # the zip rule applied to heads 1 and 0
@@ -378,10 +375,10 @@ def test_srps_guard_elaboration_matches_hand_reduction(engine):
     t_term = mk_app(z, (Var("g1"), Var("g2")))
     u_term = mk_app(z, (Var("g3"), Var("g4")))
     flat = System(STREAM, table, ("g1", "g2", "g3", "g4"), {
-        "g1": FlatRhs(stream_step(1, u_term)),
-        "g2": FlatRhs(stream_step(0, t_term)),
-        "g3": FlatRhs(stream_step(0, t_term)),
-        "g4": FlatRhs(stream_step(1, u_term)),
+        "g1": Guard(stream_step(1, u_term)),
+        "g2": Guard(stream_step(0, t_term)),
+        "g3": Guard(stream_step(0, t_term)),
+        "g4": Guard(stream_step(1, u_term)),
     })
     hand = engine.solve(flat)
     t_hand = engine.interpret_op(table, z, [hand["g1"], hand["g2"]])
@@ -406,7 +403,7 @@ def test_periodic_stream_matches_value_oracle(engine):
 
 def _tree_state(engine):
     sys = System(TREE, tree_table(), ("t",), {
-        "t": FlatRhs(tree_step(1, Var("t"), Var("t")))})
+        "t": Guard(tree_step(1, Var("t"), Var("t")))})
     return engine.solve(sys)["t"]
 
 
@@ -424,38 +421,41 @@ def _ccs_move(action):
     def system(engine):
         table = ccs_table(DEFAULT_ACTIONS)
         return System(table.kind, table, ("p",), {
-            "p": FlatRhs(process_step(((action, Var("p")),)))})
+            "p": Guard(process_step(((action, Var("p")),)))})
     return system
 
 
 _ZIP = stream_table().op("zip")
-_GUARD = CtxGuard(stream_step(1, Var("x")))
+_GUARD = Guard(stream_step(1, Var("x")))
 
 
 @pytest.mark.parametrize("system, error", [
-    (_one(lambda e: FlatRhs(Step(Fraction(1), (("head", Var("x")),)))),
+    (_one(lambda e: Guard(Step(Fraction(1), (("head", Var("x")),)))),
      KindMismatch),
-    (_one(lambda e: FlatRhs(Step(1, (("tail", Var("x")),)))), KindMismatch),
+    (_one(lambda e: Guard(Step(1, (("tail", Var("x")),)))), KindMismatch),
     (_ccs_move("zz"), KindMismatch),
-    (_one(lambda e: FlatRhs(stream_step(1, Var("y")))), UnknownSymbol),
-    (_one(lambda e: FlatRhs(stream_step(1, mk_app(
+    (_one(lambda e: Guard(stream_step(1, Var("y")))), UnknownSymbol),
+    (_one(lambda e: Guard(stream_step(1, mk_app(
         signature(("plus", 2)).op("plus"), (Var("x"), Var("x")))))),
      ForeignSymbol),
-    (_one(lambda e: GuardedRhs(CtxApp(_ZIP, (_GUARD, _GUARD, _GUARD)))),
+    (_one(lambda e: App(_ZIP, (_GUARD, _GUARD, _GUARD))),
      ArityMismatch),
-    (_one(lambda e: GuardedRhs(CtxApp(_ZIP, (_GUARD, Var("x"))))),
+    (_one(lambda e: App(_ZIP, (_GUARD, Var("x")))),
      UnguardedPath),
-    (_one(lambda e: FlatRhs(stream_step(
+    (_one(lambda e: Guard(stream_step(1, App(_ZIP, (Var("x"),) * 3)))),
+     ArityMismatch),
+    (_one(lambda e: Var("x")), UnguardedPath),
+    (_one(lambda e: Guard(stream_step(
         1, Param(periodic_stream(Engine(), (), (1,)))))), InvalidHandle),
-    (_one(lambda e: FlatRhs(stream_step(1, Param(_tree_state(e))))),
+    (_one(lambda e: Guard(stream_step(1, Param(_tree_state(e))))),
      KindMismatch),
     (_one(lambda e: ExternalRhs("p")), ValidationFailed),
     (_one(None), ValidationFailed),
-    (_one(lambda e: FlatRhs(stream_step(1, Var("~x"))), var="~x"),
+    (_one(lambda e: Guard(stream_step(1, Var("~x"))), var="~x"),
      ValidationFailed),
 ], ids=["ports", "label", "action", "undeclared", "foreign", "ctx-arity",
-        "unguarded", "other-engine", "param-kind", "external", "missing",
-        "reserved"])
+        "unguarded", "term-arity", "bare-var", "other-engine", "param-kind",
+        "external", "missing", "reserved"])
 def test_solve_rejects_each_malformed_rhs(engine, system, error):
     system = system(engine)
     nodes, cons = len(engine._nodes), dict(engine._cons)
@@ -475,7 +475,7 @@ def test_materialize_rhs_again_adds_no_node(engine):
 
 def test_solve_accepts_a_summand_symbol(engine):
     plus = stream_base_table().op("plus")
-    sys = _one(lambda e: FlatRhs(stream_step(
+    sys = _one(lambda e: Guard(stream_step(
         1, mk_app(plus, (Var("x"), Var("x"))))))(engine)
     assert stream_take(engine.solve(sys)["x"], 4) == [1, 2, 4, 8]
 
@@ -483,15 +483,15 @@ def test_solve_accepts_a_summand_symbol(engine):
 def test_interpret_op_accepts_a_summand_symbol(engine):
     table = stream_table()
     a, b = _two_constant_states(engine, table)
-    got = interpret_op(table, stream_base_table().op("plus"), [a, b])
-    assert got == interpret_op(table, table.op("plus"), [a, b])
+    got = engine.interpret_op(table, stream_base_table().op("plus"), [a, b])
+    assert got == engine.interpret_op(table, table.op("plus"), [a, b])
 
 
 def test_observing_a_flat_solution_instantiates_nothing(engine, monkeypatch):
     table = stream_table()
     blink = System(table.kind, table, ("x", "y"), {
-        "x": FlatRhs(stream_step(0, Var("y"))),
-        "y": FlatRhs(stream_step(1, Var("x"))),
+        "x": Guard(stream_step(0, Var("y"))),
+        "y": Guard(stream_step(1, Var("x"))),
     })
     sol = engine.solve(blink)
     calls = []

@@ -20,8 +20,8 @@ from corec.instances import (
     tree_table,
 )
 from corec.rules import GsosRule, Law, RuleTable, build_table, validate_table
-from corec.solver import Engine, FlatRhs, System
-from corec.terms import Param, Var, mk_app, signature
+from corec.solver import Engine, System
+from corec.terms import Guard, Param, Var, mk_app, signature
 
 
 def test_sums_are_multisets_of_their_operands():
@@ -95,7 +95,7 @@ def _tree_graph(rng, prefix, size=4):
 
 
 def _tree_handle(engine, graph):
-    rhs = {n: FlatRhs(tree_step(label, Var(left), Var(right)))
+    rhs = {n: Guard(tree_step(label, Var(left), Var(right)))
            for n, (label, left, right) in graph.items()}
     sol = engine.solve(System(TREE, tree_table(), tuple(graph), rhs))
     return sol[next(iter(graph))]
