@@ -194,18 +194,25 @@ class _Simulation:
 
 def _simulation_search(e1, n1, e2, n2, depth) -> Optional[Witness]:
     """Mutual simulation once at the full depth; only when that fails is
-    the root deepened from depth 1, over the same memo, to find the least
-    depth at which a move of one side has no match on the other."""
+    the least depth at which a move of one side has no match on the other
+    searched for, over the same memo, doubling from depth 1 and then
+    halving: a pair refuted at some depth is refuted at every greater one."""
     sim = _Simulation(e1, e2)
-    if sim.known(n1, n2, depth) or sim.unmatched(n1, n2, depth) is None:
+    found = None if sim.known(n1, n2, depth) else \
+        sim.unmatched(n1, n2, depth)
+    if found is None:
         return None
-    for d in range(1, depth + 1):
-        found = sim.unmatched(n1, n2, d)
-        if found is not None:
-            side, p = found
-            return Witness(0, (p,), f"{side} move {move_action(p)!r} "
-                                    f"has no depth-{d - 1} match")
-    return None
+    lo, hi = 0, depth
+    while hi - lo > 1:
+        mid = min(2 * lo or 1, (lo + hi) // 2)
+        at_mid = sim.unmatched(n1, n2, mid)
+        if at_mid is None:
+            lo = mid
+        else:
+            hi, found = mid, at_mid
+    side, p = found
+    return Witness(0, (p,), f"{side} move {move_action(p)!r} "
+                            f"has no depth-{hi - 1} match")
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ class ArgObs:
 
 
 def arg_obs(kind, node, step: Step) -> ArgObs:
-    """The argument at arena node ``node`` (None when probing), observed as
+    """The argument at node ``node`` (a hole number in a plan), observed as
     ``step`` whose children are node ids, seen through `Slot` leaves."""
     if kind.deterministic:
         return ArgObs(step.label,
@@ -160,7 +160,11 @@ class GsosRule:
     ``conclude(op, args)`` receives the concrete symbol (carrying the family
     parameter, if any) and one ArgObs per argument; it must return a Step
     whose continuations are terms over the ArgObs leaves and the table's
-    signature, with no variables.  ``probe_params`` supplies example
+    signature, with no variables.  The rule must be natural: it may read
+    the labels, the actions and ``op.param``, and may use the `Slot` leaves
+    only verbatim, never compare or inspect them, since the engine runs it
+    once per premise shape and fills the conclusion with the states of
+    every application of that shape.  ``probe_params`` supplies example
     parameters so parametric families can be validated.  ``law``, for a
     binary symbol, declares the equations its applications satisfy; the
     engine hash-conses them modulo those equations.
@@ -295,10 +299,10 @@ def _probe_labels(kind, rng: random.Random):
     return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
 
 
-def _synthetic_args(kind, arity: int, rng: random.Random) -> tuple:
-    """Premises whose argument and continuation slots are pairwise
-    distinct (negative ids, which no arena node has)."""
-    args = []
+def _synthetic_premises(kind, arity: int, rng: random.Random) -> list:
+    """``(node, step)`` premises whose argument and continuation ids are
+    pairwise distinct (negative ids, which no arena node has)."""
+    premises = []
     ids = itertools.count(-1, -1)
     for _ in range(arity):
         if kind.deterministic:
@@ -308,8 +312,19 @@ def _synthetic_args(kind, arity: int, rng: random.Random) -> tuple:
             n = rng.randint(0, 2)
             step = Step(None, tuple(
                 (rng.choice(kind.actions), next(ids)) for _ in range(n)))
-        args.append(arg_obs(kind, next(ids), step))
-    return tuple(args)
+        premises.append((next(ids), step))
+    return premises
+
+
+def _merged(x):
+    """The conclusion ``x`` with every `Slot`, under guards too, set to 0."""
+    if isinstance(x, Step):
+        return Step(x.label, tuple((p, _merged(t)) for p, t in x.children))
+    if isinstance(x, Guard):
+        return Guard(_merged(x.step))
+    if isinstance(x, App):
+        return App(x.op, tuple(_merged(a) for a in x.args))
+    return Slot(0) if isinstance(x, Slot) else x
 
 
 def _check_additive(op: OpSym, args, step: Step):
@@ -360,7 +375,8 @@ def _probe(kind, sig: Signature, name: str, rule: GsosRule,
     """Check the rule's law if it has one, then apply the rule to synthetic
     premises, ``rounds`` times per probe parameter, and check each
     conclusion: a step, or the context of a sandwiched rule, and the shape
-    an additive law claims."""
+    an additive law claims.  Rerun with every premise `Slot` numbered 0, a
+    natural rule gives the same conclusion with its `Slot`s renamed so."""
     law = rule.law
     if law is not None:
         _check_law(kind, sig, name, law)
@@ -368,7 +384,8 @@ def _probe(kind, sig: Signature, name: str, rule: GsosRule,
     for param in rule.probe_params:
         op = sig.op(name, param) if decl.parametric else sig.op(name)
         for _ in range(rounds):
-            args = _synthetic_args(kind, op.arity, rng)
+            premises = _synthetic_premises(kind, op.arity, rng)
+            args = tuple(arg_obs(kind, n, s) for n, s in premises)
             out = rule.conclude(op, args)
             if rule.outer is None:
                 _check_conclusion(sig, kind, out)
@@ -376,6 +393,11 @@ def _probe(kind, sig: Signature, name: str, rule: GsosRule,
                 _check_context(sig, kind, out, rule.outer)
             if law is not None and law.additive:
                 _check_additive(op, args, out)
+            merged = tuple(arg_obs(kind, 0, Step(s.label, tuple(
+                (p, 0) for p, _ in s.children))) for _, s in premises)
+            if rule.conclude(op, merged) != _merged(out):
+                raise ValidationFailed(f"rule for {op!r} is not natural: it "
+                                       "tells its premise states apart")
 
 
 # ---------------------------------------------------------------------------

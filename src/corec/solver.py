@@ -9,12 +9,17 @@ that are equal modulo the laws their rules declare (`rules.Law`) share a
 node.  Solving a system allocates one node per variable and then builds
 each right-hand side into the arena once, which is also where it is
 checked; behavior is produced on demand by `unfold`/`observe`.  Terms,
-rule conclusions, contexts and right-hand sides alike are built by one
-builder, `Engine._term_to_node`.
+right-hand sides and rule conclusions are compiled into post-order code
+that builds them (`Engine._compile`).  A rule runs once per premise shape
+(symbol, parameter, and the premises' labels or, for processes, actions);
+its compiled conclusion, the plan, is filled with the premises' node ids
+at every application of that shape, which is sound for natural rules
+(`rules.GsosRule`).  Plans are kept per engine and die with it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -102,6 +107,7 @@ class Engine:
         self._nodes = []
         self._memo = {}
         self._cons = {}
+        self._plans = {}
         self._work = 0
 
     # -- bookkeeping --------------------------------------------------------
@@ -222,41 +228,79 @@ class Engine:
     # -- term instantiation --------------------------------------------------
 
     def _term_to_node(self, table: RuleTable, t: Term, binding) -> int:
-        """Node of ``t``; equation variables are looked up in ``binding``
-        (None for rule conclusions, whose leaves are `Slot`s).  A guarded
-        term's part above the guards is checked first, by `Guard.above`."""
-        if isinstance(t, Slot):
-            return t.node
-        if isinstance(t, App):
-            op, args = t.op, t.args
-            name = table.resolve(op)
-            if len(args) != op.arity:
-                raise ArityMismatch(f"{op!r} applied to {len(args)} arguments")
-            children = [self._term_to_node(table, a, binding) for a in args]
-            return self._term_node(table, name, op, children)
-        if isinstance(t, Guard):
-            return self._guard_node(
-                table.kind, self._instantiate_step(table, t.step, binding))
-        if isinstance(t, Var):
-            if binding is None or t.name not in binding:
-                raise UnknownSymbol(f"unbound variable {t.name!r}")
-            return binding[t.name]
-        if isinstance(t, Param):
-            ref = t.ref
-            self.check_handle(ref)
-            if ref.kind != table.kind:
-                raise KindMismatch(
-                    f"parameter of kind {ref.kind.name} in a "
-                    f"{table.kind.name} term")
-            return ref.node
-        raise TypeError(f"not a term: {t!r}")
+        """Node of ``t``, variables looked up in ``binding``; the callers check
+        a guarded term's part above the guards first, by `Guard.above`."""
+        if not isinstance(t, Term):
+            raise TypeError(f"not a term: {t!r}")
+        return self._fill(table, self._compile(table, t, binding), ())
 
     def _instantiate_step(self, table: RuleTable, step: Step, binding) -> Step:
-        children = tuple((p, self._term_to_node(table, t, binding))
-                         for p, t in step.children)
-        out = canonicalize_step(table.kind, Step(step.label, children))
-        check_step(table.kind, out)
-        return out
+        """``step`` with its continuations built, checked and canonical."""
+        return self._fill(table, self._compile(table, step, binding), ())
+
+    def _compile(self, table: RuleTable, root, binding) -> list:
+        """Post-order code building the term, or step, ``root``, names
+        resolved and arities, labels and ports checked: a hole number (a
+        rule's `Slot`; a rule has no ``binding``) pushes that premise, ``~n``
+        the node ``n`` of a variable or `Param`, and ``(tag, n, ...)`` for
+        ``app``, ``guard`` and ``step`` pops ``n`` operands."""
+        code = []
+        todo = [root]
+        while todo:
+            t = todo.pop()
+            cls = t.__class__
+            if cls is tuple:
+                code.append(t)
+            elif cls is Var:
+                if binding is None or t.name not in binding:
+                    raise UnknownSymbol(f"unbound variable {t.name!r}")
+                code.append(~binding[t.name])
+            elif cls is App:
+                name = table.resolve(t.op)
+                if len(t.args) != t.op.arity:
+                    raise ArityMismatch(
+                        f"{t.op!r} applied to {len(t.args)} arguments")
+                todo.append(("app", len(t.args), name, t.op))
+                todo.extend(reversed(t.args))
+            elif cls is Guard or t is root and cls is Step:
+                step = t.step if cls is Guard else t
+                check_step(table.kind, step)
+                todo.append(("step" if step is t else "guard",
+                             len(step.children), step.label,
+                             tuple([p for p, _ in step.children])))
+                todo.extend([c for _, c in reversed(step.children)])
+            elif cls is Slot and binding is None:
+                code.append(t.node)
+            elif cls is Param:
+                self.check_handle(t.ref)
+                if t.ref.kind != table.kind:
+                    raise KindMismatch(f"parameter of kind {t.ref.kind.name}"
+                                       f" in a {table.kind.name} term")
+                code.append(~t.ref.node)
+            else:
+                raise TypeError(f"not a term: {t!r}")
+        return code
+
+    def _fill(self, table: RuleTable, code, holes):
+        """The root's node, or its canonical step: ``code`` run on a value
+        stack, nodes built by `_term_node` and `_guard_node`."""
+        stack = []
+        for ins in code:
+            if ins.__class__ is int:
+                stack.append(holes[ins] if ins >= 0 else ~ins)
+                continue
+            tag, n, a, b = ins
+            k = len(stack) - n
+            kids = stack[k:]
+            del stack[k:]
+            if tag == "app":
+                stack.append(self._term_node(table, a, b, kids))
+            else:
+                step = canonicalize_step(table.kind,
+                                         Step(a, tuple(zip(b, kids))))
+                stack.append(step if tag == "step" else
+                             self._guard_node(table.kind, step))
+        return stack[0]
 
     # -- unfolding -----------------------------------------------------------
 
@@ -278,18 +322,39 @@ class Engine:
         return step
 
     def _apply_rule(self, node: _Node) -> Step:
-        """The rule's conclusion: a step, or for a sandwiched rule the step
-        of its guarded term's node."""
-        table, kind = node.table, node.kind
-        args = []
+        """The rule's conclusion (for a sandwiched rule, its guarded term's
+        step): the plan for the premises' labels, or ports for processes,
+        filled with their ids, each argument followed by its continuations."""
+        holes, shape = [], []
         for cid in node.children:
-            args.append(arg_obs(kind, cid, self._unfold(cid)))
+            step = self._unfold(cid)
+            holes.append(cid)
+            for p, c in step.children:
+                holes.append(c)
+            shape.append(step.label if node.kind.deterministic else
+                         tuple([p for p, _ in step.children]))
+        key = (node.table, node.name, node.op.param, tuple(shape))
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(node)
+        out = self._fill(node.table, plan, holes)
+        return out if out.__class__ is Step else self._unfold(out)
+
+    def _plan(self, node: _Node) -> list:
+        """The rule's conclusion compiled once, on premises whose `Slot`s
+        hold hole numbers in the order `_apply_rule` lists their ids."""
+        table, kind, memo = node.table, node.kind, self._memo
+        holes = itertools.count()
+        args = tuple(arg_obs(kind, next(holes), Step(memo[c].label, tuple(
+            (p, next(holes)) for p, _ in memo[c].children)))
+            for c in node.children)
         rule = table.rule_for(node.name)
-        out = rule.conclude(node.op, tuple(args))
-        if rule.outer is None:
-            return self._instantiate_step(table, out, None)
-        Guard.above(out)
-        return self._unfold(self._term_to_node(table, out, None))
+        out = rule.conclude(node.op, args)
+        if rule.outer is not None:
+            Guard.above(out)
+        elif not isinstance(out, Step):
+            raise KindMismatch(f"rule conclusion is not a Step: {out!r}")
+        return self._compile(table, out, None)
 
     def _sum_step(self, node: _Node) -> Step:
         """``Σ m·g`` steps to ``Σ m·label(g)`` and, at each port, the sum

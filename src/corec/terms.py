@@ -12,7 +12,6 @@ embedding, so terms built over a summand can be injected into the sum.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Optional
@@ -94,12 +93,11 @@ class Signature:
         self.sig_id = self._compute_id()
 
     def _compute_id(self) -> str:
-        h = hashlib.sha1()
-        for d in self.decls:
-            h.update(f"{d.name}/{d.arity}/{int(d.parametric)};".encode())
-        for sub, renames in self.summands:
-            h.update(f"[{sub.sig_id}:{sorted(renames.items())}]".encode())
-        return h.hexdigest()[:12]
+        # Python's hash, which is fixed within a process, where ids live;
+        # hashlib would load OpenSSL, megabytes of resident memory.
+        key = (self.decls, tuple((sub.sig_id, tuple(sorted(renames.items())))
+                                 for sub, renames in self.summands))
+        return f"{hash(key) & 0xFFFFFFFFFFFFFFFF:016x}"
 
     def __eq__(self, other):
         return isinstance(other, Signature) and self.sig_id == other.sig_id
@@ -227,8 +225,8 @@ class Param(Term):
 
 @dataclass(frozen=True)
 class Slot(Term):
-    """Leaf standing for an arena node the engine already holds: a rule's
-    premise (an argument or one of its continuations); ``None`` in probes."""
+    """Leaf standing for a rule's premise (an argument or one of its
+    continuations): a hole number when the engine plans, an id in probes."""
 
     node: object
 

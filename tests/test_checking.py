@@ -250,6 +250,17 @@ def test_process_simulation_runs_deep_without_recursion_error():
         Witness(0, (("b", 0),), "left move 'b' has no depth-0 match")
 
 
+def test_deep_process_witness_is_found_by_binary_search():
+    # the least refuting depth is found by doubling and halving, not by
+    # deepening one level at a time, which took quadratic time here
+    n = 2000
+    sol = Engine().solve(parse_ccs(
+        "P = a.P\n" + "".join(f"Q{i} = a.Q{i + 1}\n" for i in range(n))
+        + f"Q{n} = b.0\n"))
+    assert find_divergence(sol["P"], sol["Q0"], n + 5) == \
+        Witness(0, (("a", 0),), f"left move 'a' has no depth-{n} match")
+
+
 def test_tree_search_visits_each_state_pair_once(monkeypatch):
     engine = Engine()
     sol = engine.solve(parse_system(_tree_text(

@@ -10,6 +10,7 @@ from corec.errors import (
     KindMismatch,
     MissingRule,
     UnguardedPath,
+    ValidationFailed,
 )
 from corec.instances import (
     language_table,
@@ -314,6 +315,35 @@ def test_register_srps_outer_context_must_use_givens():
 
     with pytest.raises(ForeignSymbol):
         register_srps(base, SrpsDef(new, {"weird": ctx}))
+
+
+def _unnatural_rule(sig, name):
+    # tests its premises for equality: its conclusion for zip(x, x) is not
+    # the one for zip(x, y) with y renamed to x
+    def rule(op, args):
+        a, b = args
+        tail = a.tail if a.tail == b.tail else \
+            mk_app(sig.op(name), (b.self_term, a.tail))
+        return stream_step(a.head, tail)
+
+    return GsosRule(sig.op(name), rule)
+
+
+def test_a_rule_comparing_its_premises_is_rejected():
+    sig = signature(("zip", 2))
+    with pytest.raises(ValidationFailed, match="not natural"):
+        build_table(STREAM, sig, [_unnatural_rule(sig, "zip")])
+    report = validate_table(RuleTable(STREAM, sig, {
+        "zip": _unnatural_rule(sig, "zip")}))
+    (violation,) = report.violations
+    assert violation.startswith("rule 'zip'") and "not natural" in violation
+    base = stream_base_table()
+    one = signature(("zap", 2))
+    s = sig_sum(base.sig, one)
+    with pytest.raises(ValidationFailed, match="not natural"):
+        add_rule(base, _unnatural_rule(s, "zap"))
+    with pytest.raises(ValidationFailed, match="not natural"):
+        extend_with_rps(base, RpsDef(one, {"zap": _unnatural_rule(s, "zap")}))
 
 
 def test_validate_reports_missing_rule():
