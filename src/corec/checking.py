@@ -13,7 +13,6 @@ processes by a mutual simulation memoized on node-id pairs.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,14 +61,6 @@ class CheckReport:
         return out
 
 
-def reports_to_text(reports) -> str:
-    return "\n".join(r.to_text() for r in reports)
-
-
-def reports_to_json(reports) -> str:
-    return json.dumps([r.to_json() for r in reports], indent=2)
-
-
 # ---------------------------------------------------------------------------
 # Bounded equality
 #
@@ -77,8 +68,14 @@ def reports_to_json(reports) -> str:
 
 
 def bounded_equal(h1: SolutionHandle, h2: SolutionHandle, depth: int) -> bool:
-    """Depth-d behavioral equality (mutual simulation for processes)."""
-    return find_divergence(h1, h2, depth) is None
+    """Depth-d behavioral equality; for processes one mutual simulation."""
+    if h1.kind.deterministic or h1.kind != h2.kind:
+        return find_divergence(h1, h2, depth) is None
+    h1.engine.check_handle(h1)
+    h2.engine.check_handle(h2)
+    sim = _Simulation(h1.engine, h2.engine)
+    return sim.known(h1.node, h2.node, depth) or \
+        sim.unmatched(h1.node, h2.node, depth) is None
 
 
 def find_divergence(h1: SolutionHandle, h2: SolutionHandle,

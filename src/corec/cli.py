@@ -74,6 +74,12 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _depth(value, arg: str) -> int:
+    if not str(value).isdecimal():
+        raise CorecError(f"{arg}: depth {value} is not a non-negative integer")
+    return int(value)
+
+
 def _stream_arg(engine: Engine, spec: str):
     pre, cyc = frontends.parse_stream_spec(spec)
     return instances.periodic_stream(engine, pre, cyc)
@@ -93,7 +99,7 @@ def _cmd_solve(args) -> int:
         var, _, depth_txt = req.partition(":")
         if var not in sol:
             raise CorecError(f"no variable {var!r} in the system")
-        depth = int(depth_txt) if depth_txt else 4
+        depth = _depth(depth_txt, f"--observe {req}") if depth_txt else 4
         trees.append((var, engine.observe(sol[var], depth)))
     _emit_trees(args, system.kind, trees)
     return 0
@@ -117,8 +123,8 @@ def _cmd_bde(args) -> int:
         ]
     op = table.op(name)
     result = engine.interpret_op(table, op, handles)
-    _emit_trees(args, program.kind,
-                [(name, engine.observe(result, args.prefix))])
+    _emit_trees(args, program.kind, [
+        (name, engine.observe(result, _depth(args.prefix, "--prefix")))])
     return 0
 
 
@@ -133,6 +139,7 @@ def _cmd_circuit(args) -> int:
         feeds[input_id] = _stream_arg(engine, given.pop(input_id, "zeros"))
     if given:
         raise CorecError(f"unknown inputs: {sorted(given)}")
+    prefix = _depth(args.prefix, "--prefix")
     wanted = [o for o in compiled.outputs
               if args.output in (None, o[0], o[1])]
     if not wanted:
@@ -141,7 +148,7 @@ def _cmd_circuit(args) -> int:
     for symbol, node_id, input_ids in wanted:
         handle = engine.interpret_op(table, table.op(symbol),
                                      [feeds[i] for i in input_ids])
-        trees.append((node_id, engine.observe(handle, args.prefix)))
+        trees.append((node_id, engine.observe(handle, prefix)))
     _emit_trees(args, table.kind, trees)
     return 0
 
@@ -162,21 +169,22 @@ def _cmd_ccs(args) -> int:
     system = frontends.parse_ccs(_read(args.file))
     engine = Engine()
     sol = engine.solve(system)
+    depth = _depth(args.depth, "--depth")
     if args.bisim:
         left, right = args.bisim
         for name in (left, right):
             if name not in sol:
                 raise CorecError(f"no agent {name!r}")
-        same = checking.bounded_equal(sol[left], sol[right], args.depth)
+        same = checking.bounded_equal(sol[left], sol[right], depth)
         _emit(args, "true" if same else "false",
-              {"left": left, "right": right, "depth": args.depth,
+              {"left": left, "right": right, "depth": depth,
                "bisimilar": same})
         return 0 if same else 1
     agent = args.agent or system.vars[0]
     if agent not in sol:
         raise CorecError(f"no agent {agent!r}")
     _emit_trees(args, system.kind,
-                [(agent, engine.observe(sol[agent], args.depth))])
+                [(agent, engine.observe(sol[agent], depth))])
     return 0
 
 
@@ -185,10 +193,8 @@ def _cmd_check(args) -> int:
     reports = []
     for name in names:
         reports.extend(checking.run_suite(name, seed=args.seed))
-    if args.format == "json":
-        print(checking.reports_to_json(reports))
-    else:
-        print(checking.reports_to_text(reports))
+    _emit(args, "\n".join(r.to_text() for r in reports),
+          [r.to_json() for r in reports])
     return 0 if all(r.passed for r in reports) else 1
 
 

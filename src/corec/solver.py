@@ -3,24 +3,26 @@
 The engine owns an arena of nodes: operation symbols applied to child
 nodes, sums of an additive symbol as multisets of their operands, guard
 states holding a precomputed step, and the variables of sandwiched
-systems, each stepping as the node of its context.  Every node's one-step
-behavior is computed at most once and memoized; terms over the same states
-that are equal modulo the laws their rules declare (`rules.Law`) share a
-node.  Solving a system allocates one node per variable and then builds
-each right-hand side into the arena once, which is also where it is
-checked; behavior is produced on demand by `unfold`/`observe`.  Terms,
-right-hand sides and rule conclusions are compiled into post-order code
-that builds them (`Engine._compile`).  A rule runs once per premise shape
-(symbol, parameter, and the premises' labels or, for processes, actions);
-its compiled conclusion, the plan, is filled with the premises' node ids
-at every application of that shape, which is sound for natural rules
-(`rules.GsosRule`).  Plans are kept per engine and die with it.
+systems, each stepping as the node of its context.  Every node's step is
+computed at most once and memoized; terms over the same states that are
+equal modulo the laws their rules declare (`rules.Law`) share a node.
+Solving a system allocates a node per variable, then builds and checks
+each right-hand side once; `unfold`/`observe` step on demand.  Terms,
+right-hand sides and rule conclusions compile to post-order code
+(`Engine._compile`).  A rule runs once per premise shape: symbol,
+parameter, and the premises' labels (a rational one keyed as its integer
+ratio) or, for processes, actions.  Its plan, the compiled conclusion, is
+filled with the premises' node ids at every application of that shape, as
+natural rules allow (`rules.GsosRule`), and dies with its engine.  A sum
+adds its operands' labels as integers over a common denominator.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 from typing import Mapping, Optional
 
 from .behavior import CUT, ObservationTree, Step, canonicalize_step, check_step
@@ -324,15 +326,18 @@ class Engine:
     def _apply_rule(self, node: _Node) -> Step:
         """The rule's conclusion (for a sandwiched rule, its guarded term's
         step): the plan for the premises' labels, or ports for processes,
-        filled with their ids, each argument followed by its continuations."""
+        filled with their ids, each argument followed by its continuations;
+        a rational label is keyed as its integer ratio, which hashes fast."""
         holes, shape = [], []
         for cid in node.children:
             step = self._unfold(cid)
             holes.append(cid)
             for p, c in step.children:
                 holes.append(c)
-            shape.append(step.label if node.kind.deterministic else
-                         tuple([p for p, _ in step.children]))
+            label = step.label
+            shape.append(label if label.__class__ is bool else
+                         tuple([p for p, _ in step.children])
+                         if label is None else label.as_integer_ratio())
         key = (node.table, node.name, node.op.param, tuple(shape))
         plan = self._plans.get(key)
         if plan is None:
@@ -358,16 +363,21 @@ class Engine:
 
     def _sum_step(self, node: _Node) -> Step:
         """``Σ m·g`` steps to ``Σ m·label(g)`` and, at each port, the sum
-        of ``m·child(g)``; no rule runs."""
+        of ``m·child(g)``; no rule runs.  The label is summed as an integer
+        numerator over the lcm of the operands' denominators."""
         ports = node.kind.ports
-        label = 0
+        num, den = 0, 1
         kids = [[] for _ in ports]
         for c, m in node.children:
             step = self._unfold(c)
-            label += m * step.label
-            for kid, (_, d) in zip(kids, step.children):
-                kid.append((d, m))
-        step = Step(label, tuple(
+            n, d = step.label.as_integer_ratio()
+            if den % d:
+                grow = d // gcd(den, d)
+                num, den = num * grow, den * grow
+            num += m * n * (den // d)
+            for kid, (_, child) in zip(kids, step.children):
+                kid.append((child, m))
+        step = Step(Fraction(num, den), tuple(
             (p, self._sum_node(node.table, node.name, kid))
             for p, kid in zip(ports, kids)))
         check_step(node.kind, step)

@@ -16,6 +16,7 @@ from helpers import (
 from corec.behavior import TREE, stream_step
 from corec.checking import (
     Witness,
+    _Simulation,
     bounded_equal,
     diagram_check,
     find_divergence,
@@ -261,10 +262,7 @@ def test_deep_process_witness_is_found_by_binary_search():
         Witness(0, (("a", 0),), f"left move 'a' has no depth-{n} match")
 
 
-def test_tree_search_visits_each_state_pair_once(monkeypatch):
-    engine = Engine()
-    sol = engine.solve(parse_system(_tree_text(
-        {"x": (1, "y", "x"), "y": (1, "x", "y"), "u": (1, "u", "u")})))
+def _counting_node_step(monkeypatch):
     calls = []
     node_step = Engine.node_step
 
@@ -273,6 +271,50 @@ def test_tree_search_visits_each_state_pair_once(monkeypatch):
         return node_step(self, nid)
 
     monkeypatch.setattr(Engine, "node_step", counted)
+    return calls
+
+
+def test_process_verdict_costs_one_full_depth_simulation(monkeypatch):
+    n = 50
+    engine = Engine()
+    sol = engine.solve(parse_ccs(
+        "P = a.P\n" + "".join(f"Q{i} = a.Q{i + 1}\n" for i in range(n))
+        + f"Q{n} = b.0\n"))
+    p, q = sol["P"], sol["Q0"]
+    calls = _counting_node_step(monkeypatch)
+    sim = _Simulation(engine, engine)
+    assert sim.known(p.node, q.node, n + 5) is None
+    assert sim.unmatched(p.node, q.node, n + 5) is not None
+    one_simulation = len(calls)
+    del calls[:]
+    assert not bounded_equal(p, q, n + 5)
+    assert len(calls) <= one_simulation
+    del calls[:]
+    assert find_divergence(p, q, n + 5) is not None
+    # the witness search deepens over the same memo, so it costs more
+    assert len(calls) > one_simulation
+
+
+def test_process_verdict_agrees_with_the_witness_search():
+    rng = random.Random(23)
+    table = ccs_table(DEFAULT_ACTIONS)
+    refuted = 0
+    for _ in range(200):
+        engine = Engine()
+        x, y = (agent_handle(engine, table, random_agent(rng, table.kind, 3))
+                for _ in range(2))
+        depth = rng.randint(0, 5)
+        same = bounded_equal(x, y, depth)
+        assert same == (find_divergence(x, y, depth) is None)
+        refuted += not same
+    assert 0 < refuted < 200
+
+
+def test_tree_search_visits_each_state_pair_once(monkeypatch):
+    engine = Engine()
+    sol = engine.solve(parse_system(_tree_text(
+        {"x": (1, "y", "x"), "y": (1, "x", "y"), "u": (1, "u", "u")})))
+    calls = _counting_node_step(monkeypatch)
     assert find_divergence(sol["x"], sol["u"], 60) is None
     # two left states against one right state: at most two pairs
     assert len(calls) <= 2 * 2

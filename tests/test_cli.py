@@ -175,6 +175,28 @@ def test_input_errors_exit_2(files, capsys, tmp_path):
     assert cli_main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("argv, bad, arg", [
+    (["ccs", "milner.ccs", "--bisim", "P", "Q", "--depth", "{}"], "-1",
+     "--depth"),
+    (["ccs", "milner.ccs", "--depth", "{}"], "-1", "--depth"),
+    (["solve", "tm.sys", "--observe", "u:{}"], "-2", "--observe u:-2"),
+    (["solve", "tm.sys", "--observe", "u:{}"], "abc", "--observe u:abc"),
+    (["bde", "shuffle.bde", "--apply", "sh:ones,ones", "--prefix", "{}"],
+     "-3", "--prefix"),
+    (["circuit", "circ.json", "--input", "sigma=ones", "--prefix", "{}"],
+     "-1", "--prefix"),
+])
+def test_negative_or_malformed_depths_exit_2(files, capsys, argv, bad, arg):
+    argv = [files.get(a, a) for a in argv]
+    assert cli_main([a.format(bad) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: {arg}: depth {bad} is not a non-negative integer\n"
+    # depth 0 stays valid: an empty observation, or bisimilar
+    assert cli_main([a.format(0) for a in argv]) == 0
+
+
 @pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth "
                                                 "exceeded"), MemoryError()])
 def test_resource_errors_exit_2(files, capsys, monkeypatch, exc):

@@ -10,7 +10,9 @@ import pytest
 
 from corec.behavior import STREAM, TREE, language_step, stream_step, tree_step
 from corec.errors import KindMismatch, ValidationFailed
+from corec.frontends import compile_gnf, parse_gnf
 from corec.instances import (
+    language_member,
     language_table,
     oracle_eval,
     periodic_stream,
@@ -103,22 +105,21 @@ def _tree_handle(engine, graph):
 
 def _nodewise(graphs_and_weights, depth):
     """Observation of the weighted nodewise sum of the roots of ``graphs``,
-    as nested ``(label, left, right)``; None is a cut."""
+    whose states map to ``(label, child, ...)``, as nested ``(label,
+    child, ...)`` in `Fraction` arithmetic; None is a cut."""
     if depth <= 0:
         return None
+    g0, n0, _ = graphs_and_weights[0]
     label = sum(w * g[n][0] for g, n, w in graphs_and_weights)
-    return (label,
-            _nodewise([(g, g[n][1], w) for g, n, w in graphs_and_weights],
-                      depth - 1),
-            _nodewise([(g, g[n][2], w) for g, n, w in graphs_and_weights],
-                      depth - 1))
+    return (label,) + tuple(
+        _nodewise([(g, g[n][i], w) for g, n, w in graphs_and_weights],
+                  depth - 1) for i in range(1, len(g0[n0])))
 
 
 def _as_tuple(tree):
     if tree.cut:
         return None
-    (_, left), (_, right) = tree.children
-    return (tree.label, _as_tuple(left), _as_tuple(right))
+    return (tree.label,) + tuple(_as_tuple(c) for _, c in tree.children)
 
 
 def test_tree_sums_match_the_nodewise_oracle():
@@ -134,6 +135,84 @@ def test_tree_sums_match_the_nodewise_oracle():
             table, mk_app(plus, (mk_app(plus, (px, py)), px)))
         want = _nodewise([(g, "g0", 2), (k, "k0", 1)], 8)
         assert _as_tuple(engine.observe(h, 8)) == want
+
+
+def _mixed_graph(rng, prefix, ports):
+    names = [f"{prefix}{i}" for i in range(rng.randint(1, 4))]
+    return {n: (Fraction(rng.randint(-9, 9), rng.randint(1, 7)),)
+            + tuple(rng.choice(names) for _ in range(ports))
+            for n in names}
+
+
+@pytest.mark.parametrize("kind, table, step", [
+    (STREAM, stream_table, stream_step),
+    (TREE, tree_table, tree_step),
+])
+def test_weighted_sums_with_mixed_denominators_are_exact(kind, table, step):
+    table = table()
+    rng = random.Random(f"mixed/{kind.name}")
+    for i in range(200):
+        engine = Engine()
+        graphs = [_mixed_graph(rng, f"g{k}_", len(kind.ports))
+                  for k in range(rng.randint(1, 4))]
+        rhs = {n: Guard(step(label, *map(Var, kids)))
+               for g in graphs for n, (label, *kids) in g.items()}
+        sol = engine.solve(System(kind, table, tuple(rhs), rhs))
+        weights = [rng.randint(1, 10 ** 6) for _ in graphs]
+        roots = [next(iter(g)) for g in graphs]
+        h = engine._handle(engine._sum_node(
+            table, "plus", [(sol[r].node, w) for r, w in zip(roots, weights)]))
+        want = _nodewise(list(zip(graphs, roots, weights)), 8)
+        assert _as_tuple(engine.observe(h, 8)) == want, i
+
+
+def _rational_spec(rng):
+    def value():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    return (tuple(value() for _ in range(rng.randint(0, 2))),
+            tuple(value() for _ in range(rng.randint(1, 3))))
+
+
+@pytest.mark.parametrize("op, oracle", [
+    ("shuffle", "binomial_shuffle"),
+    ("conv", "cauchy_convolution"),
+])
+def test_products_of_rational_streams_at_six_hundred_digits(op, oracle):
+    table = stream_table()
+    rng = random.Random(f"rational/{op}")
+    for _ in range(2):
+        a, b = _rational_spec(rng), _rational_spec(rng)
+        engine = Engine()
+        h = engine.interpret_op(table, table.op(op), [
+            periodic_stream(engine, *a), periodic_stream(engine, *b)])
+        n = 600
+        assert stream_take(h, n) == oracle_eval(
+            oracle, periodic_values(*a, n), periodic_values(*b, n)), (a, b)
+
+
+def test_integral_sums_carry_fraction_labels():
+    table = stream_table()
+    engine = Engine()
+    third = periodic_stream(engine, (), (Fraction(1, 3), Fraction(-2, 3)))
+    seventh = periodic_stream(engine, (), (Fraction(3, 7),))
+    h = engine._sum_node(table, "plus", [(third.node, 3), (seventh.node, 7)])
+    labels = stream_take(engine._handle(h), 4)
+    assert labels == [4, 1, 4, 1]
+    assert all(type(label) is Fraction for label in labels)
+    step = engine.node_step(h)
+    assert type(step.label) is Fraction and step.label.denominator == 1
+
+
+def test_bool_labels_key_plans_as_before():
+    # the number of plans aⁿbⁿ needs, counted with every label keyed as
+    # itself; rational labels are keyed by their integer ratio instead
+    engine = Engine()
+    sol = engine.solve(compile_gnf(parse_gnf(
+        "terminals: a b\nnonterminals: S B\nstart: S\nS -> a S B\n"
+        "S -> a B\nB -> b\n")))
+    assert sol["S"].kind == language_table("ab").kind
+    assert language_member(sol["S"], "a" * 500 + "b" * 500)
+    assert len(engine._plans) == 3
 
 
 def _difference(op, args):
