@@ -133,6 +133,9 @@ def _cmd_circuit(args) -> int:
         frontends.load_circuit(_read(args.file)))
     table = compiled.table()
     engine = Engine()
+    for pair in args.input or []:
+        if "=" not in pair:
+            raise CorecError(f"--input {pair}: expected NAME=SPEC")
     given = dict(pair.split("=", 1) for pair in args.input or [])
     feeds = {}
     for input_id in compiled.inputs:

@@ -102,6 +102,15 @@ def tokenize(text: str):
             return toks
 
 
+def _rational(t: Tok) -> Fraction:
+    """The number token ``t`` as a Fraction; a zero denominator raises."""
+    try:
+        return Fraction(t.value)
+    except ZeroDivisionError:
+        raise ParseError(t.line, t.col,
+                         f"zero denominator in {t.value!r}") from None
+
+
 class TokenStream:
     def __init__(self, toks):
         self.toks = toks
@@ -162,7 +171,7 @@ def _parse_expr(ts: TokenStream):
     t = ts.peek()
     if t.kind == "num":
         ts.next()
-        value = Fraction(t.value)
+        value = _rational(t)
         if ts.eat_sym("."):
             return ("guard", ("num", value), _parse_payload(ts), t)
         return ("num", value, t)
@@ -488,7 +497,7 @@ def _parse_head_expr(ts: TokenStream, head_kw, params):
         t = ts.peek()
         if t.kind == "num":
             ts.next()
-            value = Fraction(t.value)
+            value = _rational(t)
             return lambda labels: value
         if ts.eat_sym("("):
             e = add()
@@ -1051,30 +1060,44 @@ def load_circuit(text: str) -> CircuitFile:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.colno, f"bad JSON: {exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise InvalidCircuit(f"circuit is {type(raw).__name__}, not object")
+    items, pairs = raw.get("nodes", []), raw.get("edges", [])
+    for key, value in (("nodes", items), ("edges", pairs)):
+        if not isinstance(value, list):
+            raise InvalidCircuit(f"{key} is {type(value).__name__}, not list")
     nodes = []
-    for item in raw.get("nodes", ()):
-        kind = item.get("kind")
-        if kind not in _PORTS:
-            raise InvalidCircuit(f"unknown node kind {kind!r}")
-        value = item.get("value")
-        if kind in ("mult", "register"):
-            if value is None:
-                raise InvalidCircuit(f"{kind} node {item.get('id')!r} needs "
-                                     "a value")
-            value = Fraction(str(value))
-        elif value is not None:
-            raise InvalidCircuit(f"{kind} node {item.get('id')!r} takes no "
-                                 "value")
+    for item in items:
+        if not isinstance(item, dict):
+            raise InvalidCircuit(f"node {item!r} is not an object")
         node_id = item.get("id")
         if not isinstance(node_id, str) or not re.fullmatch(
                 r"[A-Za-z_][A-Za-z0-9_]*", node_id):
             raise InvalidCircuit(f"bad node id {node_id!r}")
+        kind = item.get("kind")
+        if not isinstance(kind, str) or kind not in _PORTS:
+            raise InvalidCircuit(f"unknown node kind {kind!r}")
+        value = item.get("value")
+        if kind in ("mult", "register"):
+            if value is None:
+                raise InvalidCircuit(f"{kind} node {node_id!r} needs a value")
+            try:
+                value = Fraction(str(value))
+            except (ValueError, ZeroDivisionError):
+                raise InvalidCircuit(f"{kind} node {node_id!r} has value "
+                                     f"{value!r}, not a rational") from None
+        elif value is not None:
+            raise InvalidCircuit(f"{kind} node {node_id!r} takes no value")
         nodes.append(CircuitNode(node_id, kind, value))
     ids = {n.id for n in nodes}
     if len(ids) != len(nodes):
         raise InvalidCircuit("duplicate node ids")
     edges = []
-    for src, dst in raw.get("edges", ()):
+    for pair in pairs:
+        if not isinstance(pair, list) or len(pair) != 2 or not all(
+                isinstance(end, str) for end in pair):
+            raise InvalidCircuit(f"edge {pair!r} is not a pair of node ids")
+        src, dst = pair
         if src not in ids or dst not in ids:
             raise DanglingPort(f"edge {src!r} -> {dst!r} misses a node")
         edges.append((src, dst))

@@ -8,13 +8,15 @@ recursively defined operations returns a new table over the sum signature
 that carries the old rules over unchanged.  Each table records which
 signature every rule was written against, and the engine resolves the
 symbols of a conclusion through the table's rename map
-(``Signature.embeddings``), so old interpretations are untouched.  A
-sandwiched definition is a rule too, one whose conclusion is a guarded
-term, given operations above `Guard` leaves; both kinds are adjoined to a
-table the same way.  A rule may also declare the algebraic law of its
-symbol (`Law`), which the engine applies when it builds nodes of that
-symbol.  Every table holds its `TableReport` from construction: an
-extension probes only the rules it adds.
+(``Signature.embeddings``), so old interpretations are untouched.  One
+planner, `plan_rule`, checks the rule contract at build and at first use;
+it resolves symbols, the summands' too, by `resolver`.  A sandwiched
+definition is a rule too, one whose conclusion is a guarded term, given
+operations above `Guard` leaves; both kinds are adjoined to a table the
+same way.  A rule may also declare the algebraic law of its symbol
+(`Law`), which the engine applies when it builds nodes of that symbol.
+Every table holds its `TableReport` from construction: an extension
+probes only the rules it adds.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .errors import (
     ForeignSymbol,
     KindMismatch,
     MissingRule,
+    UnknownSymbol,
     ValidationFailed,
 )
 from .terms import (
@@ -40,13 +43,13 @@ from .terms import (
     Guard,
     OpDecl,
     OpSym,
+    Param,
     Signature,
     Slot,
     Term,
     Var,
     sig_sum,
     signature,
-    subterms,
 )
 
 # ---------------------------------------------------------------------------
@@ -159,15 +162,17 @@ class GsosRule:
 
     ``conclude(op, args)`` receives the concrete symbol (carrying the family
     parameter, if any) and one ArgObs per argument; it must return a Step
-    whose continuations are terms over the ArgObs leaves and the table's
-    signature, with no variables.  The rule must be natural: it may read
-    the labels, the actions and ``op.param``, and may use the `Slot` leaves
-    only verbatim, never compare or inspect them, since the engine runs it
-    once per premise shape and fills the conclusion with the states of
-    every application of that shape.  ``probe_params`` supplies example
-    parameters so parametric families can be validated.  ``law``, for a
-    binary symbol, declares the equations its applications satisfy; the
-    engine hash-conses them modulo those equations.
+    whose continuations are terms over the ArgObs leaves and the symbols
+    of the author's signature and its summands, with no variables;
+    `plan_rule` checks it at build and at first use.  The rule must be
+    natural: it may read the labels, the actions and ``op.param``, and may
+    use the `Slot` leaves only verbatim, never compare or inspect them,
+    since the engine runs it once per premise shape and fills the
+    conclusion with the states of every application of that shape.
+    ``probe_params`` supplies example parameters so parametric families
+    can be validated.  ``law``, for a binary symbol, declares the equations
+    its applications satisfy; the engine hash-conses them modulo those
+    equations.
 
     A sandwiched rule has ``outer``, the names of the given symbols it may
     use above its guards, in the table it was adjoined to; it concludes a
@@ -227,16 +232,17 @@ class RuleTable:
     ``rules`` is keyed by the names of ``sig``, ordinary and sandwiched
     rules alike.  A rule carried over from an older table is stored as it
     was written; ``origin`` maps each name to the signature and name its
-    rule's author used (by default the table's own), and ``renames`` is the
+    rule's author used (by default the table's own), ``renames`` is the
     composed ``sig_id -> {name -> name here}`` map of ``sig`` and all its
-    summands.  ``report`` is the table's `TableReport` when its builder
+    summands, and ``resolve`` names a symbol of either here (`resolver`).
+    ``report`` is the table's `TableReport` when its builder
     probed it; a table given none probes all its rules at construction.
     ``laws`` holds each rule's law, with its unit and zero under their names
     here, when the report is ok, and is empty otherwise.
     """
 
-    __slots__ = ("kind", "sig", "rules", "origin", "renames", "laws",
-                 "_report")
+    __slots__ = ("kind", "sig", "rules", "origin", "renames", "resolve",
+                 "laws", "_report")
 
     def __init__(self, kind, sig: Signature, rules, origin=None, report=None):
         self.kind = kind
@@ -245,6 +251,7 @@ class RuleTable:
         self.origin = dict(origin) if origin is not None else \
             {name: (sig, name) for name in sig.names}
         self.renames = sig.embeddings()
+        self.resolve = resolver(sig)
         self._report = report if report is not None else validate_table(self)
         self.laws = {}
         for name, r in self.rules.items():
@@ -254,18 +261,6 @@ class RuleTable:
             here = self.renames[author_sig.sig_id]
             self.laws[name] = replace(r.law, unit=here.get(r.law.unit),
                                       zero=here.get(r.law.zero))
-
-    def resolve(self, op: OpSym) -> str:
-        """This table's name for ``op``, a symbol of the table signature or
-        of one of its summands; ForeignSymbol for anything else, including
-        a known name at the wrong arity."""
-        renames = self.renames.get(op.sig_id)
-        name = renames.get(op.name) if renames is not None else None
-        if name is not None:
-            d = self.sig.decl(name)
-            if op.arity == (op.param if d.arity is None else d.arity):
-                return name
-        raise ForeignSymbol(f"{op!r} is not in the table signature")
 
     def author_op(self, name: str, op: OpSym) -> OpSym:
         """``op``, resolved to ``name``, as the author of its rule knew it."""
@@ -288,114 +283,143 @@ class RuleTable:
 
 
 # ---------------------------------------------------------------------------
-# Probing: run a rule on synthetic premises and check its conclusion
+# Planning: one compiler and one planner decide what a valid conclusion is,
+# for the engine at first use and for the probe at build
 
 
-def _probe_labels(kind, rng: random.Random):
-    if isinstance(kind, behavior.LanguageKind):
-        return rng.choice([True, False])
-    if isinstance(kind, behavior.ProcessKind):
-        return None
-    return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+def resolver(sig: Signature) -> Callable:
+    """``resolve(op)``: the name in ``sig`` of ``op``, a symbol of ``sig``
+    or of one of its summands (`Signature.embeddings`); ForeignSymbol for
+    anything else, including a known name at the wrong arity."""
+    renames, decl = sig.embeddings(), sig.decl
+
+    def resolve(op: OpSym) -> str:
+        names = renames.get(op.sig_id)
+        name = names.get(op.name) if names is not None else None
+        if name is not None:
+            d = decl(name)
+            if op.arity == (op.param if d.arity is None else d.arity):
+                return name
+        raise ForeignSymbol(f"{op!r} is outside the table signature")
+
+    return resolve
 
 
-def _synthetic_premises(kind, arity: int, rng: random.Random) -> list:
-    """``(node, step)`` premises whose argument and continuation ids are
-    pairwise distinct (negative ids, which no arena node has)."""
-    premises = []
-    ids = itertools.count(-1, -1)
-    for _ in range(arity):
-        if kind.deterministic:
-            step = Step(_probe_labels(kind, rng),
-                        tuple((p, next(ids)) for p in kind.ports))
+def compile_code(kind, resolve, root, binding, check_handle=None) -> list:
+    """Post-order code building the term, or step, ``root`` of ``kind``,
+    names resolved and arities, labels and ports checked: a hole number
+    pushes that premise, ``~n`` the node ``n`` of a variable or `Param`, and
+    ``(tag, n, ...)`` for ``app``, ``guard`` and ``step`` pops ``n``
+    operands.  ``binding`` maps variables to nodes; None marks a rule
+    conclusion, whose `Slot`s are holes and which has no variables.
+    ``check_handle``, where an engine is at hand, vets each `Param`."""
+    code = []
+    todo = [root]
+    while todo:
+        t = todo.pop()
+        cls = t.__class__
+        if cls is Var:
+            if binding is None:
+                raise ForeignSymbol(f"free variable {t!r} in conclusion")
+            if t.name not in binding:
+                raise UnknownSymbol(f"unbound variable {t.name!r}")
+            code.append(~binding[t.name])
+        elif cls is App:
+            name = resolve(t.op)
+            if len(t.args) != t.op.arity:
+                raise ArityMismatch(
+                    f"{t.op!r} applied to {len(t.args)} arguments")
+            code.append(("app", len(t.args), name, t.op))
+            todo.extend(t.args)
+        elif cls is Guard or t is root and cls is Step:
+            step = t.step if cls is Guard else t
+            check_step(kind, step)
+            code.append(("step" if step is t else "guard", len(step.children),
+                         step.label, tuple([p for p, _ in step.children])))
+            todo.extend([c for _, c in step.children])
+        elif cls is Slot and binding is None:
+            code.append(t.node)
+        elif cls is Param:
+            if check_handle is not None:
+                check_handle(t.ref)
+            if getattr(t.ref, "kind", None) != kind:
+                raise KindMismatch(f"{t.ref!r} is not a {kind.name} state")
+            code.append(~t.ref.node)
         else:
-            n = rng.randint(0, 2)
-            step = Step(None, tuple(
-                (rng.choice(kind.actions), next(ids)) for _ in range(n)))
-        premises.append((next(ids), step))
-    return premises
+            raise KindMismatch(f"not a {kind.name} term: {t!r}")
+    # The walk is pre-order, children pushed in order: reversed, post-order.
+    code.reverse()
+    return code
 
 
-def _merged(x):
-    """The conclusion ``x`` with every `Slot`, under guards too, set to 0."""
-    if isinstance(x, Step):
-        return Step(x.label, tuple((p, _merged(t)) for p, t in x.children))
-    if isinstance(x, Guard):
-        return Guard(_merged(x.step))
-    if isinstance(x, App):
-        return App(x.op, tuple(_merged(a) for a in x.args))
-    return Slot(0) if isinstance(x, Slot) else x
+def plan_rule(kind, resolve, rule: GsosRule, op: OpSym, steps, holes,
+              check_handle=None) -> list:
+    """The code (`compile_code`) of ``rule``'s conclusion for ``op`` on
+    premises observed as ``steps``, their `Slot`s numbered by ``holes`` in
+    the order the engine lists premise ids: each argument, then its
+    continuations.  The conclusion must be a step, or for a sandwiched rule
+    a guarded term with only ``outer`` symbols above its guards."""
+    args = tuple([arg_obs(kind, next(holes), Step(s.label, tuple(
+        [(p, next(holes)) for p, _ in s.children]))) for s in steps])
+    out = rule.conclude(op, args)
+    if rule.outer is None:
+        if out.__class__ is not Step:
+            raise KindMismatch(f"rule conclusion is not a Step: {out!r}")
+    else:
+        for node in Guard.above(out):
+            if node.__class__ is App and resolve(node.op) not in rule.outer:
+                raise ForeignSymbol(f"sandwiched conclusion uses {node.op!r}"
+                                    " above its guards, not a given symbol")
+    return compile_code(kind, resolve, out, None, check_handle)
 
 
-def _check_additive(op: OpSym, args, step: Step):
-    """The shape an additive law claims: ``a.head + b.head``, and at each
-    port ``op`` over the premises' continuations at that port."""
+def _synthetic_step(kind, rng: random.Random) -> Step:
+    """A premise for probes: a random label over every port, or up to two
+    random moves."""
+    if not kind.deterministic:
+        return Step(None, tuple((rng.choice(kind.actions), None)
+                                for _ in range(rng.randint(0, 2))))
+    if isinstance(kind, behavior.LanguageKind):
+        label = rng.choice([True, False])
+    else:
+        label = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    return Step(label, tuple((p, None) for p in kind.ports))
+
+
+def _pointwise_sum(op, args):
+    """The conclusion an additive law claims: ``a.head + b.head``, and at
+    each port ``op`` over the premises' continuations at that port."""
     a, b = args
-    if step.label != a.head + b.head:
-        raise ValidationFailed(f"additive {op!r} gives label {step.label} "
-                               f"on heads {a.head} and {b.head}")
-    for (port, t), (_, x), (_, y) in zip(step.children, a.tails, b.tails):
-        if t != App(op, (x, y)):
-            raise ValidationFailed(f"additive {op!r} continues at {port} to "
-                                   f"{t!r}, not to {App(op, (x, y))!r}")
-
-
-def _check_conclusion(table_sig: Signature, kind, step: Step):
-    if not isinstance(step, Step):
-        raise KindMismatch(f"rule conclusion is not a Step: {step!r}")
-    check_step(kind, step)
-    for _, t in step.children:
-        if not isinstance(t, Term):
-            raise KindMismatch(f"conclusion continuation is not a term: {t!r}")
-        for node in subterms(t):
-            if isinstance(node, Var):
-                raise ForeignSymbol(f"free variable {node!r} in conclusion")
-            if isinstance(node, App) and not table_sig.contains(node.op):
-                raise ForeignSymbol(
-                    f"conclusion uses {node.op!r} outside the table signature")
-
-
-def _check_context(table_sig: Signature, kind, ctx, outer):
-    """`_check_conclusion` for every guard of a sandwiched rule's guarded
-    term, whose part above the guards may only use the given symbols
-    ``outer``."""
-    for node in Guard.above(ctx):
-        if isinstance(node, Guard):
-            _check_conclusion(table_sig, kind, node.step)
-        elif node.op.name not in outer:
-            raise ForeignSymbol(
-                f"srps outer context uses {node.op!r}, not a given symbol")
-        elif len(node.args) != node.op.arity:
-            raise ArityMismatch(f"{node.op!r} in context applied to "
-                                f"{len(node.args)} arguments")
+    return Step(a.head + b.head, tuple((p, App(op, (x, y))) for (p, x), (_, y)
+                                       in zip(a.tails, b.tails)))
 
 
 def _probe(kind, sig: Signature, name: str, rule: GsosRule,
            rng: random.Random, rounds: int = 3):
-    """Check the rule's law if it has one, then apply the rule to synthetic
-    premises, ``rounds`` times per probe parameter, and check each
-    conclusion: a step, or the context of a sandwiched rule, and the shape
-    an additive law claims.  Rerun with every premise `Slot` numbered 0, a
-    natural rule gives the same conclusion with its `Slot`s renamed so."""
+    """Check the rule's law if it has one, then plan the rule as the engine
+    does on synthetic premises, resolving against ``sig``, ``rounds`` times
+    per probe parameter; an additive rule must plan as `_pointwise_sum`.
+    Planned again with every hole 0, a natural rule gives the same code
+    with its holes set to 0."""
     law = rule.law
     if law is not None:
         _check_law(kind, sig, name, law)
+    resolve = resolver(sig)
     decl = sig.decl(name)
     for param in rule.probe_params:
         op = sig.op(name, param) if decl.parametric else sig.op(name)
         for _ in range(rounds):
-            premises = _synthetic_premises(kind, op.arity, rng)
-            args = tuple(arg_obs(kind, n, s) for n, s in premises)
-            out = rule.conclude(op, args)
-            if rule.outer is None:
-                _check_conclusion(sig, kind, out)
-            else:
-                _check_context(sig, kind, out, rule.outer)
-            if law is not None and law.additive:
-                _check_additive(op, args, out)
-            merged = tuple(arg_obs(kind, 0, Step(s.label, tuple(
-                (p, 0) for p, _ in s.children))) for _, s in premises)
-            if rule.conclude(op, merged) != _merged(out):
+            steps = [_synthetic_step(kind, rng) for _ in range(op.arity)]
+            code = plan_rule(kind, resolve, rule, op, steps,
+                             itertools.count())
+            if law is not None and law.additive and code != plan_rule(
+                    kind, resolve, GsosRule(op, _pointwise_sum), op, steps,
+                    itertools.count()):
+                raise ValidationFailed(f"additive {op!r} is not the pointwise"
+                                       " sum of its premises")
+            merged = [0 if c.__class__ is int and c > 0 else c for c in code]
+            if plan_rule(kind, resolve, rule, op, steps,
+                         itertools.repeat(0)) != merged:
                 raise ValidationFailed(f"rule for {op!r} is not natural: it "
                                        "tells its premise states apart")
 

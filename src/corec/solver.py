@@ -9,12 +9,12 @@ equal modulo the laws their rules declare (`rules.Law`) share a node.
 Solving a system allocates a node per variable, then builds and checks
 each right-hand side once; `unfold`/`observe` step on demand.  Terms,
 right-hand sides and rule conclusions compile to post-order code
-(`Engine._compile`).  A rule runs once per premise shape: symbol,
+(`rules.compile_code`).  A rule runs once per premise shape: symbol,
 parameter, and the premises' labels (a rational one keyed as its integer
-ratio) or, for processes, actions.  Its plan, the compiled conclusion, is
-filled with the premises' node ids at every application of that shape, as
-natural rules allow (`rules.GsosRule`), and dies with its engine.  A sum
-adds its operands' labels as integers over a common denominator.
+ratio) or, for processes, actions.  Its plan, made by `rules.plan_rule`
+as the table probe's is, is filled with the premises' node ids at every
+application of that shape, as natural rules allow (`rules.GsosRule`), and
+dies with its engine.  A sum adds its operands' labels as integers over a common denominator.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from .errors import (
     InvalidHandle,
     KindMismatch,
     RuleDiverged,
-    UnknownSymbol,
     ValidationFailed,
     VariableClash,
 )
-from .rules import RuleTable, arg_obs
-from .terms import App, Guard, Param, Slot, Term, Var, is_reserved_name
+from .rules import RuleTable, compile_code, plan_rule
+from .terms import Guard, Param, Term, is_reserved_name
 
 
 @dataclass
@@ -233,55 +232,14 @@ class Engine:
         """Node of ``t``, variables looked up in ``binding``; the callers check
         a guarded term's part above the guards first, by `Guard.above`."""
         if not isinstance(t, Term):
-            raise TypeError(f"not a term: {t!r}")
-        return self._fill(table, self._compile(table, t, binding), ())
+            raise KindMismatch(f"not a term: {t!r}")
+        return self._fill(table, compile_code(
+            table.kind, table.resolve, t, binding, self.check_handle), ())
 
     def _instantiate_step(self, table: RuleTable, step: Step, binding) -> Step:
         """``step`` with its continuations built, checked and canonical."""
-        return self._fill(table, self._compile(table, step, binding), ())
-
-    def _compile(self, table: RuleTable, root, binding) -> list:
-        """Post-order code building the term, or step, ``root``, names
-        resolved and arities, labels and ports checked: a hole number (a
-        rule's `Slot`; a rule has no ``binding``) pushes that premise, ``~n``
-        the node ``n`` of a variable or `Param`, and ``(tag, n, ...)`` for
-        ``app``, ``guard`` and ``step`` pops ``n`` operands."""
-        code = []
-        todo = [root]
-        while todo:
-            t = todo.pop()
-            cls = t.__class__
-            if cls is tuple:
-                code.append(t)
-            elif cls is Var:
-                if binding is None or t.name not in binding:
-                    raise UnknownSymbol(f"unbound variable {t.name!r}")
-                code.append(~binding[t.name])
-            elif cls is App:
-                name = table.resolve(t.op)
-                if len(t.args) != t.op.arity:
-                    raise ArityMismatch(
-                        f"{t.op!r} applied to {len(t.args)} arguments")
-                todo.append(("app", len(t.args), name, t.op))
-                todo.extend(reversed(t.args))
-            elif cls is Guard or t is root and cls is Step:
-                step = t.step if cls is Guard else t
-                check_step(table.kind, step)
-                todo.append(("step" if step is t else "guard",
-                             len(step.children), step.label,
-                             tuple([p for p, _ in step.children])))
-                todo.extend([c for _, c in reversed(step.children)])
-            elif cls is Slot and binding is None:
-                code.append(t.node)
-            elif cls is Param:
-                self.check_handle(t.ref)
-                if t.ref.kind != table.kind:
-                    raise KindMismatch(f"parameter of kind {t.ref.kind.name}"
-                                       f" in a {table.kind.name} term")
-                code.append(~t.ref.node)
-            else:
-                raise TypeError(f"not a term: {t!r}")
-        return code
+        return self._fill(table, compile_code(
+            table.kind, table.resolve, step, binding, self.check_handle), ())
 
     def _fill(self, table: RuleTable, code, holes):
         """The root's node, or its canonical step: ``code`` run on a value
@@ -346,20 +304,13 @@ class Engine:
         return out if out.__class__ is Step else self._unfold(out)
 
     def _plan(self, node: _Node) -> list:
-        """The rule's conclusion compiled once, on premises whose `Slot`s
-        hold hole numbers in the order `_apply_rule` lists their ids."""
-        table, kind, memo = node.table, node.kind, self._memo
-        holes = itertools.count()
-        args = tuple(arg_obs(kind, next(holes), Step(memo[c].label, tuple(
-            (p, next(holes)) for p, _ in memo[c].children)))
-            for c in node.children)
-        rule = table.rule_for(node.name)
-        out = rule.conclude(node.op, args)
-        if rule.outer is not None:
-            Guard.above(out)
-        elif not isinstance(out, Step):
-            raise KindMismatch(f"rule conclusion is not a Step: {out!r}")
-        return self._compile(table, out, None)
+        """The rule's conclusion planned once (`rules.plan_rule`), on
+        premises whose `Slot`s hold hole numbers in the order
+        `_apply_rule` lists their ids."""
+        table = node.table
+        return plan_rule(table.kind, table.resolve, table.rule_for(node.name),
+                         node.op, [self._memo[c] for c in node.children],
+                         itertools.count(), self.check_handle)
 
     def _sum_step(self, node: _Node) -> Step:
         """``Σ m·g`` steps to ``Σ m·label(g)`` and, at each port, the sum

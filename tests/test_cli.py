@@ -197,6 +197,27 @@ def test_negative_or_malformed_depths_exit_2(files, capsys, argv, bad, arg):
     assert cli_main([a.format(0) for a in argv]) == 0
 
 
+@pytest.mark.parametrize("body, argv, message", [
+    ("kind stream\nx = 1/0 . x\n", ["solve", "{}"],
+     "line 2, col 5: zero denominator in '1/0'"),
+    ("kind stream\nf(x): head = 1/0; tail = x\n",
+     ["bde", "{}", "--apply", "f:ones"],
+     "line 2, col 14: zero denominator in '1/0'"),
+    ("[]", ["circuit", "{}"], "circuit is list, not object"),
+    (CIRCUIT.replace('"value": "1"', '"value": "1/0"'), ["circuit", "{}"],
+     "register node 'reg' has value '1/0', not a rational"),
+    (CIRCUIT, ["circuit", "{}", "--input", "zz"],
+     "--input zz: expected NAME=SPEC"),
+], ids=["solve-zero-denominator", "bde-zero-denominator", "circuit-list",
+        "circuit-zero-denominator", "circuit-input-without-name"])
+def test_malformed_inputs_exit_2(tmp_path, capsys, body, argv, message):
+    path = tmp_path / "input"
+    path.write_text(body)
+    assert cli_main([a.format(path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth "
                                                 "exceeded"), MemoryError()])
 def test_resource_errors_exit_2(files, capsys, monkeypatch, exc):

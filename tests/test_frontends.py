@@ -438,6 +438,33 @@ PARSE_ERRORS = [
      ParseError, "line 2, col 1: unexpected character '~'"),
     ("ccs-reserved-name", parse_ccs, "~P = a.0\n",
      ParseError, "line 1, col 1: unexpected character '~'"),
+    ("system-zero-denominator", parse_system, _S + "x = 1/0 . x\n",
+     ParseError, "line 2, col 5: zero denominator in '1/0'"),
+    ("system-zero-denominator-const", parse_system,
+     _S + "x = 1 . const(1/0)\n",
+     ParseError, "line 2, col 15: zero denominator in '1/0'"),
+    ("system-zero-denominator-tree", parse_system,
+     "kind tree\nx = 1/0 . (x, x)\n",
+     ParseError, "line 2, col 5: zero denominator in '1/0'"),
+    ("bde-zero-denominator-head", _bde_table,
+     _S + "f(x): head = 1/0; tail = x\n",
+     ParseError, "line 2, col 14: zero denominator in '1/0'"),
+    ("bde-zero-denominator-mult", _bde_table,
+     _S + "f(x): head = 1; tail = mult(1/0, x)\n",
+     ParseError, "line 2, col 29: zero denominator in '1/0'"),
+    ("circuit-list", load_circuit, "[]",
+     InvalidCircuit, "circuit is list, not object"),
+    ("circuit-node-number", load_circuit, '{"nodes": [1]}',
+     InvalidCircuit, "node 1 is not an object"),
+    ("circuit-nodes-string", load_circuit, '{"nodes": "ab"}',
+     InvalidCircuit, "nodes is str, not list"),
+    ("circuit-edge-single", load_circuit, '{"nodes": [], "edges": [["a"]]}',
+     InvalidCircuit, "edge ['a'] is not a pair of node ids"),
+] + [
+    (f"circuit-value-{value}", load_circuit,
+     json.dumps({"nodes": [{"id": "r", "kind": "register", "value": value}]}),
+     InvalidCircuit, f"register node 'r' has value {value!r}, not a rational")
+    for value in ("1/0", "abc", "nan")
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from corec.behavior import STREAM, Step, language_step, stream_step
 from corec.errors import (
+    ArityMismatch,
     DuplicateRule,
     ForeignSymbol,
     KindMismatch,
@@ -204,6 +205,40 @@ def test_foreign_conclusions_raise_when_probed_and_unfolded(bad_term):
     h = engine.interpret_op(table, table.op("bad"), [ones])
     with pytest.raises(ForeignSymbol):
         engine.unfold(h)
+
+
+def _unary_extension(tail):
+    """The stream base table extended by ``f/1``, which keeps its argument's
+    head and continues to ``tail(base, s, a)``: ``s`` is the sum signature
+    and ``a`` the premise."""
+    base = stream_base_table()
+    new = signature(("f", 1))
+    s = sig_sum(base.sig, new)
+
+    def rule(op, args):
+        (a,) = args
+        return stream_step(a.head, tail(base, s, a))
+
+    return extend_with_rps(base, RpsDef(new, {"f": GsosRule(new.op("f"),
+                                                            rule)}))
+
+
+@pytest.mark.parametrize("tail, error", [
+    (lambda base, s, a: App(s.op("plus"), (a.tail,)), ArityMismatch),
+    (lambda base, s, a: Guard(Step(True, (("tail", a.tail),))), KindMismatch),
+], ids=["app-arity", "nested-guard-label"])
+def test_conclusions_the_engine_rejects_are_rejected_at_build(tail, error):
+    with pytest.raises(error):
+        _unary_extension(tail)
+
+
+def test_a_summand_symbol_resolves_in_a_conclusion():
+    table = _unary_extension(
+        lambda base, s, a: mk_app(base.op("plus"), (a.tail, a.tail)))
+    engine = Engine()
+    ones = periodic_stream(engine, (), (1,))
+    h = engine.interpret_op(table, table.op("f"), [ones])
+    assert stream_take(h, 3) == [1, 2, 2]
 
 
 def test_variables_in_conclusions_are_rejected():
