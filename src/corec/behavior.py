@@ -8,6 +8,7 @@ branching processes over an action set with involutive complement.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -15,9 +16,56 @@ from typing import Tuple
 from .errors import BadActionStructure, KindMismatch
 
 
+class _LabelRead(BaseException):
+    """A `SymbolicLabel` read; no Exception, which a rule might swallow."""
+
+
+class SymbolicLabel:
+    """A rational label the planner does not read: premise ``index``'s, or
+    (``index`` -1) ``+ - * /`` and unary minus over such labels, ints and
+    Fractions, recorded as ``ev``, a function of the premises' labels.  Any
+    other use, a float operand included, raises `_LabelRead`."""
+
+    __slots__ = ("index", "ev")
+
+    def __init__(self, index, ev=None):
+        self.index, self.ev = index, ev or operator.itemgetter(index)
+
+    def at(self, kind, labels):
+        """The value at the premises' ``labels``, checked as a label."""
+        value = self.ev(labels)
+        kind.check_label(value)
+        return value
+
+    def __neg__(self):
+        return self * -1
+
+    def _arith(fn):
+        def method(self, other):
+            cls, f = other.__class__, self.ev
+            if cls not in (SymbolicLabel, int, Fraction):
+                raise _LabelRead
+            g = other.ev if cls is SymbolicLabel else lambda ls: other
+            return SymbolicLabel(-1, lambda ls: fn(f(ls), g(ls)))
+        return method
+
+    def _read(self, *_):
+        raise _LabelRead
+
+    __add__ = __radd__ = _arith(operator.add)
+    __mul__ = __rmul__ = _arith(operator.mul)
+    __sub__, __rsub__ = _arith(operator.sub), _arith(lambda x, y: y - x)
+    __truediv__, __rtruediv__ = _arith(operator.truediv), _arith(
+        lambda x, y: y / x)
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __hash__ = \
+        __bool__ = __int__ = __float__ = __index__ = __repr__ = __str__ = \
+        __format__ = __getattr__ = _read
+    del _arith, _read
+
+
 def rat(value) -> Fraction:
     """Exact rational from int, Fraction, or a `p/q` / decimal string."""
-    if isinstance(value, Fraction):
+    if isinstance(value, Fraction) or value.__class__ is SymbolicLabel:
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational label")
@@ -32,10 +80,11 @@ def rat(value) -> Fraction:
 class StreamKind:
     name = "stream"
     deterministic = True
+    rational = True
     ports: Tuple[str, ...] = ("tail",)
 
     def check_label(self, label):
-        if not isinstance(label, Fraction):
+        if not isinstance(label, (Fraction, SymbolicLabel)):
             raise KindMismatch(f"stream label must be a Fraction, got {label!r}")
 
 
@@ -43,10 +92,11 @@ class StreamKind:
 class TreeKind:
     name = "tree"
     deterministic = True
+    rational = True
     ports: Tuple[str, ...] = ("L", "R")
 
     def check_label(self, label):
-        if not isinstance(label, Fraction):
+        if not isinstance(label, (Fraction, SymbolicLabel)):
             raise KindMismatch(f"tree label must be a Fraction, got {label!r}")
 
 
@@ -55,6 +105,7 @@ class LanguageKind:
     alphabet: Tuple[str, ...]
     name = "language"
     deterministic = True
+    rational = False
 
     @property
     def ports(self):
@@ -74,6 +125,7 @@ class ProcessKind:
     tau: str
     name = "process"
     deterministic = False
+    rational = False
 
     def __post_init__(self):
         comp = dict(self.complement)

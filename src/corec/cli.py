@@ -71,7 +71,10 @@ def _emit_trees(args, kind, trees):
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise CorecError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _depth(value, arg: str) -> int:
@@ -116,11 +119,8 @@ def _cmd_bde(args) -> int:
     if program.kind.name == "stream":
         handles = [_stream_arg(engine, s) for s in arg_specs]
     else:
-        handles = [
-            engine.interpret_op(table, table.op("const", Fraction(s.strip())),
-                                [])
-            for s in arg_specs
-        ]
+        handles = [engine.interpret_op(table, table.op(
+            "const", frontends.parse_rational(s)), []) for s in arg_specs]
     op = table.op(name)
     result = engine.interpret_op(table, op, handles)
     _emit_trees(args, program.kind, [
@@ -258,7 +258,7 @@ def cli_main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.fn(args)
-    except (CorecError, OSError, ValueError) as exc:
+    except (CorecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RecursionError, MemoryError) as exc:

@@ -102,13 +102,15 @@ def tokenize(text: str):
             return toks
 
 
-def _rational(t: Tok) -> Fraction:
-    """The number token ``t`` as a Fraction; a zero denominator raises."""
+def parse_rational(text: str, line: int = 1, col: int = 1) -> Fraction:
+    """A rational, `p/q` or a decimal, as a Fraction; anything else, a zero
+    denominator included, is a ParseError at ``line`` and ``col``."""
     try:
-        return Fraction(t.value)
-    except ZeroDivisionError:
-        raise ParseError(t.line, t.col,
-                         f"zero denominator in {t.value!r}") from None
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        what = "bad rational" if isinstance(exc, ValueError) else \
+            "zero denominator in"
+        raise ParseError(line, col, f"{what} {text.strip()!r}") from None
 
 
 class TokenStream:
@@ -171,7 +173,7 @@ def _parse_expr(ts: TokenStream):
     t = ts.peek()
     if t.kind == "num":
         ts.next()
-        value = _rational(t)
+        value = parse_rational(t.value, t.line, t.col)
         if ts.eat_sym("."):
             return ("guard", ("num", value), _parse_payload(ts), t)
         return ("num", value, t)
@@ -497,7 +499,7 @@ def _parse_head_expr(ts: TokenStream, head_kw, params):
         t = ts.peek()
         if t.kind == "num":
             ts.next()
-            value = _rational(t)
+            value = parse_rational(t.value, t.line, t.col)
             return lambda labels: value
         if ts.eat_sym("("):
             e = add()
@@ -1309,15 +1311,10 @@ def parse_stream_spec(spec: str):
     pre_txt, bar, cyc_txt = spec.partition("|")
 
     def parts(txt):
-        txt = txt.strip()
-        if not txt:
-            return ()
-        return tuple(Fraction(p.strip()) for p in txt.split(";"))
+        return tuple(parse_rational(p) for p in txt.split(";")) \
+            if txt.strip() else ()
 
-    try:
-        pre, cyc = parts(pre_txt), parts(cyc_txt)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(1, 1, f"bad stream literal {spec!r}") from None
+    pre, cyc = parts(pre_txt), parts(cyc_txt)
     if not bar:
         return pre, (Fraction(0),)
     return pre, cyc or (Fraction(0),)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
 from . import behavior
-from .behavior import Step, check_step
+from .behavior import Step, SymbolicLabel, check_step
 from .errors import (
     ArityMismatch,
     DuplicateRule,
@@ -145,7 +145,7 @@ def _check_law(kind, sig: Signature, name: str, law: Law):
         if law.unit or law.zero or law.semilattice or law.commutative:
             raise ValidationFailed(f"additive law for {name!r} with a unit, "
                                    "zero, semilattice or commutativity")
-        if not kind.deterministic or isinstance(kind, behavior.LanguageKind):
+        if not kind.rational:
             raise KindMismatch(f"additive law for {name!r} on {kind.name} "
                                "states, whose labels are not rationals")
     for role, other in (("unit", law.unit), ("zero", law.zero)):
@@ -167,7 +167,8 @@ class GsosRule:
     `plan_rule` checks it at build and at first use.  The rule must be
     natural: it may read the labels, the actions and ``op.param``, and may
     use the `Slot` leaves only verbatim, never compare or inspect them,
-    since the engine runs it once per premise shape and fills the
+    since the engine runs it once per premise shape (once per symbol if it
+    does only arithmetic on rational labels: `plan_symbolic`) and fills the
     conclusion with the states of every application of that shape.
     ``probe_params`` supplies example parameters so parametric families
     can be validated.  ``law``, for a binary symbol, declares the equations
@@ -329,7 +330,8 @@ def compile_code(kind, resolve, root, binding, check_handle=None) -> list:
             if len(t.args) != t.op.arity:
                 raise ArityMismatch(
                     f"{t.op!r} applied to {len(t.args)} arguments")
-            code.append(("app", len(t.args), name, t.op))
+            code.append(("param" if t.op.param.__class__ is SymbolicLabel
+                         else "app", len(t.args), name, t.op))
             todo.extend(t.args)
         elif cls is Guard or t is root and cls is Step:
             step = t.step if cls is Guard else t
@@ -338,6 +340,8 @@ def compile_code(kind, resolve, root, binding, check_handle=None) -> list:
                          step.label, tuple([p for p, _ in step.children])))
             todo.extend([c for _, c in step.children])
         elif cls is Slot and binding is None:
+            if t.node.__class__ is not int:
+                raise ForeignSymbol(f"{t!r} is not a premise of the rule")
             code.append(t.node)
         elif cls is Param:
             if check_handle is not None:
@@ -373,16 +377,37 @@ def plan_rule(kind, resolve, rule: GsosRule, op: OpSym, steps, holes,
     return compile_code(kind, resolve, out, None, check_handle)
 
 
+def plan_symbolic(kind, resolve, rule, op, check_handle=None):
+    """`plan_rule` on `SymbolicLabel` premise labels of a rational ``kind``,
+    a plan for every label; None when the run raises anything."""
+    steps = [Step(SymbolicLabel(i), tuple([(p, None) for p in kind.ports]))
+             for i in range(op.arity)]
+    try:
+        return plan_rule(kind, resolve, rule, op, steps, itertools.count(),
+                         check_handle)
+    except (Exception, behavior._LabelRead):
+        return None
+
+
+def _valued(kind, code, labels) -> list:
+    """Symbolic ``code`` valued at ``labels``, as `Engine._fill` does."""
+    def value(tag, n, a, b):
+        if tag == "param":
+            return "app", n, a, replace(b, param=b.param.at(kind, labels))
+        if a.__class__ is SymbolicLabel:
+            a = a.at(kind, labels)
+        return tag, n, a, b
+    return [ins if ins.__class__ is int else value(*ins) for ins in code]
+
+
 def _synthetic_step(kind, rng: random.Random) -> Step:
     """A premise for probes: a random label over every port, or up to two
     random moves."""
     if not kind.deterministic:
         return Step(None, tuple((rng.choice(kind.actions), None)
                                 for _ in range(rng.randint(0, 2))))
-    if isinstance(kind, behavior.LanguageKind):
-        label = rng.choice([True, False])
-    else:
-        label = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    label = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) \
+        if kind.rational else rng.choice([True, False])
     return Step(label, tuple((p, None) for p in kind.ports))
 
 
@@ -400,7 +425,7 @@ def _probe(kind, sig: Signature, name: str, rule: GsosRule,
     does on synthetic premises, resolving against ``sig``, ``rounds`` times
     per probe parameter; an additive rule must plan as `_pointwise_sum`.
     Planned again with every hole 0, a natural rule gives the same code
-    with its holes set to 0."""
+    with its holes set to 0, as its symbolic plan valued at the labels does."""
     law = rule.law
     if law is not None:
         _check_law(kind, sig, name, law)
@@ -408,10 +433,15 @@ def _probe(kind, sig: Signature, name: str, rule: GsosRule,
     decl = sig.decl(name)
     for param in rule.probe_params:
         op = sig.op(name, param) if decl.parametric else sig.op(name)
+        symbolic = kind.rational and plan_symbolic(kind, resolve, rule, op)
         for _ in range(rounds):
             steps = [_synthetic_step(kind, rng) for _ in range(op.arity)]
             code = plan_rule(kind, resolve, rule, op, steps,
                              itertools.count())
+            if symbolic and _valued(
+                    kind, symbolic, [s.label for s in steps]) != code:
+                raise ValidationFailed(f"rule for {op!r} is not natural: "
+                                       "it tells symbolic labels apart")
             if law is not None and law.additive and code != plan_rule(
                     kind, resolve, GsosRule(op, _pointwise_sum), op, steps,
                     itertools.count()):

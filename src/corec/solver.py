@@ -10,11 +10,13 @@ Solving a system allocates a node per variable, then builds and checks
 each right-hand side once; `unfold`/`observe` step on demand.  Terms,
 right-hand sides and rule conclusions compile to post-order code
 (`rules.compile_code`).  A rule runs once per premise shape: symbol,
-parameter, and the premises' labels (a rational one keyed as its integer
-ratio) or, for processes, actions.  Its plan, made by `rules.plan_rule`
-as the table probe's is, is filled with the premises' node ids at every
-application of that shape, as natural rules allow (`rules.GsosRule`), and
-dies with its engine.  A sum adds its operands' labels as integers over a common denominator.
+parameter, and the premises' labels (rational ones keyed as integer ratios,
+or left to the plan to compute where the rule only does arithmetic on them:
+`rules.plan_symbolic`) or, for processes, actions.  Its plan, made by
+`rules.plan_rule` as the table probe's is, is filled with the premises'
+node ids at every application of that shape, as natural rules allow
+(`rules.GsosRule`), and dies with its engine.  A sum adds its operands'
+labels as integers over a common denominator.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Optional
 
-from .behavior import CUT, ObservationTree, Step, canonicalize_step, check_step
+from .behavior import (CUT, ObservationTree, Step, SymbolicLabel,
+                       canonicalize_step, check_step)
 from .errors import (
     ArityMismatch,
     InvalidHandle,
@@ -34,8 +37,8 @@ from .errors import (
     ValidationFailed,
     VariableClash,
 )
-from .rules import RuleTable, compile_code, plan_rule
-from .terms import Guard, Param, Term, is_reserved_name
+from .rules import RuleTable, compile_code, plan_rule, plan_symbolic
+from .terms import Guard, OpSym, Param, Term, is_reserved_name
 
 
 @dataclass
@@ -241,10 +244,11 @@ class Engine:
         return self._fill(table, compile_code(
             table.kind, table.resolve, step, binding, self.check_handle), ())
 
-    def _fill(self, table: RuleTable, code, holes):
+    def _fill(self, table: RuleTable, code, holes, labels=()):
         """The root's node, or its canonical step: ``code`` run on a value
-        stack, nodes built by `_term_node` and `_guard_node`."""
-        stack = []
+        stack, nodes built by `_term_node` and `_guard_node`, symbolic
+        labels and parameters valued at the premises' ``labels``."""
+        stack, kind = [], table.kind
         for ins in code:
             if ins.__class__ is int:
                 stack.append(holes[ins] if ins >= 0 else ~ins)
@@ -255,11 +259,15 @@ class Engine:
             del stack[k:]
             if tag == "app":
                 stack.append(self._term_node(table, a, b, kids))
+            elif tag == "param":
+                b = OpSym(b.name, b.arity, b.sig_id, b.param.at(kind, labels))
+                stack.append(self._term_node(table, a, b, kids))
             else:
-                step = canonicalize_step(table.kind,
-                                         Step(a, tuple(zip(b, kids))))
+                if a.__class__ is SymbolicLabel:
+                    a = labels[a.index] if a.index >= 0 else a.at(kind, labels)
+                step = canonicalize_step(kind, Step(a, tuple(zip(b, kids))))
                 stack.append(step if tag == "step" else
-                             self._guard_node(table.kind, step))
+                             self._guard_node(kind, step))
         return stack[0]
 
     # -- unfolding -----------------------------------------------------------
@@ -283,9 +291,8 @@ class Engine:
 
     def _apply_rule(self, node: _Node) -> Step:
         """The rule's conclusion (for a sandwiched rule, its guarded term's
-        step): the plan for the premises' labels, or ports for processes,
-        filled with their ids, each argument followed by its continuations;
-        a rational label is keyed as its integer ratio, which hashes fast."""
+        step): the plan for the premises' shape, filled with their ids,
+        each argument followed by its continuations, and their labels."""
         holes, shape = [], []
         for cid in node.children:
             step = self._unfold(cid)
@@ -293,14 +300,25 @@ class Engine:
             for p, c in step.children:
                 holes.append(c)
             label = step.label
-            shape.append(label if label.__class__ is bool else
-                         tuple([p for p, _ in step.children])
-                         if label is None else label.as_integer_ratio())
-        key = (node.table, node.name, node.op.param, tuple(shape))
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = self._plan(node)
-        out = self._fill(node.table, plan, holes)
+            shape.append(tuple([p for p, _ in step.children])
+                         if label is None else label)
+        table = node.table
+        if table.kind.rational:
+            key = (table, node.name, node.op.param)
+            plan = self._plans.get(key)
+            if plan is None:
+                plan = self._plans[key] = plan_symbolic(
+                    table.kind, table.resolve, table.rule_for(node.name),
+                    node.op, self.check_handle) or False
+            if plan is False:
+                key += (tuple([x.as_integer_ratio() for x in shape]),)
+        else:
+            key, plan = (table, node.name, node.op.param, tuple(shape)), False
+        if plan is False:
+            plan = self._plans.get(key)
+            if plan is None:
+                plan = self._plans[key] = self._plan(node)
+        out = self._fill(table, plan, holes, shape)
         return out if out.__class__ is Step else self._unfold(out)
 
     def _plan(self, node: _Node) -> list:

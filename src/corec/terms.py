@@ -140,13 +140,6 @@ class Signature:
         d = self.decl(name)
         return OpSym(name, d.arity if d.arity is not None else 0, self.sig_id)
 
-    def contains(self, op: OpSym) -> bool:
-        if op.sig_id != self.sig_id or op.name not in self._by_name:
-            return False
-        d = self._by_name[op.name]
-        expected = d.arity if d.arity is not None else op.param
-        return op.arity == expected
-
     def embedding_from(self, source: "Signature") -> Mapping[str, str]:
         """Name translation of ``source``'s symbols into this signature.
 

@@ -40,6 +40,8 @@ TREES = "kind tree\nu = 1 . (v, u)\nv = 1/2 . (u, v)\n"
 
 LANGUAGE = "kind language ab\nx = 1 . (y, x)\ny = 0 . (x, y)\n"
 
+TREE_BDE = "kind tree\nf(x): root = root(x); left = x; right = x\n"
+
 SHUFFLE_BDE = ("kind stream\n"
                "sh(x, y): head = head(x) * head(y); "
                "tail = plus(sh(x, tail(y)), sh(tail(x), y))\n")
@@ -208,14 +210,39 @@ def test_negative_or_malformed_depths_exit_2(files, capsys, argv, bad, arg):
      "register node 'reg' has value '1/0', not a rational"),
     (CIRCUIT, ["circuit", "{}", "--input", "zz"],
      "--input zz: expected NAME=SPEC"),
+    (TREE_BDE, ["bde", "{}", "--apply", "f:1/0"],
+     "line 1, col 1: zero denominator in '1/0'"),
+    (TREE_BDE, ["bde", "{}", "--apply", "f:abc"],
+     "line 1, col 1: bad rational 'abc'"),
 ], ids=["solve-zero-denominator", "bde-zero-denominator", "circuit-list",
-        "circuit-zero-denominator", "circuit-input-without-name"])
+        "circuit-zero-denominator", "circuit-input-without-name",
+        "bde-tree-zero-denominator", "bde-tree-not-a-rational"])
 def test_malformed_inputs_exit_2(tmp_path, capsys, body, argv, message):
     path = tmp_path / "input"
     path.write_text(body)
     assert cli_main([a.format(path) for a in argv]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.sys"
+    path.write_bytes("kind stream\n# caf\u00e9\nx = 1 . x\n".encode("latin-1"))
+    assert cli_main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} is not UTF-8 text: 'utf-8' " \
+        "codec can't decode byte 0xe9 in position 17: invalid " \
+        "continuation byte\n"
+
+
+def test_a_value_error_from_a_bug_is_not_an_input_error(files, monkeypatch):
+    def broken(args):
+        raise ValueError("an engine bug")
+
+    monkeypatch.setattr(cli, "_cmd_solve", broken)
+    with pytest.raises(ValueError, match="an engine bug"):
+        cli_main(["solve", files["tm.sys"]])
 
 
 @pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth "

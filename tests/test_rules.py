@@ -40,6 +40,7 @@ from corec.terms import (
     Guard,
     OpSym,
     Signature,
+    Slot,
     Var,
     embed_signature,
     mk_app,
@@ -252,6 +253,23 @@ def test_variables_in_conclusions_are_rejected():
     with pytest.raises(ForeignSymbol):
         register_srps(stream_base_table(), SrpsDef(
             sig, {"loose": lambda op, args: Guard(loose(op, args))}))
+
+
+def test_a_slot_that_is_no_premise_is_rejected_at_build():
+    sig = signature(("stray", 1))
+
+    def stray(op, args):
+        return stream_step(args[0].head, Slot("x"))
+
+    rule = GsosRule(sig.op("stray"), stray)
+    with pytest.raises(ForeignSymbol, match="not a premise"):
+        build_table(STREAM, sig, [rule])
+    report = RuleTable(STREAM, sig, {"stray": rule}).validation()
+    assert not report.ok
+    assert "not a premise" in report.violations[0]
+    with pytest.raises(ForeignSymbol, match="not a premise"):
+        register_srps(stream_base_table(), SrpsDef(
+            sig, {"stray": lambda op, args: Guard(stray(op, args))}))
 
 
 def test_variables_below_a_nested_guard_are_rejected():
