@@ -1,9 +1,14 @@
 """Behavior kinds, one-step observations, and finite observation trees.
 
-A behavior kind fixes the label domain and the port discipline of one-step
-observations.  Four kinds are built in: streams and infinite binary trees
-over exact rationals, formal languages over a finite alphabet, and finitely
-branching processes over an action set with involutive complement.
+A behavior kind is one functor: it fixes the label domain and the ports of
+one-step observations.  Four kinds are built in: streams and infinite binary
+trees over exact rationals, formal languages over a finite alphabet, and
+finitely branching processes over an action set with involutive complement.
+A kind also states the syntax that parsers and printers read: its file
+``header``, the parameter type (``rat``, ``letter``, ``bit``) of each
+parametric symbol (``params``), the unary symbol ``r . t`` denotes in term
+position (``prefix``), and the head and port clause names of its behavioral
+differential equations (``clauses``); agent files have their own grammar.
 """
 
 from __future__ import annotations
@@ -78,10 +83,13 @@ def rat(value) -> Fraction:
 
 @dataclass(frozen=True)
 class StreamKind:
-    name = "stream"
+    name = header = "stream"
     deterministic = True
     rational = True
     ports: Tuple[str, ...] = ("tail",)
+    params = {"const": "rat", "mult": "rat", "register": "rat"}
+    prefix = "register"
+    clauses = ("head", "tail")
 
     def check_label(self, label):
         if not isinstance(label, (Fraction, SymbolicLabel)):
@@ -90,10 +98,13 @@ class StreamKind:
 
 @dataclass(frozen=True)
 class TreeKind:
-    name = "tree"
+    name = header = "tree"
     deterministic = True
     rational = True
     ports: Tuple[str, ...] = ("L", "R")
+    params = {"const": "rat"}
+    prefix = None
+    clauses = ("root", "left", "right")
 
     def check_label(self, label):
         if not isinstance(label, (Fraction, SymbolicLabel)):
@@ -106,10 +117,17 @@ class LanguageKind:
     name = "language"
     deterministic = True
     rational = False
+    params = {"char": "letter", "prefix": "letter", "cons": "bit"}
+    prefix = "prefix"
+    clauses = None
 
     @property
     def ports(self):
         return self.alphabet
+
+    @property
+    def header(self):
+        return "language " + "".join(self.alphabet)
 
     def check_label(self, label):
         if not isinstance(label, bool):
@@ -123,9 +141,10 @@ class ProcessKind:
     actions: Tuple[str, ...]
     complement: Tuple[Tuple[str, str], ...]
     tau: str
-    name = "process"
+    name = header = "process"
     deterministic = False
     rational = False
+    params, prefix, clauses = {}, None, None
 
     def __post_init__(self):
         comp = dict(self.complement)

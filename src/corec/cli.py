@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import checking, frontends, instances
-from .behavior import ObservationTree, move_action
+from .behavior import ObservationTree, StreamKind, move_action
 from .errors import CorecError
 from .solver import Engine
 
@@ -34,24 +34,31 @@ def _obs_json(tree: ObservationTree):
 
 
 def _obs_text(kind, tree: ObservationTree) -> str:
-    if kind.name == "stream":
+    """A stream as its digits; any other observation as nested
+    ``(label port:…)``, a process's as ``{action.…}``, a cut as ``#``."""
+    if isinstance(kind, StreamKind):
         out = []
         while not tree.cut:
             out.append(frontends.format_rat(tree.label))
             tree = tree.children[0][1]
         return " ".join(out)
-    return _obs_sexpr(kind, tree)
-
-
-def _obs_sexpr(kind, tree) -> str:
-    if tree.cut:
-        return "#"
-    if kind.name == "process":
-        inner = " ".join(f"{move_action(p)}.{_obs_sexpr(kind, c)}"
-                         for p, c in tree.children)
-        return "{" + inner + "}"
-    inner = " ".join(f"{p}:{_obs_sexpr(kind, c)}" for p, c in tree.children)
-    return f"({frontends.format_label(tree.label)} {inner})"
+    # an explicit stack of subtrees and text, so that any depth prints
+    det, out, todo = kind.deterministic, [], [tree]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.cut:
+            out.append("#")
+        else:
+            out.append(f"({frontends.format_label(item.label)} " if det
+                       else "{")
+            todo.append(")" if det else "}")
+            for i in reversed(range(len(item.children))):
+                port, child = item.children[i]
+                mark = f"{port}:" if det else f"{move_action(port)}."
+                todo += [child, " " + mark if i else mark]
+    return "".join(out)
 
 
 def _emit(args, payload_text, payload_json):
@@ -116,7 +123,7 @@ def _cmd_bde(args) -> int:
     if name not in program.names:
         raise CorecError(f"no defined operation {name!r}")
     arg_specs = [s for s in arg_txt.split(",") if s.strip()] if arg_txt else []
-    if program.kind.name == "stream":
+    if isinstance(program.kind, StreamKind):
         handles = [_stream_arg(engine, s) for s in arg_specs]
     else:
         handles = [engine.interpret_op(table, table.op(

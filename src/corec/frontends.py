@@ -5,8 +5,9 @@ grammars are line-oriented text with `#` comments; circuits are JSON.
 Rational literals accept `p/q`, decimal, and integer forms and are read
 exactly.  `tokenize` reads a text with one regular-expression pass, and
 each text format is then read in one pass over its tokens, so parsing takes
-time linear in the file size; BDE derivative clauses use the term grammar of
-equation systems, `_parse_expr`.
+time linear in the file size.  One reader, `_read_kind`, maps a `kind …`
+header or a kind argument to a built-in table; the term grammar, which BDE
+clauses share, and the printers then read the syntax the kind states.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .behavior import (
-    LanguageKind,
     Step,
     move_action,
     process_actions,
@@ -159,26 +159,14 @@ class TokenStream:
 # Expressions for the deterministic kinds
 #
 # Parse nodes: ("num", r, tok)  ("var", name, tok)  ("call", name, args, tok)
-# ("guard", ("num", r) | ("letter", a), payload-list, tok)
-
-
-_PARAM_TYPE = {
-    "stream": {"const": "rat", "mult": "rat", "register": "rat"},
-    "tree": {"const": "rat"},
-    "language": {"char": "letter", "prefix": "letter", "cons": "bit"},
-}
+# ("guard", label, payload-list, tok), its label a "num" or "var" node
 
 
 def _parse_expr(ts: TokenStream):
-    t = ts.peek()
+    t = ts.next()
     if t.kind == "num":
-        ts.next()
-        value = parse_rational(t.value, t.line, t.col)
-        if ts.eat_sym("."):
-            return ("guard", ("num", value), _parse_payload(ts), t)
-        return ("num", value, t)
-    if t.kind == "ident":
-        ts.next()
+        node = ("num", parse_rational(t.value, t.line, t.col), t)
+    elif t.kind == "ident":
         if ts.eat_sym("("):
             args = []
             if not ts.at_sym(")"):
@@ -187,10 +175,12 @@ def _parse_expr(ts: TokenStream):
                     args.append(_parse_expr(ts))
             ts.expect("sym", ")")
             return ("call", t.value, args, t)
-        if ts.eat_sym("."):
-            return ("guard", ("letter", t.value), _parse_payload(ts), t)
-        return ("var", t.value, t)
-    raise ParseError(t.line, t.col, f"expected a term, got {t.value!r}")
+        node = ("var", t.value, t)
+    else:
+        raise ParseError(t.line, t.col, f"expected a term, got {t.value!r}")
+    if ts.eat_sym("."):
+        return ("guard", node, _parse_payload(ts), t)
+    return node
 
 
 def _parse_payload(ts: TokenStream):
@@ -203,6 +193,25 @@ def _parse_payload(ts: TokenStream):
     return [_parse_expr(ts)]
 
 
+def _param(ptype, node):
+    """A parameter or label node read as ``ptype``; None if it is not one."""
+    if ptype == "rat" and node[0] == "num":
+        return node[1]
+    if ptype == "letter" and node[0] == "var":
+        return node[1]
+    if ptype == "bit" and node[0] == "num" and node[1] in (0, 1):
+        return bool(node[1])
+    return None
+
+
+def _letter_step(table: RuleTable, letter, term) -> Step:
+    """The language step that accepts nothing now and continues with
+    ``term`` after ``letter`` and with the empty language after the rest."""
+    empty = mk_app(table.op("empty"), ())
+    return Step(False, tuple((a, term if a == letter else empty)
+                             for a in table.kind.ports))
+
+
 class _DetCompiler:
     """Turns parse nodes into terms and guarded contexts over a table."""
 
@@ -211,7 +220,6 @@ class _DetCompiler:
         self.kind = table.kind
         self.vars = variables
         self.ops = ops
-        self.param_type = _PARAM_TYPE[self.kind.name]
 
     def _op(self, name, args, tok):
         try:
@@ -224,18 +232,10 @@ class _DetCompiler:
         if not args:
             raise ParseError(tok.line, tok.col,
                              f"{name!r} needs a leading parameter")
-        head, rest = args[0], args[1:]
-        ptype = self.param_type.get(name)
-        if ptype == "rat" and head[0] == "num":
-            param = head[1]
-        elif ptype == "letter" and head[0] == "var":
-            param = head[1]
-        elif ptype == "bit" and head[0] == "num" and head[1] in (0, 1):
-            param = bool(head[1])
-        else:
-            raise ParseError(tok.line, tok.col,
-                             f"bad parameter for {name!r}")
-        return self.table.sig.op(name, param), rest
+        param = _param(self.kind.params.get(name), args[0])
+        if param is None:
+            raise ParseError(tok.line, tok.col, f"bad parameter for {name!r}")
+        return self.table.sig.op(name, param), args[1:]
 
     def _call(self, node):
         """The symbol of a call node and its argument nodes."""
@@ -251,11 +251,8 @@ class _DetCompiler:
 
     def term(self, node) -> Term:
         tag = node[0]
-        if tag == "num":
-            if self.kind.name == "language":
-                raise ParseError(node[2].line, node[2].col,
-                                 "no numeric constants in language terms")
-            return mk_app(self.table.sig.op("const", node[1]), ())
+        if tag == "num":  # a numeral in term position is `const`
+            return self.term(("call", "const", [node], node[2]))
         if tag == "var":
             name = node[1]
             if name in self.vars:
@@ -268,52 +265,29 @@ class _DetCompiler:
         if tag == "call":
             op, rest = self._call(node)
             return mk_app(op, tuple(self.term(a) for a in rest))
-        # guard in term position: register for streams, prefixing for languages
+        # `r . t` in term position is the kind's prefix symbol
         _, label, payload, tok = node
-        if len(payload) == 1 and self.kind.name == "stream" \
-                and label[0] == "num":
-            return mk_app(self.table.sig.op("register", label[1]),
-                          (self.term(payload[0]),))
-        if len(payload) == 1 and self.kind.name == "language" \
-                and label[0] == "letter":
-            return mk_app(self.table.sig.op("prefix", label[1]),
-                          (self.term(payload[0]),))
-        raise ParseError(tok.line, tok.col,
-                         f"no term-level guard like this for {self.kind.name}")
+        if self.kind.prefix is None:
+            raise ParseError(tok.line, tok.col,
+                             f"no term-level guard for {self.kind.name}")
+        return self.term(("call", self.kind.prefix, [label, *payload], tok))
 
     def guard_step(self, node) -> Step:
+        """A label and one term per port, or a language's letter guard."""
         _, label, payload, tok = node
         kind = self.kind
-        if kind.name == "stream":
-            if label[0] != "num" or len(payload) != 1:
-                raise ParseError(tok.line, tok.col,
-                                 "stream guard is `rational . term`")
-            return stream_step(label[1], self.term(payload[0]))
-        if kind.name == "tree":
-            if label[0] != "num" or len(payload) != 2:
-                raise ParseError(tok.line, tok.col,
-                                 "tree guard is `rational . (left, right)`")
-            return Step(label[1], (("L", self.term(payload[0])),
-                                   ("R", self.term(payload[1]))))
-        letters = kind.alphabet
-        if label[0] == "letter":
-            if label[1] not in letters:
-                raise ParseError(tok.line, tok.col,
-                                 f"{label[1]!r} is not an alphabet letter")
-            if len(payload) != 1:
-                raise ParseError(tok.line, tok.col,
-                                 "letter guard takes one continuation")
-            empty = mk_app(self.table.sig.op("empty"), ())
-            kids = {a: empty for a in letters}
-            kids[label[1]] = self.term(payload[0])
-            return Step(False, tuple((a, kids[a]) for a in letters))
-        if label[1] not in (0, 1) or len(payload) != len(letters):
-            raise ParseError(
-                tok.line, tok.col,
-                f"language guard is `0/1 . ({len(letters)} terms)`")
-        return Step(bool(label[1]),
-                    tuple((a, self.term(p))
-                          for a, p in zip(letters, payload)))
+        if label[0] == "var" and not kind.rational:
+            if label[1] not in kind.ports or len(payload) != 1:
+                raise ParseError(tok.line, tok.col, "letter guard is "
+                                 f"`letter . term`, a letter of {kind.ports}")
+            return _letter_step(self.table, label[1], self.term(payload[0]))
+        n = len(kind.ports)
+        value = _param("rat" if kind.rational else "bit", label)
+        if value is None or len(payload) != n:
+            raise ParseError(tok.line, tok.col, f"{kind.name} guard is `"
+                             f"{'rational' if kind.rational else '0/1'} . "
+                             f"{'term' if n == 1 else f'({n} terms)'}`")
+        return Step(value, tuple(zip(kind.ports, map(self.term, payload))))
 
     def rhs(self, node, path=()):
         """The guarded term of a right-hand side, or of its part at
@@ -335,53 +309,47 @@ class _DetCompiler:
 # Equation-system files for the deterministic kinds
 
 
-def _table_for(kind_name: str, alphabet: Optional[str]) -> RuleTable:
-    if kind_name == "stream":
-        return instances.stream_table()
-    if kind_name == "tree":
-        return instances.tree_table()
-    if kind_name == "language":
-        if not alphabet:
-            raise ParseError(1, 1, "language systems need an alphabet")
-        return instances.language_table(alphabet)
-    raise ParseError(1, 1, f"unknown kind {kind_name!r}")
-
-
-def _parse_kind_header(ts: TokenStream):
+def _read_kind(ts: TokenStream, kind=None) -> Optional[RuleTable]:
+    """The table that the `kind …` header, or else ``kind`` ("stream",
+    "tree", "language:<letters>", "process" or a kind object), names; None
+    for processes, whose actions fix their table.  The only reader of kinds."""
     ts.skip_newlines()
-    t = ts.peek()
+    t, line, col = ts.peek(), 1, 1
     if t.kind == "ident" and t.value == "kind":
         ts.next()
-        kind_tok = ts.expect("ident")
-        alphabet = None
-        if kind_tok.value == "language":
-            alphabet = ts.expect("ident").value
+        t = ts.expect("ident")
+        name, line, col = t.value, t.line, t.col
+        letters = ts.expect("ident").value if name == "language" else ""
         ts.end_line()
-        return kind_tok.value, alphabet
-    return None, None
+    elif kind is None:
+        raise ParseError(1, 1, "no kind header and no kind argument")
+    elif isinstance(kind, str):
+        name, _, letters = kind.partition(":")
+    else:
+        name, _, letters = kind.header.partition(" ")
+    if name == "process":
+        return None
+    if name == "language":
+        return instances.language_table(letters)
+    if name == "stream":
+        return instances.stream_table()
+    if name == "tree":
+        return instances.tree_table()
+    raise ParseError(line, col, f"unknown kind {name!r}")
 
 
 def parse_system(text: str, kind=None) -> System:
     """Parse a flat or sandwiched equation system over a built-in table.
 
     The file may declare its kind (`kind stream`, `kind tree`,
-    `kind language ab`); otherwise ``kind`` must name one ("stream",
-    "tree", "language:<letters>", or a kind object).
+    `kind language ab`, `kind process`); otherwise ``kind`` must name one
+    ("stream", "tree", "language:<letters>", "process", or a kind object).
+    A process system is an agent file, as `parse_ccs` reads it.
     """
     ts = TokenStream(tokenize(text))
-    kind_name, alphabet = _parse_kind_header(ts)
-    if kind_name is None:
-        if kind is None:
-            raise ParseError(1, 1, "no kind header and no kind argument")
-        if isinstance(kind, str):
-            kind_name, _, alphabet = kind.partition(":")
-        elif isinstance(kind, LanguageKind):
-            kind_name, alphabet = "language", "".join(kind.alphabet)
-        else:
-            kind_name = getattr(kind, "name", str(kind))
-    if kind_name == "process":
+    table = _read_kind(ts, kind)
+    if table is None:
         return parse_ccs(text)
-    table = _table_for(kind_name, alphabet)
 
     entries = []
     ts.skip_newlines()
@@ -411,7 +379,6 @@ def parse_system(text: str, kind=None) -> System:
 
 
 def format_term(table: RuleTable, t: Term) -> str:
-    kind = table.kind
     if isinstance(t, Var):
         return t.name
     if not isinstance(t, App):
@@ -419,10 +386,8 @@ def format_term(table: RuleTable, t: Term) -> str:
     name, param = t.op.name, t.op.param
     if name == "const":
         return format_rat(param)
-    if name == "register" and kind.name == "stream":
-        return f"{format_rat(param)} . {format_term(table, t.args[0])}"
-    if name == "prefix" and kind.name == "language":
-        return f"{param} . {format_term(table, t.args[0])}"
+    if name == table.kind.prefix:
+        return f"{format_label(param)} . {format_term(table, t.args[0])}"
     return _format_call(t.op, [format_term(table, a) for a in t.args])
 
 
@@ -434,11 +399,9 @@ def _format_call(op, args) -> str:
 
 
 def _format_step(table: RuleTable, step: Step) -> str:
-    label = format_label(step.label)
-    if table.kind.name == "stream":
-        return f"{label} . {format_term(table, step.children[0][1])}"
-    inner = ", ".join(format_term(table, c) for _, c in step.children)
-    return f"{label} . ({inner})"
+    terms = [format_term(table, c) for _, c in step.children]
+    inner = terms[0] if len(terms) == 1 else f"({', '.join(terms)})"
+    return f"{format_label(step.label)} . {inner}"
 
 
 def _format_ctx(table: RuleTable, ctx) -> str:
@@ -453,13 +416,9 @@ def _format_ctx(table: RuleTable, ctx) -> str:
 
 def format_system(system: System) -> str:
     """Textual form of a system over a built-in table; parses back equal."""
-    kind = system.kind
-    if kind.name == "process":
+    if not system.kind.deterministic:
         return format_ccs_system(system)
-    header = f"kind {kind.name}"
-    if kind.name == "language":
-        header += " " + "".join(kind.alphabet)
-    lines = [header]
+    lines = [f"kind {system.kind.header}"]
     for v in system.vars:
         rhs = system.rhs[v]
         if not isinstance(rhs, (Guard, App)):
@@ -483,11 +442,6 @@ class BdeProgram:
 
     def extended_table(self) -> RuleTable:
         return extend_with_rps(self.given, self.rps)
-
-
-_PORT_CLAUSES = {"stream": (("tail", "tail"),),
-                 "tree": (("left", "L"), ("right", "R"))}
-_HEAD_CLAUSE = {"stream": "head", "tree": "root"}
 
 
 def _parse_head_expr(ts: TokenStream, head_kw, params):
@@ -533,11 +487,11 @@ def _parse_head_expr(ts: TokenStream, head_kw, params):
     return add()
 
 
-def _compile_bde_clause(sig, kind_name, params, node):
+def _compile_bde_clause(sig, kind, params, node):
     """A derivative clause's parse node (from `_parse_expr`) as a function
     from the premises to the continuation term over ``sig``."""
-    head_kw = _HEAD_CLAUSE[kind_name]
-    ports = dict(_PORT_CLAUSES[kind_name])
+    head_kw = kind.clauses[0]
+    ports = dict(zip(kind.clauses[1:], kind.ports))
 
     def argument(node):
         # the `x` of head(x), tail(x), left(x), right(x), root(x)
@@ -568,17 +522,14 @@ def _compile_bde_clause(sig, kind_name, params, node):
             i = params.index(node[1])
             return lambda a: a[i].self_term
         if tag == "guard":
-            _, (label_type, label), payload, _ = node
-            if label_type == "letter":
-                raise ParseError(tok.line, tok.col, f"unknown name {label!r}")
-            if kind_name != "stream":
+            _, label, payload, _ = node
+            if label[0] == "var":
+                raise ParseError(tok.line, tok.col,
+                                 f"unknown name {label[1]!r}")
+            if kind.prefix is None:
                 raise ParseError(tok.line, tok.col,
                                  "prefix terms are stream-only")
-            if len(payload) != 1:
-                raise ParseError(tok.line, tok.col,
-                                 "a prefix term is `rational . term`")
-            return app(fixed(sig.op("register", label)),
-                       [compile_node(payload[0])])
+            return compile_node(("call", kind.prefix, [label, *payload], tok))
         _, name, args, _ = node
         if name == head_kw:
             i = argument(node)
@@ -620,13 +571,11 @@ def parse_bde(text: str) -> BdeProgram:
     ``r . t`` a stream register; ``mult(head(x), t)`` takes a parameter.
     """
     ts = TokenStream(tokenize(text))
-    kind_name, _ = _parse_kind_header(ts)
-    if kind_name is None:
-        kind_name = "stream"
-    if kind_name not in ("stream", "tree"):
+    given = _read_kind(ts, "stream")
+    if given is None or given.kind.clauses is None:
         raise ParseError(1, 1, "bde files are `kind stream` or `kind tree`")
-    given = instances.stream_table() if kind_name == "stream" \
-        else instances.tree_table()
+    kind = given.kind
+    head_kw = kind.clauses[0]
 
     ts.skip_newlines()
     if ts.peek().kind == "ident" and ts.peek().value == "given":
@@ -638,7 +587,6 @@ def parse_bde(text: str) -> BdeProgram:
                                  f"no given operation {g.value!r}")
         ts.end_line()
 
-    head_kw = _HEAD_CLAUSE[kind_name]
     defs = {}
     while ts.peek().kind != "eof":
         name_tok = ts.expect("ident")
@@ -669,7 +617,7 @@ def parse_bde(text: str) -> BdeProgram:
         ts.expect("sym", "=")
         head_expr = _parse_head_expr(ts, head_kw, params)
         clauses = []
-        for clause, _port in _PORT_CLAUSES[kind_name]:
+        for clause in kind.clauses[1:]:
             if not ts.eat_sym(";"):
                 t = ts.peek()
                 raise ParseError(t.line, t.col, f"missing `{clause} =` clause")
@@ -686,18 +634,15 @@ def parse_bde(text: str) -> BdeProgram:
     sum_sig = sig_sum(given.sig, new_sig)
     rules = {}
     for name, (params, head_expr, clauses) in defs.items():
-        derivs = tuple(_compile_bde_clause(sum_sig, kind_name, params, node)
+        derivs = tuple(_compile_bde_clause(sum_sig, kind, params, node)
                        for node in clauses)
 
         def conclude(op, args, head_expr=head_expr, derivs=derivs):
-            label = head_expr([a.head for a in args])
-            terms = [d(args) for d in derivs]
-            if kind_name == "stream":
-                return stream_step(label, terms[0])
-            return Step(label, (("L", terms[0]), ("R", terms[1])))
+            return Step(head_expr([a.head for a in args]),
+                        tuple(zip(kind.ports, (d(args) for d in derivs))))
 
         rules[name] = GsosRule(sum_sig.template(name), conclude)
-    return BdeProgram(given.kind, given, RpsDef(new_sig, rules), tuple(defs))
+    return BdeProgram(kind, given, RpsDef(new_sig, rules), tuple(defs))
 
 
 # ---------------------------------------------------------------------------
@@ -823,12 +768,14 @@ def _ccs_context(table, ast, path=()):
 def parse_ccs(text: str) -> System:
     """Parse mutually recursive agent definitions into a process system.
 
-    One agent per line.  Right-hand sides admit the prefix combinator
-    anywhere inside terms; every agent variable must occur weakly guarded.
-    Agent constants require an explicit `.0` (`c.0`, not `c`).
+    An optional `kind process` header comes first.  One agent per line.
+    Right-hand sides admit the prefix combinator anywhere inside terms;
+    every agent variable must occur weakly guarded.  Agent constants
+    require an explicit `.0` (`c.0`, not `c`).
     """
     ts = TokenStream(tokenize(text))
-    ts.skip_newlines()
+    if _read_kind(ts, "process") is not None:
+        raise ParseError(1, 1, "agent files are `kind process`")
     asts, actions, names = {}, set(), []
     while ts.peek().kind != "eof":
         name_tok = ts.expect("ident")
@@ -1006,7 +953,6 @@ def compile_gnf(g: GnfFile) -> System:
     for n in g.nonterminals:
         if n in table.sig:
             raise NotGnf(f"nonterminal {n!r} shadows a language operation")
-    letters = table.kind.alphabet
     empty = mk_app(table.op("empty"), ())
 
     def production_guard(terminal, body):
@@ -1016,9 +962,7 @@ def compile_gnf(g: GnfFile) -> System:
                 term = mk_app(table.op("concat"), (term, Var(n)))
         else:
             term = mk_app(table.op("eps"), ())
-        kids = {a: empty for a in letters}
-        kids[terminal] = term
-        return Guard(Step(False, tuple((a, kids[a]) for a in letters)))
+        return Guard(_letter_step(table, terminal, term))
 
     rhs = {}
     for n in g.nonterminals:

@@ -155,6 +155,30 @@ def test_bde_apply(files, capsys):
     assert capsys.readouterr().out.strip() == "sh: 1 2 4 8 16"
 
 
+def test_solve_reads_a_process_header(tmp_path, capsys):
+    agents = "P = a.(P | c.0) + b.0\n"
+    (tmp_path / "p.sys").write_text("kind process\n" + agents)
+    (tmp_path / "p.ccs").write_text(agents)
+    assert cli_main(["solve", str(tmp_path / "p.sys")]) == 0
+    solved = capsys.readouterr().out
+    assert cli_main(["ccs", str(tmp_path / "p.ccs")]) == 0
+    assert solved == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("body, argv, line", [
+    ("P = a.P\n", ["ccs", "--depth", "5000"],
+     "P: " + "{a." * 5000 + "#" + "}" * 5000),
+    ("kind language a\nx = 1 . x\n", ["solve", "--observe", "x:3000"],
+     "x: " + "(1 a:" * 3000 + "#" + ")" * 3000),
+], ids=["ccs-depth-5000", "language-depth-3000"])
+def test_text_observations_print_at_any_depth(tmp_path, capsys, body, argv,
+                                              line):
+    path = tmp_path / "deep.txt"
+    path.write_text(body)
+    assert cli_main([argv[0], str(path), *argv[1:]]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_check_suite(capsys):
     rc = cli_main(["check", "--suite", "modularity"])
     out = capsys.readouterr().out

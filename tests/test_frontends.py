@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from corec.behavior import LanguageKind
 from corec.checking import bounded_equal
 from corec.errors import (
     DanglingPort,
@@ -28,12 +29,16 @@ from corec.frontends import (
     tokenize,
 )
 from corec.instances import (
+    DEFAULT_ACTIONS,
+    ccs_table,
     language_member,
+    language_table,
     oracle_eval,
     periodic_stream,
     periodic_values,
     stream_table,
     stream_take,
+    tree_table,
 )
 from corec.solver import Engine
 from corec.terms import App, Guard
@@ -106,6 +111,35 @@ def test_kind_argument_instead_of_header():
     assert system.vars == ("x",)
 
 
+def test_one_header_reader_for_every_format():
+    text = "x = 1 . (x, a . x)\n"
+    assert parse_system(text, kind=LanguageKind(("a", "b"))) \
+        == parse_system(text, kind="language:ab") \
+        == parse_system("kind language ab\n" + text)
+    agents = "P = a.P\n"
+    assert parse_system(agents, kind="process") \
+        == parse_system("kind process\n" + agents) \
+        == parse_ccs("kind process\n" + agents) == parse_ccs(agents)
+    with pytest.raises(ParseError):
+        parse_ccs("kind stream\n" + agents)
+    with pytest.raises(ParseError):
+        parse_bde("kind language ab\nf(x): head = 1; tail = x\n")
+
+
+@pytest.mark.parametrize("table", [
+    stream_table(), tree_table(), language_table("ab"),
+    ccs_table(DEFAULT_ACTIONS)], ids=lambda t: t.kind.name)
+def test_kind_states_its_syntax(table):
+    kind = table.kind
+    for name in kind.params:
+        assert table.sig.decl(name).parametric
+    if kind.prefix is not None:
+        decl = table.sig.decl(kind.prefix)
+        assert decl.parametric and decl.arity == 1
+    if kind.clauses is not None:
+        assert len(kind.clauses) == 1 + len(kind.ports)
+
+
 def test_missing_kind():
     with pytest.raises(ParseError):
         parse_system("x = 1 . x\n")
@@ -132,7 +166,14 @@ def test_system_round_trips():
     for text in (FLAT_TM, SANDWICHED,
                  "kind stream\nx = mult(2, 1 . x)\n",
                  "kind stream\nx = register(3, 1 . x)\n",
-                 "kind language ab\nx = prefix(a, 1 . (x, x))\n"):
+                 "kind language ab\nx = prefix(a, 1 . (x, x))\n",
+                 # letter guards, one-letter alphabets, tree guards, and
+                 # `r . t` in term position
+                 "kind language ab\nx = a . x\ny = 1 . (b . y, a . x)\n",
+                 "kind language a\nx = 1 . x\ny = union(a . y, 0 . a . x)\n",
+                 "kind tree\nx = 1/2 . (plus(x, y), 3)\n"
+                 "y = plus(1 . (y, x), 2 . (x, pi))\n",
+                 "kind stream\nx = 1 . 2 . x\ny = zip(1 . -1/2 . y, 0 . x)\n"):
         system = parse_system(text)
         assert parse_system(format_system(system)) == system
 
