@@ -190,14 +190,14 @@ def process_actions(*base_names, tau="tau") -> ProcessKind:
     return ProcessKind(tuple(actions), tuple(comp), tau)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Step:
     """One observation: a label plus a finite port-indexed family of children.
 
     For deterministic kinds the ports are exactly the kind's ports, once
     each, in order.  For processes the ports are (action, index) pairs at
     the node level; rule conclusions may use bare action strings, which the
-    engine canonicalizes.
+    engine canonicalizes.  A slotted value, equal and hashed by its fields.
     """
 
     label: object
@@ -274,7 +274,7 @@ def check_step(kind, step: Step):
             kind.action_index(move_action(p))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ObservationTree:
     """Finite unfolding of steps; leaves below the depth bound are cuts."""
 
@@ -293,23 +293,34 @@ CUT = ObservationTree(cut=True)
 
 
 def truncate(tree: ObservationTree, depth: int) -> ObservationTree:
-    if tree.cut or depth <= 0:
-        return CUT
-    return ObservationTree(
-        tree.label,
-        tuple((p, truncate(c, depth - 1)) for p, c in tree.children),
-    )
+    """``tree`` cut off below ``depth`` by a stack of ``(tree, depth)`` pairs,
+    each kept tree below its pairs to assemble their cuts from ``done``."""
+    todo, done = [(tree, depth)], []
+    while todo:
+        item = todo.pop()
+        if item.__class__ is ObservationTree:
+            k = len(done) - len(item.children)
+            done[k:] = [ObservationTree(item.label, tuple(
+                zip([p for p, _ in item.children], done[k:])))]
+        elif item[0].cut or item[1] <= 0:
+            done.append(CUT)
+        else:
+            tree, depth = item
+            todo.append(tree)
+            todo.extend([(c, depth - 1) for _, c in reversed(tree.children)])
+    return done[0]
 
 
 def is_prefix(shallow: ObservationTree, deep: ObservationTree) -> bool:
-    """True when ``shallow`` is a cut-truncation of ``deep``."""
-    if shallow.cut:
-        return True
-    if deep.cut or shallow.label != deep.label:
-        return False
-    if len(shallow.children) != len(deep.children):
-        return False
-    return all(
-        p == q and is_prefix(c, d)
-        for (p, c), (q, d) in zip(shallow.children, deep.children)
-    )
+    """True when ``shallow`` is a cut-truncation of ``deep``, by a stack."""
+    todo = [(shallow, deep)]
+    while todo:
+        s, d = todo.pop()
+        if s.cut:
+            continue
+        if d.cut or s.label != d.label or \
+                [p for p, _ in s.children] != [q for q, _ in d.children]:
+            return False
+        todo.extend(zip([c for _, c in s.children],
+                        [e for _, e in d.children]))
+    return True

@@ -77,11 +77,13 @@ def _emit_trees(args, kind, trees):
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-        except UnicodeDecodeError as exc:
-            raise CorecError(f"{path} is not UTF-8 text: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CorecError(f"{path} is not UTF-8 text: {exc}") from None
+    except ValueError as exc:  # open refuses a name holding a NUL byte
+        raise CorecError(f"{path!r}: {exc}") from None
 
 
 def _depth(value, arg: str) -> int:

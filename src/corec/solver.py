@@ -10,9 +10,9 @@ Solving a system allocates a node per variable, then builds and checks
 each right-hand side once; `unfold`/`observe` step on demand.  Terms,
 right-hand sides and rule conclusions compile to post-order code
 (`rules.compile_code`).  A rule runs once per premise shape: symbol,
-parameter, and the premises' labels (rational ones keyed as integer ratios,
-or left to the plan to compute where the rule only does arithmetic on them:
-`rules.plan_symbolic`) or, for processes, actions.  Its plan, made by
+parameter and the premises' labels (numbers keyed as integer ratios, and
+labels left to the plan to compute where the rule only does arithmetic on
+them: `rules.plan_symbolic`) or, for processes, actions.  Its plan, made by
 `rules.plan_rule` as the table probe's is, is filled with the premises'
 node ids at every application of that shape, as natural rules allow
 (`rules.GsosRule`), and dies with its engine.  A sum adds its operands'
@@ -84,6 +84,15 @@ class SolutionHandle:
         return f"<state {self.node} of engine {id(self.engine):#x}>"
 
 
+def _param_key(param):
+    """A symbol parameter as plan and hash-cons keys hold it: a number as its
+    integer ratio, equal for equal values and cheap to hash, where
+    `Fraction.__hash__` is not; any other as itself."""
+    if param.__class__ in (Fraction, int, bool):
+        return param.as_integer_ratio()
+    return param
+
+
 class _Node:
     # Term nodes: ``name`` is the symbol's name in ``table``, ``op`` the
     # symbol as the author of that name's rule knew it.  Sum nodes of an
@@ -117,32 +126,18 @@ class Engine:
     # -- bookkeeping --------------------------------------------------------
 
     def _tick(self):
-        self._work += 1
-        if self._work > self.config.unfold_fuse:
-            raise RuleDiverged(
-                f"more than {self.config.unfold_fuse} rule applications in "
-                "one step; the input table is ill-formed")
-
-    def _add(self, node: _Node) -> int:
-        self._nodes.append(node)
-        return len(self._nodes) - 1
-
-    def _term_node(self, table: RuleTable, name: str, op, child_ids) -> int:
-        """Node of the symbol ``op``, named ``name`` in ``table``; for a
-        symbol with a law, the node of its normal form under the law."""
-        law = table.laws.get(name)
-        if law is not None:
-            return self._law_node(table, name, op, law, child_ids)
-        return self._cons_term(table, name, op, tuple(child_ids))
+        raise RuleDiverged(
+            f"more than {self.config.unfold_fuse} rule applications in "
+            "one step; the input table is ill-formed")
 
     def _cons_term(self, table: RuleTable, name: str, op, children) -> int:
-        key = ("t", id(table), name, op.param, children)
-        nid = self._cons.get(key)
-        if nid is None:
-            nid = self._add(_Node("term", table.kind, table=table, name=name,
-                                  op=table.author_op(name, op),
-                                  children=children))
-            self._cons[key] = nid
+        """The node of ``op``, ``name`` in ``table``, on ``children``."""
+        nodes = self._nodes
+        nid = self._cons.setdefault(
+            ("t", id(table), name, _param_key(op.param), children), len(nodes))
+        if nid == len(nodes):
+            nodes.append(_Node("term", table.kind, table, name,
+                               table.author_op(name, op), children))
         return nid
 
     def _law_node(self, table: RuleTable, name: str, op, law, child_ids
@@ -201,22 +196,26 @@ class Engine:
                     acc[d] = acc.get(d, 0) + m * k
             else:
                 acc[c] = acc.get(c, 0) + m
+        return self._cons_sum(table, name, acc)
+
+    def _cons_sum(self, table: RuleTable, name: str, acc: dict) -> int:
+        """The sum node of the multiset ``acc``, flat already, from node to
+        multiplicity; hash-consed with one probe."""
+        nodes = self._nodes
         children = tuple(sorted(acc.items()))
-        key = ("s", id(table), name, children)
-        nid = self._cons.get(key)
-        if nid is None:
-            nid = self._add(_Node("sum", table.kind, table=table, name=name,
-                                  children=children))
-            self._cons[key] = nid
+        nid = self._cons.setdefault(("s", id(table), name, children),
+                                    len(nodes))
+        if nid == len(nodes):
+            nodes.append(_Node("sum", table.kind, table, name, None, children))
         return nid
 
     def _guard_node(self, kind, step: Step) -> int:
         step = canonicalize_step(kind, step)
-        key = ("g", kind, step.label, step.children)
-        nid = self._cons.get(key)
-        if nid is None:
-            nid = self._add(_Node("guard", kind, step=step))
-            self._cons[key] = nid
+        nodes = self._nodes
+        nid = self._cons.setdefault(("g", kind, step.label, step.children),
+                                    len(nodes))
+        if nid == len(nodes):
+            nodes.append(_Node("guard", kind, step=step))
         return nid
 
     def check_handle(self, h: SolutionHandle):
@@ -246,28 +245,31 @@ class Engine:
 
     def _fill(self, table: RuleTable, code, holes, labels=()):
         """The root's node, or its canonical step: ``code`` run on a value
-        stack, nodes built by `_term_node` and `_guard_node`, symbolic
-        labels and parameters valued at the premises' ``labels``."""
-        stack, kind = [], table.kind
+        stack, a symbol's node built by `_cons_term`, or by `_law_node` if
+        it has a law, guards by `_guard_node`, symbolic labels and
+        parameters valued at the premises' ``labels``."""
+        stack, kind, laws = [], table.kind, table.laws
         for ins in code:
             if ins.__class__ is int:
                 stack.append(holes[ins] if ins >= 0 else ~ins)
                 continue
             tag, n, a, b = ins
             k = len(stack) - n
-            kids = stack[k:]
+            kids = tuple(stack[k:])
             del stack[k:]
-            if tag == "app":
-                stack.append(self._term_node(table, a, b, kids))
-            elif tag == "param":
+            if tag == "param":
                 b = OpSym(b.name, b.arity, b.sig_id, b.param.at(kind, labels))
-                stack.append(self._term_node(table, a, b, kids))
+            if tag == "app" or tag == "param":
+                law = laws.get(a)
+                stack.append(self._cons_term(table, a, b, kids) if law is None
+                             else self._law_node(table, a, b, law, kids))
             else:
                 if a.__class__ is SymbolicLabel:
                     a = labels[a.index] if a.index >= 0 else a.at(kind, labels)
-                step = canonicalize_step(kind, Step(a, tuple(zip(b, kids))))
-                stack.append(step if tag == "step" else
-                             self._guard_node(kind, step))
+                step = Step(a, tuple(zip(b, kids)))
+                stack.append(self._guard_node(kind, step) if tag == "guard"
+                             else step if kind.deterministic
+                             else canonicalize_step(kind, step))
         return stack[0]
 
     # -- unfolding -----------------------------------------------------------
@@ -276,13 +278,16 @@ class Engine:
         step = self._memo.get(nid)
         if step is not None:
             return step
-        self._tick()
+        self._work += 1
+        if self._work > self.config.unfold_fuse:
+            self._tick()
         node = self._nodes[nid]
-        if node.tag == "guard":
-            step = node.step
-        elif node.tag == "term":
+        tag = node.tag
+        if tag == "term":
             step = self._apply_rule(node)
-        elif node.tag == "sum":
+        elif tag == "guard":
+            step = node.step
+        elif tag == "sum":
             step = self._sum_step(node)
         else:
             step = self._unfold(node.children[0])
@@ -293,9 +298,11 @@ class Engine:
         """The rule's conclusion (for a sandwiched rule, its guarded term's
         step): the plan for the premises' shape, filled with their ids,
         each argument followed by its continuations, and their labels."""
-        holes, shape = [], []
+        holes, shape, memo = [], [], self._memo
         for cid in node.children:
-            step = self._unfold(cid)
+            step = memo.get(cid)
+            if step is None:
+                step = self._unfold(cid)
             holes.append(cid)
             for p, c in step.children:
                 holes.append(c)
@@ -304,7 +311,7 @@ class Engine:
                          if label is None else label)
         table = node.table
         if table.kind.rational:
-            key = (table, node.name, node.op.param)
+            key = (table, node.name, _param_key(node.op.param))
             plan = self._plans.get(key)
             if plan is None:
                 plan = self._plans[key] = plan_symbolic(
@@ -313,7 +320,8 @@ class Engine:
             if plan is False:
                 key += (tuple([x.as_integer_ratio() for x in shape]),)
         else:
-            key, plan = (table, node.name, node.op.param, tuple(shape)), False
+            key, plan = (table, node.name, _param_key(node.op.param),
+                         tuple(shape)), False
         if plan is False:
             plan = self._plans.get(key)
             if plan is None:
@@ -332,11 +340,13 @@ class Engine:
 
     def _sum_step(self, node: _Node) -> Step:
         """``Σ m·g`` steps to ``Σ m·label(g)`` and, at each port, the sum
-        of ``m·child(g)``; no rule runs.  The label is summed as an integer
-        numerator over the lcm of the operands' denominators."""
-        ports = node.kind.ports
+        of ``m·child(g)``, flattened as `_sum_node` does but in one pass; no
+        rule runs.  The label is summed as an integer numerator over the lcm
+        of the operands' denominators."""
+        nodes, table, name, ports = self._nodes, node.table, node.name, \
+            node.kind.ports
         num, den = 0, 1
-        kids = [[] for _ in ports]
+        kids = [{} for _ in ports]
         for c, m in node.children:
             step = self._unfold(c)
             n, d = step.label.as_integer_ratio()
@@ -344,11 +354,16 @@ class Engine:
                 grow = d // gcd(den, d)
                 num, den = num * grow, den * grow
             num += m * n * (den // d)
-            for kid, (_, child) in zip(kids, step.children):
-                kid.append((child, m))
-        step = Step(Fraction(num, den), tuple(
-            (p, self._sum_node(node.table, node.name, kid))
-            for p, kid in zip(ports, kids)))
+            for acc, (_, child) in zip(kids, step.children):
+                g = nodes[child]
+                if g.tag == "sum" and g.table is table and g.name == name:
+                    for e, k in g.children:
+                        acc[e] = acc.get(e, 0) + m * k
+                else:
+                    acc[child] = acc.get(child, 0) + m
+        step = Step(Fraction(num, den), tuple([
+            (p, self._cons_sum(table, name, acc))
+            for p, acc in zip(ports, kids)]))
         check_step(node.kind, step)
         return step
 
@@ -412,8 +427,8 @@ class Engine:
                 raise KindMismatch(
                     f"argument of kind {h.kind.name} for a "
                     f"{table.kind.name} operation")
-        nid = self._term_node(table, name, op, [h.node for h in args])
-        return self._handle(nid)
+        return self._handle(self._fill(table, [~h.node for h in args] + [
+            ("app", len(args), name, op)], ()))
 
     def interpret_term(self, table: RuleTable, t: Term,
                        env: Optional[Mapping[str, SolutionHandle]] = None
@@ -491,7 +506,8 @@ class Engine:
                     "external variable references are only solvable through "
                     "compose_systems")
             elif isinstance(rhs, Term):
-                binding[v] = self._add(_Node(
+                binding[v] = len(self._nodes)
+                self._nodes.append(_Node(
                     "guard" if isinstance(rhs, Guard) else "var", system.kind))
             else:
                 raise ValidationFailed(f"unrecognized right-hand side {rhs!r}")

@@ -20,6 +20,8 @@ from corec.behavior import (
     truncate,
 )
 from corec.errors import BadActionStructure
+from corec.frontends import parse_system
+from corec.solver import Engine
 
 ACTIONS = process_actions("a", "b")
 
@@ -105,3 +107,45 @@ def test_truncation_gives_prefixes(d1, d2):
 def test_depth_zero_is_a_cut():
     assert truncate(_chain(3), 0) is CUT
     assert CUT.cut
+
+
+def test_steps_and_trees_are_slotted_values():
+    step, same = stream_step(1, "x"), stream_step(Fraction(1), "x")
+    assert step == same and hash(step) == hash(same) and {step: 1}[same] == 1
+    assert step != stream_step(1, "y")
+    assert repr(step) == \
+        "Step(label=Fraction(1, 1), children=(('tail', 'x'),))"
+    tree = _chain(2)
+    assert tree == _chain(2) and hash(tree) == hash(_chain(2))
+    assert {tree: 1}[_chain(2)] == 1 and tree != _chain(3)
+    assert repr(tree) == "(0 tail:(1 tail:#))" and repr(CUT) == "#"
+    for value in (step, tree, CUT):
+        assert not hasattr(value, "__dict__")
+
+
+def _same_chain(a, b):
+    """``a == b`` for two chains of one port, walked without recursion."""
+    while not (a.cut or b.cut):
+        if a.label != b.label or a.children[0][0] != b.children[0][0]:
+            return False
+        a, b = a.children[0][1], b.children[0][1]
+    return a.cut and b.cut
+
+
+def test_truncate_and_is_prefix_at_depth_ten_thousand():
+    engine = Engine()
+    sol = engine.solve(parse_system(
+        "kind stream\nu = 0 . t\nt = 1 . a\na = zip(1 . a, 0 . b)\n"
+        "b = zip(0 . b, 1 . a)\n"))
+    deep = engine.observe(sol["u"], 10_001)
+    direct, flipped = CUT, CUT
+    for n in reversed(range(10_000)):
+        digit = Fraction(bin(n).count("1") % 2)
+        direct = ObservationTree(digit, (("tail", direct),))
+        flipped = ObservationTree(1 - digit if n == 9_000 else digit,
+                                  (("tail", flipped),))
+    cut = truncate(deep, 10_000)
+    assert _same_chain(cut, direct) and not _same_chain(cut, flipped)
+    assert _same_chain(truncate(direct, 20_000), direct)
+    assert is_prefix(cut, deep) and is_prefix(direct, deep)
+    assert not is_prefix(deep, cut) and not is_prefix(flipped, deep)

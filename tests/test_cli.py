@@ -280,3 +280,10 @@ def test_resource_errors_exit_2(files, capsys, monkeypatch, exc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {type(exc).__name__}")
+
+
+def test_a_file_name_holding_a_nul_byte_exits_2(capsys):
+    assert cli_main(["bde", "sh\x00.bde", "--apply", "f:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 'sh\\x00.bde': embedded null byte\n"

@@ -25,6 +25,7 @@ from corec.errors import (
     ValidationFailed,
     VariableClash,
 )
+from corec.frontends import compile_circuit, load_circuit
 from corec.instances import (
     DEFAULT_ACTIONS,
     ccs_table,
@@ -504,3 +505,44 @@ def test_observing_a_flat_solution_instantiates_nothing(engine, monkeypatch):
     monkeypatch.setattr(Engine, "_instantiate_step", counting)
     engine.observe(sol["x"], 8)
     assert len(calls) == 0
+
+
+# the unfold kernel keeps its arena: equal parameters share a node and a
+# plan, and long runs build the node and plan counts they always have
+
+
+def test_equal_numeric_parameters_share_one_node_and_one_plan(engine):
+    table = stream_table()
+    x = periodic_stream(engine, (1,), (2, 3))
+    by_int = engine.interpret_op(table, table.op("mult", 2), [x])
+    by_fraction = engine.interpret_op(table, table.op("mult", Fraction(2)),
+                                      [x])
+    assert by_int.node == by_fraction.node
+    nodes = len(engine._nodes)
+    want = [2 * v for v in periodic_values((1,), (2, 3), 40)]
+    assert stream_take(by_int, 40) == want == stream_take(by_fraction, 40)
+    assert len(engine._plans) == 1
+    assert len(engine._nodes) == nodes + 2
+
+
+def test_thue_morse_to_20000_digits_keeps_its_arena(engine):
+    sol = engine.solve(sandwiched_tm_system())
+    assert stream_take(sol["u"], 20_000) == \
+        [bin(n).count("1") % 2 for n in range(20_000)]
+    assert len(engine._nodes) == 30_004 and len(engine._plans) == 1
+
+
+def test_the_halving_accumulator_keeps_its_arena(engine):
+    from test_symbolic import CYC, HALF_ACCUMULATOR, PRE
+
+    compiled = compile_circuit(load_circuit(HALF_ACCUMULATOR))
+    table = compiled.table()
+    (symbol, _, _), = compiled.outputs
+    h = engine.interpret_op(table, table.op(symbol),
+                            [periodic_stream(engine, PRE, CYC)])
+    want, r = [], Fraction(1)
+    for x in periodic_values(PRE, CYC, 3_000):
+        want.append(x + r)
+        r = want[-1] / 2
+    assert stream_take(h, 3_000) == want
+    assert len(engine._nodes) == 6_008 and len(engine._plans) == 3
