@@ -274,19 +274,47 @@ def check_step(kind, step: Step):
             kind.action_index(move_action(p))
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class ObservationTree:
-    """Finite unfolding of steps; leaves below the depth bound are cuts."""
+    """Finite unfolding of steps; leaves below the depth bound are cuts.
+    Equality, hash and repr walk an explicit stack, so any depth works."""
 
     label: object = None
     children: tuple = ()
     cut: bool = False
 
+    def _preorder(self):
+        """Each node's cut flag, label and ports, parents first."""
+        todo = [self]
+        while todo:
+            t = todo.pop()
+            yield t.cut, t.label, tuple([p for p, _ in t.children])
+            todo.extend([c for _, c in reversed(t.children)])
+
+    def __eq__(self, other):
+        # the ports fix each node's arity, so equal entries are equal trees
+        if other.__class__ is not ObservationTree:
+            return NotImplemented
+        return all(map(operator.eq, self._preorder(), other._preorder()))
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
+
     def __repr__(self):
-        if self.cut:
-            return "#"
-        inner = ", ".join(f"{p}:{c!r}" for p, c in self.children)
-        return f"({self.label} {inner})"
+        out, todo = [], [self]
+        while todo:
+            t = todo.pop()
+            if t.__class__ is str:
+                out.append(t)
+            elif t.cut:
+                out.append("#")
+            else:
+                out.append(f"({t.label} ")
+                todo.append(")")
+                for i in reversed(range(len(t.children))):
+                    port, child = t.children[i]
+                    todo += [child, f", {port}:" if i else f"{port}:"]
+        return "".join(out)
 
 
 CUT = ObservationTree(cut=True)

@@ -24,7 +24,6 @@ from .behavior import (
     move_action,
     process_actions,
     process_step,
-    stream_step,
 )
 from .errors import (
     DanglingPort,
@@ -487,40 +486,49 @@ def _parse_head_expr(ts: TokenStream, head_kw, params):
     return add()
 
 
-def _compile_bde_clause(sig, kind, params, node):
-    """A derivative clause's parse node (from `_parse_expr`) as a function
-    from the premises to the continuation term over ``sig``."""
-    head_kw = kind.clauses[0]
-    ports = dict(zip(kind.clauses[1:], kind.ports))
+def _clause_argument(pos, node):
+    """The position of the `x` of head(x), tail(x), left(x), right(x) or
+    root(x), arguments at ``pos`` by name."""
+    _, name, args, tok = node
+    if len(args) != 1 or args[0][0] != "var":
+        raise ParseError(tok.line, tok.col,
+                         f"{name!r} takes one argument name")
+    var = args[0]
+    if var[1] not in pos:
+        raise ParseError(var[2].line, var[2].col,
+                         f"unknown argument {var[1]!r}")
+    return pos[var[1]]
 
-    def argument(node):
-        # the `x` of head(x), tail(x), left(x), right(x), root(x)
-        _, name, args, tok = node
-        if len(args) != 1 or args[0][0] != "var":
-            raise ParseError(tok.line, tok.col,
-                             f"{name!r} takes one argument name")
-        var = args[0]
-        if var[1] not in params:
-            raise ParseError(var[2].line, var[2].col,
-                             f"unknown argument {var[1]!r}")
-        return params.index(var[1])
 
-    def app(op_of, kids):
-        return lambda a: mk_app(op_of(a), tuple(k(a) for k in kids))
+class _ClauseCompiler:
+    """Derivative clauses' parse nodes (`_parse_expr`) as functions from the
+    premises to continuation terms over ``sig``, one compiler per program.
+    A token serves only errors: a generated, well-formed node holds None."""
 
-    def fixed(op):
-        return lambda a: op
+    def __init__(self, sig, kind):
+        self.sig, self.kind, self.head_kw = sig, kind, kind.clauses[0]
+        self.ports = dict(zip(kind.clauses[1:], kind.ports))
+        self.reads = {}
 
-    def compile_node(node):
+    def _read(self, i, port=None):
+        """Premise ``i``, or its continuation at ``port``; one per program."""
+        fn = self.reads.get((i, port))
+        if fn is None:
+            fn = self.reads[i, port] = (lambda a: a[i].self_term) \
+                if port is None else (lambda a: a[i].at(port))
+        return fn
+
+    def compile(self, pos, node):
+        """The function of ``node``, arguments at ``pos`` by name."""
+        sig, kind, head_kw = self.sig, self.kind, self.head_kw
         tag, tok = node[0], node[-1]
         if tag == "num":
             term = mk_app(sig.op("const", node[1]), ())
             return lambda a: term
         if tag == "var":
-            if node[1] not in params:
+            if node[1] not in pos:
                 raise ParseError(tok.line, tok.col, f"unknown name {node[1]!r}")
-            i = params.index(node[1])
-            return lambda a: a[i].self_term
+            return self._read(pos[node[1]])
         if tag == "guard":
             _, label, payload, _ = node
             if label[0] == "var":
@@ -529,25 +537,27 @@ def _compile_bde_clause(sig, kind, params, node):
             if kind.prefix is None:
                 raise ParseError(tok.line, tok.col,
                                  "prefix terms are stream-only")
-            return compile_node(("call", kind.prefix, [label, *payload], tok))
+            return self.compile(pos, ("call", kind.prefix,
+                                      [label, *payload], tok))
         _, name, args, _ = node
         if name == head_kw:
-            i = argument(node)
+            i = _clause_argument(pos, node)
             return lambda a: mk_app(sig.op("const", a[i].head), ())
-        if name in ports:
-            i, port = argument(node), ports[name]
-            return lambda a: a[i].at(port)
+        if name in self.ports:
+            return self._read(_clause_argument(pos, node), self.ports[name])
         try:
             decl = sig.decl(name)
         except UnknownSymbol:
             raise ParseError(tok.line, tok.col,
                              f"unknown operation {name!r}") from None
         if not decl.parametric:
-            op_of = fixed(sig.op(name))
+            op = sig.op(name)
+            op_of = lambda a: op  # noqa: E731
         elif args and args[0][0] == "num":
-            op_of, args = fixed(sig.op(name, args[0][1])), args[1:]
+            op, args = sig.op(name, args[0][1]), args[1:]
+            op_of = lambda a: op  # noqa: E731
         elif args and args[0][0] == "call" and args[0][1] == head_kw:
-            i, args = argument(args[0]), args[1:]
+            i, args = _clause_argument(pos, args[0]), args[1:]
             op_of = lambda a: sig.op(name, a[i].head)  # noqa: E731
         else:
             raise ParseError(tok.line, tok.col,
@@ -555,9 +565,8 @@ def _compile_bde_clause(sig, kind, params, node):
         if len(args) != decl.arity:
             raise ParseError(tok.line, tok.col,
                              f"{name!r} expects {decl.arity} arguments")
-        return app(op_of, [compile_node(n) for n in args])
-
-    return compile_node(node)
+        kids = [self.compile(pos, n) for n in args]
+        return lambda a: mk_app(op_of(a), tuple(k(a) for k in kids))
 
 
 def parse_bde(text: str) -> BdeProgram:
@@ -629,17 +638,24 @@ def parse_bde(text: str) -> BdeProgram:
             clauses.append(_parse_expr(ts))
         ts.end_line()
         defs[name] = (params, head_expr, clauses)
+    return _bde_program(given, defs)
 
+
+def _bde_program(given: RuleTable, defs) -> BdeProgram:
+    """The program of ``defs``, ``{name: (params, head, clauses)}`` over
+    ``given``: a head maps the argument labels to the label, and the
+    clauses are parse nodes (`_parse_expr`), one per port of the kind."""
+    kind = given.kind
     new_sig = signature(*((n, len(d[0])) for n, d in defs.items()))
     sum_sig = sig_sum(given.sig, new_sig)
-    rules = {}
+    comp, rules = _ClauseCompiler(sum_sig, kind), {}
     for name, (params, head_expr, clauses) in defs.items():
-        derivs = tuple(_compile_bde_clause(sum_sig, kind, params, node)
-                       for node in clauses)
+        pos = {p: i for i, p in enumerate(params)}
+        derivs = [comp.compile(pos, node) for node in clauses]
 
         def conclude(op, args, head_expr=head_expr, derivs=derivs):
             return Step(head_expr([a.head for a in args]),
-                        tuple(zip(kind.ports, (d(args) for d in derivs))))
+                        tuple(zip(kind.ports, [d(args) for d in derivs])))
 
         rules[name] = GsosRule(sum_sig.template(name), conclude)
     return BdeProgram(kind, given, RpsDef(new_sig, rules), tuple(defs))
@@ -1063,19 +1079,36 @@ def format_circuit(cf: CircuitFile) -> str:
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    """One operation per output (`f_<id>`) and per register (`g_<id>`),
+    """One BDE definition per output (`f_<id>`) and per register (`g_<id>`),
     each taking the backward-reachable input streams in circuit order."""
 
-    rps: RpsDef
+    program: BdeProgram
     inputs: tuple
     outputs: tuple  # ((symbol, output node id, (input ids...)), ...)
     registers: tuple  # ((symbol, register id, (input ids...)), ...)
 
     def table(self) -> RuleTable:
-        return extend_with_rps(instances.stream_table(), self.rps)
+        return self.program.extended_table()
+
+
+def _wire_value(node, labels, values):
+    """A wire's parse node (`compile_circuit`) valued at the ``labels`` of
+    its inputs by id and the ``values`` of its registers by symbol."""
+    if node[0] == "var":
+        return labels[node[1]]
+    _, name, args, _ = node
+    if name == "mult":
+        return args[0][1] * _wire_value(args[1], labels, values)
+    if name == "plus":
+        return (_wire_value(args[0], labels, values)
+                + _wire_value(args[1], labels, values))
+    return values[name]
 
 
 def compile_circuit(cf: CircuitFile) -> CompiledCircuit:
+    """The circuit's BDE program over the reachable inputs: register ``r``
+    is ``g_r: head = <value>; tail = <its wire>``, and output ``o`` is
+    ``f_o: head = <its wire's head>; tail = <its wire's tail>``."""
     by_id = {n.id: n for n in cf.nodes}
     incoming = {n.id: [] for n in cf.nodes}
     outgoing = {n.id: [] for n in cf.nodes}
@@ -1100,112 +1133,50 @@ def compile_circuit(cf: CircuitFile) -> CompiledCircuit:
     input_pos = {nid: i for i, nid in enumerate(inputs)}
 
     def reachable_inputs(start):
-        seen, stack, found = set(), [start], set()
+        seen, stack = set(), [start]
         while stack:
             cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            node = by_id[cur]
-            if node.kind == "input":
-                found.add(cur)
-                continue
-            stack.extend(incoming[cur])
-        return tuple(sorted(found, key=input_pos.__getitem__))
-
-    def back_term(src):
-        node = by_id[src]
-        if node.kind == "input":
-            return ("in", src)
-        if node.kind == "register":
-            return ("reg", src)
-        if node.kind == "copier":
-            return back_term(incoming[src][0])
-        if node.kind == "mult":
-            return ("mult", node.value, back_term(incoming[src][0]))
-        if node.kind == "adder":
-            return ("plus", back_term(incoming[src][0]),
-                    back_term(incoming[src][1]))
-        raise InvalidCircuit(f"cannot traverse through {node.kind!r}")
+            if cur not in seen:
+                seen.add(cur)
+                stack.extend(incoming[cur])
+        return tuple(sorted(seen & input_pos.keys(),
+                            key=input_pos.__getitem__))
 
     registers = tuple(n for n in cf.nodes if n.kind == "register")
     outputs = tuple(n for n in cf.nodes if n.kind == "output")
-    reg_args = {r.id: reachable_inputs(r.id) for r in registers}
-    reg_term = {r.id: back_term(incoming[r.id][0]) for r in registers}
-    out_args = {o.id: reachable_inputs(o.id) for o in outputs}
-    out_term = {o.id: back_term(incoming[o.id][0]) for o in outputs}
+    params = {n.id: reachable_inputs(n.id) for n in registers + outputs}
 
-    base = instances.stream_table()
-    decls = [(f"g_{r.id}", len(reg_args[r.id])) for r in registers]
-    decls += [(f"f_{o.id}", len(out_args[o.id])) for o in outputs]
-    new_sig = signature(*decls)
-    sum_sig = sig_sum(base.sig, new_sig)
+    def wire(src, whole=True):
+        """The parse node of the stream out of ``src``, or of its tail; an
+        output or a copier passes its input's on."""
+        node = by_id[src]
+        if node.kind == "input":
+            var = ("var", src, None)
+            return var if whole else ("call", "tail", [var], None)
+        if node.kind == "register":
+            if not whole:
+                return wire(incoming[src][0])
+            return ("call", f"g_{src}",
+                    [("var", i, None) for i in params[src]], None)
+        kids = [wire(s, whole) for s in incoming[src]]
+        if node.kind == "mult":
+            return ("call", "mult", [("num", node.value, None), *kids], None)
+        return ("call", "plus", kids, None) if node.kind == "adder" \
+            else kids[0]
 
-    def tail_term(ast, leaf):
-        """A stream over the adder/multiplier AST; ``leaf`` builds its
-        inputs and registers."""
-        tag = ast[0]
-        if tag == "mult":
-            return mk_app(sum_sig.op("mult", ast[1]), (tail_term(ast[2], leaf),))
-        if tag == "plus":
-            return mk_app(sum_sig.op("plus"), (tail_term(ast[1], leaf),
-                                               tail_term(ast[2], leaf)))
-        return leaf(ast)
-
-    def whole_leaf(args, arg_of):
-        # an input is the premise itself, a register its operation applied
-        # to the premises of the inputs it reaches
-        def leaf(ast):
-            if ast[0] == "in":
-                return args[arg_of[ast[1]]].self_term
-            return mk_app(sum_sig.op(f"g_{ast[1]}"), tuple(
-                args[arg_of[i]].self_term for i in reg_args[ast[1]]))
-        return leaf
-
-    def eval_head(ast, args, arg_of):
-        tag = ast[0]
-        if tag == "in":
-            return args[arg_of[ast[1]]].head
-        if tag == "reg":
-            return by_id[ast[1]].value
-        if tag == "mult":
-            return ast[1] * eval_head(ast[2], args, arg_of)
-        return eval_head(ast[1], args, arg_of) + eval_head(ast[2], args, arg_of)
-
-    rules = {}
-    for r in registers:
-        arg_of = {nid: i for i, nid in enumerate(reg_args[r.id])}
-
-        def reg_rule(op, args, r=r, arg_of=arg_of):
-            return stream_step(r.value, tail_term(reg_term[r.id],
-                                                  whole_leaf(args, arg_of)))
-
-        rules[f"g_{r.id}"] = GsosRule(sum_sig.template(f"g_{r.id}"), reg_rule)
-
+    values = {f"g_{r.id}": r.value for r in registers}
+    defs = {f"g_{r.id}": (params[r.id], lambda labels, v=r.value: v,
+                          [wire(r.id, False)]) for r in registers}
     for o in outputs:
-        arg_of = {nid: i for i, nid in enumerate(out_args[o.id])}
+        def head(labels, node=wire(o.id), names=params[o.id]):
+            return _wire_value(node, dict(zip(names, labels)), values)
 
-        def out_rule(op, args, o=o, arg_of=arg_of):
-            whole = whole_leaf(args, arg_of)
-
-            # the derivative replaces inputs by their tails and registers
-            # by their defining streams
-            def leaf(ast):
-                if ast[0] == "in":
-                    return args[arg_of[ast[1]]].tail
-                return tail_term(reg_term[ast[1]], whole)
-
-            return stream_step(eval_head(out_term[o.id], args, arg_of),
-                               tail_term(out_term[o.id], leaf))
-
-        rules[f"f_{o.id}"] = GsosRule(sum_sig.template(f"f_{o.id}"), out_rule)
-
-    rps = RpsDef(new_sig, rules)
+        defs[f"f_{o.id}"] = (params[o.id], head, [wire(o.id, False)])
     return CompiledCircuit(
-        rps,
+        _bde_program(instances.stream_table(), defs),
         inputs,
-        tuple((f"f_{o.id}", o.id, out_args[o.id]) for o in outputs),
-        tuple((f"g_{r.id}", r.id, reg_args[r.id]) for r in registers),
+        tuple((f"f_{o.id}", o.id, params[o.id]) for o in outputs),
+        tuple((f"g_{r.id}", r.id, params[r.id]) for r in registers),
     )
 
 

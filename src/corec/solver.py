@@ -230,18 +230,13 @@ class Engine:
 
     # -- term instantiation --------------------------------------------------
 
-    def _term_to_node(self, table: RuleTable, t: Term, binding) -> int:
-        """Node of ``t``, variables looked up in ``binding``; the callers check
-        a guarded term's part above the guards first, by `Guard.above`."""
-        if not isinstance(t, Term):
-            raise KindMismatch(f"not a term: {t!r}")
+    def _instantiate(self, table: RuleTable, root, binding):
+        """The node of the term ``root``, or the step ``root`` with its
+        continuations built, checked and canonical; variables are looked up
+        in ``binding``.  The callers check a guarded term's part above the
+        guards first, by `Guard.above`."""
         return self._fill(table, compile_code(
-            table.kind, table.resolve, t, binding, self.check_handle), ())
-
-    def _instantiate_step(self, table: RuleTable, step: Step, binding) -> Step:
-        """``step`` with its continuations built, checked and canonical."""
-        return self._fill(table, compile_code(
-            table.kind, table.resolve, step, binding, self.check_handle), ())
+            table.kind, table.resolve, root, binding, self.check_handle), ())
 
     def _fill(self, table: RuleTable, code, holes, labels=()):
         """The root's node, or its canonical step: ``code`` run on a value
@@ -434,9 +429,11 @@ class Engine:
                        env: Optional[Mapping[str, SolutionHandle]] = None
                        ) -> SolutionHandle:
         """State for a closed term over parameters and ``env`` variables."""
+        if not isinstance(t, Term):
+            raise KindMismatch(f"not a term: {t!r}")
         binding = {v: h.node for v, h in (env or {}).items()}
         self._work = 0
-        return self._handle(self._term_to_node(table, t, binding))
+        return self._handle(self._instantiate(table, t, binding))
 
     def elaborate_guards(self, table: RuleTable, ctx,
                          binding: Mapping[str, SolutionHandle]) -> Step:
@@ -447,7 +444,7 @@ class Engine:
             node_binding[v] = h.node
         self._work = 0
         Guard.above(ctx)
-        step = self._unfold(self._term_to_node(table, ctx, node_binding))
+        step = self._unfold(self._instantiate(table, ctx, node_binding))
         return Step(step.label,
                     tuple((p, self._handle(c)) for p, c in step.children))
 
@@ -474,12 +471,12 @@ class Engine:
                 node = self._nodes[binding[v]]
                 rhs = system.rhs[v]
                 if isinstance(rhs, Guard):
-                    node.step = self._instantiate_step(system.table, rhs.step,
-                                                       binding)
+                    node.step = self._instantiate(system.table, rhs.step,
+                                                  binding)
                 elif not isinstance(rhs, Param):
                     Guard.above(rhs)
                     node.children = (
-                        self._term_to_node(system.table, rhs, binding),)
+                        self._instantiate(system.table, rhs, binding),)
         except Exception:
             # Nodes below n0 never point at later ones, so dropping the
             # later ones and their hash-cons keys leaves the arena as it was.
@@ -500,7 +497,7 @@ class Engine:
                 raise ValidationFailed(f"no right-hand side for {v!r}")
             rhs = system.rhs[v]
             if isinstance(rhs, Param):
-                binding[v] = self._term_to_node(system.table, rhs, None)
+                binding[v] = self._instantiate(system.table, rhs, None)
             elif isinstance(rhs, ExternalRhs):
                 raise ValidationFailed(
                     "external variable references are only solvable through "
@@ -527,7 +524,7 @@ class Engine:
             raise ValidationFailed(f"unsolvable right-hand side {rhs!r}")
         Guard.above(rhs)
         binding = {v: sol[v].node for v in system.vars}
-        return self._handle(self._term_to_node(system.table, rhs, binding))
+        return self._handle(self._instantiate(system.table, rhs, binding))
 
     # -- composition of systems ----------------------------------------------
 

@@ -132,11 +132,13 @@ def _same_chain(a, b):
     return a.cut and b.cut
 
 
+THUE_MORSE = ("kind stream\nu = 0 . t\nt = 1 . a\na = zip(1 . a, 0 . b)\n"
+              "b = zip(0 . b, 1 . a)\n")
+
+
 def test_truncate_and_is_prefix_at_depth_ten_thousand():
     engine = Engine()
-    sol = engine.solve(parse_system(
-        "kind stream\nu = 0 . t\nt = 1 . a\na = zip(1 . a, 0 . b)\n"
-        "b = zip(0 . b, 1 . a)\n"))
+    sol = engine.solve(parse_system(THUE_MORSE))
     deep = engine.observe(sol["u"], 10_001)
     direct, flipped = CUT, CUT
     for n in reversed(range(10_000)):
@@ -149,3 +151,21 @@ def test_truncate_and_is_prefix_at_depth_ten_thousand():
     assert _same_chain(truncate(direct, 20_000), direct)
     assert is_prefix(cut, deep) and is_prefix(direct, deep)
     assert not is_prefix(deep, cut) and not is_prefix(flipped, deep)
+
+
+def test_deep_observations_compare_hash_and_print():
+    engine = Engine()
+    deep = engine.observe(engine.solve(parse_system(THUE_MORSE))["u"], 10_000)
+    direct, changed = CUT, CUT
+    for n in reversed(range(10_000)):
+        digit = Fraction(bin(n).count("1") % 2)
+        direct = ObservationTree(digit, (("tail", direct),))
+        changed = ObservationTree(1 - digit if n == 9_999 else digit,
+                                  (("tail", changed),))
+    assert deep == direct and hash(deep) == hash(direct)
+    assert {deep: 1}[direct] == 1
+    assert deep != changed and not deep == changed
+    text = repr(deep)
+    assert text == repr(direct) and text != repr(changed)
+    assert text.startswith("(0 tail:(1 tail:(1 tail:(0 tail:(1 tail:")
+    assert text.endswith(" tail:#" + ")" * 10_000)

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -688,6 +689,79 @@ def test_two_input_circuit_with_shared_register(engine):
     out = engine.interpret_op(table, table.op("f_o"), [ones, twos])
     # running sums of the constant-3 stream
     assert stream_take(out, 5) == [3, 6, 9, 12, 15]
+
+
+# a circuit compiles to one BDE definition per register and output: the
+# halving accumulator (tests/test_symbolic.py) written as its BDE program
+HALF_BDE = (
+    "g_reg(sigma): head = 1; tail = mult(1/2, plus(sigma, g_reg(sigma)))\n"
+    "f_out(sigma): head = head(sigma) + 1; "
+    "tail = plus(tail(sigma), mult(1/2, plus(sigma, g_reg(sigma))))\n")
+
+
+def test_a_circuit_runs_as_its_bde_program():
+    from test_symbolic import HALF_ACCUMULATOR
+
+    pre, cyc = (1, 2), (3, Fraction(-1, 4))
+    want, r = [], Fraction(1)
+    for x in periodic_values(pre, cyc, 500):
+        want.append(x + r)
+        r = want[-1] / 2
+    for table in (compile_circuit(load_circuit(HALF_ACCUMULATOR)).table(),
+                  parse_bde(HALF_BDE).extended_table()):
+        engine = Engine()
+        h = engine.interpret_op(table, table.op("f_out"),
+                                [periodic_stream(engine, pre, cyc)])
+        assert stream_take(h, 500) == want
+        assert len(engine._nodes) == 1_007 and len(engine._plans) == 3
+
+
+def test_circuit_ids_may_be_bde_keywords_and_symbols(engine):
+    # y = head + tail + plus + mult + g_r / 3 + r, r(0) = 2, r(n + 1) = -y(n) / 2
+    names = ("head", "tail", "plus", "mult", "g_r")
+    adds = [f"a{k}" for k in range(5)]
+    circ = {
+        "nodes": [{"id": i, "kind": "input"} for i in names]
+        + [{"id": a, "kind": "adder"} for a in adds]
+        + [{"id": "third", "kind": "mult", "value": "1/3"},
+           {"id": "neg_half", "kind": "mult", "value": "-1/2"},
+           {"id": "r", "kind": "register", "value": "2"},
+           {"id": "cp", "kind": "copier"}, {"id": "o", "kind": "output"}],
+        "edges": [["head", "a0"], ["tail", "a0"], ["a0", "a1"],
+                  ["plus", "a1"], ["a1", "a2"], ["mult", "a2"],
+                  ["g_r", "third"], ["third", "a3"], ["a2", "a3"],
+                  ["a3", "a4"], ["r", "a4"], ["a4", "cp"], ["cp", "o"],
+                  ["cp", "neg_half"], ["neg_half", "r"]],
+    }
+    compiled = compile_circuit(load_circuit(json.dumps(circ)))
+    assert compiled.outputs == (("f_o", "o", names),)
+    assert compiled.registers == (("g_r", "r", names),)
+    specs = [((1,), (2,)), ((), (Fraction(1, 2), -1)), ((3,), (0,)),
+             ((), (Fraction(-2, 3),)), ((5, 6), (1, 2, 3))]
+    table = compiled.table()
+    out = engine.interpret_op(table, table.op("f_o"), [
+        periodic_stream(engine, *spec) for spec in specs])
+    columns = [periodic_values(*spec, 40) for spec in specs]
+    want, r = [], Fraction(2)
+    for h, t, p, m, g in zip(*columns):
+        want.append(h + t + p + m + g / 3 + r)
+        r = -want[-1] / 2
+    assert stream_take(out, 40) == want
+
+
+def test_a_chain_of_400_multipliers_runs_under_the_default_limit(engine):
+    assert sys.getrecursionlimit() <= 1000
+    ids = ["x", *(f"m{k}" for k in range(400)), "o"]
+    chain = {
+        "nodes": [{"id": "x", "kind": "input"}, {"id": "o", "kind": "output"}]
+        + [{"id": m, "kind": "mult", "value": "2" if k % 2 else "1/2"}
+           for k, m in enumerate(ids[1:-1])],
+        "edges": [list(pair) for pair in zip(ids, ids[1:])],
+    }
+    table = compile_circuit(load_circuit(json.dumps(chain))).table()
+    out = engine.interpret_op(table, table.op("f_o"),
+                              [periodic_stream(engine, (1,), (2, -3))])
+    assert stream_take(out, 5) == [1, 2, -3, 2, -3]
 
 
 # -- stream specs -----------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Seeded token mutations of every input format: parsing and solving a
-mutant either succeeds or raises a `CorecError`, never anything else."""
+mutant either succeeds or raises a `CorecError`, never anything else.  The
+command line's argument lists over the same inputs are mutated the same
+way: `cli_main` returns 0, 1 or 2, and nothing escapes it."""
 
 import random
 import re
@@ -9,6 +11,7 @@ import pytest
 
 from corec import Engine
 from corec.behavior import StreamKind
+from corec.cli import cli_main
 from corec.errors import CorecError
 from corec.frontends import (
     compile_circuit,
@@ -141,3 +144,78 @@ def test_token_mutants_raise_only_corec_errors(name, run, text):
             pass
         except Exception as exc:  # any other escape is a defect at its source
             pytest.fail(f"{type(exc).__name__}: {exc} on\n{mutant}")
+
+
+# -- the command line ----------------------------------------------------------
+
+
+def _cli_cases(tmp_path):
+    """Argument lists over the fixtures, written to files, and one
+    headerless system that needs ``--kind``."""
+    files = {name: tmp_path / name for name, _, _ in FIXTURES}
+    for name, _, text in FIXTURES:
+        files[name].write_text(text)
+    files["headerless"] = tmp_path / "headerless"
+    files["headerless"].write_text(FIXTURES[0][2].partition("\n")[2])
+    f = {name: str(path) for name, path in files.items()}
+    return [
+        ["solve", f["system"], "--observe", "u:4", "--observe", "y:3"],
+        ["--format", "json", "solve", f["tree"], "--observe", "w:3"],
+        ["solve", f["headerless"], "--kind", "stream", "--observe", "x:5"],
+        ["solve", f["language"], "--kind", "language:ab", "--observe", "z:3"],
+        ["bde", f["bde"], "--apply", "sh:1;2|3,ones", "--prefix", "5"],
+        ["--format", "json", "bde", f["tree-bde"], "--apply", "f:1/2",
+         "--prefix", "3"],
+        ["ccs", f["ccs"], "--bisim", "P", "Q", "--depth", "4"],
+        ["--format", "json", "ccs", f["ccs"], "--agent", "R", "--depth", "3"],
+        ["member", f["gnf"], "aabb"],
+        ["circuit", f["circuit"], "--input", "sigma=1;2|-1/2", "--prefix",
+         "6", "--output", "out"],
+    ]
+
+
+# arguments beyond the cases': every option, bad depths and specs, a
+# missing file and a name that `open` refuses
+CLI_EXTRAS = ["--apply", "--input", "--observe", "--bisim", "--prefix",
+              "--depth", "--kind", "--output", "--agent", "--format", "json",
+              "-1", "0", "x:", ":2", "u:-1", "u:x", "1/0", "zeros", "=",
+              "sigma=", "", "process", "tree", "language:a", "f:", "nul\x00"]
+
+
+def _clamped(arg):
+    """``arg`` with a depth above 6 lowered to 6: tree and process
+    observations grow exponentially with depth."""
+    head, colon, depth = arg.rpartition(":")
+    return f"{head}{colon}6" if depth.isdigit() and int(depth) > 6 else arg
+
+
+def test_argument_mutants_exit_0_1_or_2(tmp_path, capsys):
+    cases = _cli_cases(tmp_path)
+    args = {arg for argv in cases for arg in argv} | {
+        *CLI_EXTRAS, str(tmp_path / "missing")}
+    # an option is replaced by an option and a value by a value, so that
+    # more mutants get past the argument parser
+    options = sorted(arg for arg in args if arg.startswith("--"))
+    values = sorted(args.difference(options))
+    rng = random.Random("fuzz/cli")
+    for argv in cases:
+        assert cli_main(argv) in (0, 1)
+        for _ in range(50):
+            mutant = list(argv)
+            for _ in range(rng.randint(1, 2)):
+                i = rng.randrange(len(mutant))
+                how = rng.choice(("delete", "duplicate", "replace"))
+                if how == "delete" and len(mutant) > 1:
+                    del mutant[i]
+                elif how == "duplicate":
+                    mutant.insert(i, mutant[i])
+                else:
+                    mutant[i] = rng.choice(
+                        options if mutant[i].startswith("--") else values)
+            mutant = [_clamped(arg) for arg in mutant]
+            try:
+                code = cli_main(mutant)
+            except (Exception, SystemExit) as exc:  # a defect at its source
+                pytest.fail(f"{type(exc).__name__}: {exc} on {mutant!r}")
+            assert code in (0, 1, 2), mutant
+    capsys.readouterr()

@@ -229,6 +229,14 @@ def test_interpret_term_rejects_a_wrong_arity_app(engine):
         engine.interpret_term(table, App(table.op("zip"), (p, p, p)))
 
 
+def test_interpret_term_rejects_a_step(engine):
+    # the builder takes a step as its root when `solve` hands it one
+    table = stream_table()
+    with pytest.raises(KindMismatch):
+        engine.interpret_term(table, stream_step(1, Param(
+            periodic_stream(engine, (), (1,)))))
+
+
 def test_cross_engine_parameters_are_rejected(engine):
     other = Engine()
     foreign = periodic_stream(other, (), (1,))
@@ -496,13 +504,13 @@ def test_observing_a_flat_solution_instantiates_nothing(engine, monkeypatch):
     })
     sol = engine.solve(blink)
     calls = []
-    instantiate = Engine._instantiate_step
+    instantiate = Engine._instantiate
 
     def counting(self, *args):
         calls.append(args)
         return instantiate(self, *args)
 
-    monkeypatch.setattr(Engine, "_instantiate_step", counting)
+    monkeypatch.setattr(Engine, "_instantiate", counting)
     engine.observe(sol["x"], 8)
     assert len(calls) == 0
 
