@@ -4,7 +4,8 @@ Subcommands: `solve` (equation systems), `bde` (behavioral differential
 equations), `circuit` (stream circuits), `member` (grammar membership),
 `ccs` (process systems), and `check` (property suites).  Exit code 0 on
 success, 1 when a check fails, 2 on input errors (including inputs that
-exhaust the stack or memory).
+exhaust the stack or memory).  A stream's text prints straight from its
+first labels (`instances.stream_take`), all else from `Engine.observe`.
 """
 
 from __future__ import annotations
@@ -33,17 +34,15 @@ def _obs_json(tree: ObservationTree):
     }
 
 
-def _obs_text(kind, tree: ObservationTree) -> str:
-    """A stream as its digits; any other observation as nested
-    ``(label port:…)``, a process's as ``{action.…}``, a cut as ``#``."""
-    if isinstance(kind, StreamKind):
-        out = []
-        while not tree.cut:
-            out.append(frontends.format_rat(tree.label))
-            tree = tree.children[0][1]
-        return " ".join(out)
+def _obs_text(h, depth: int) -> str:
+    """A stream's first labels, read on node ids; any other observation as
+    nested ``(label port:…)``, a process's as ``{action.…}``, a cut as
+    ``#``."""
+    if isinstance(h.kind, StreamKind):
+        return " ".join(map(frontends.format_rat,
+                            instances.stream_take(h, depth)))
     # an explicit stack of subtrees and text, so that any depth prints
-    det, out, todo = kind.deterministic, [], [tree]
+    det, out, todo = h.kind.deterministic, [], [h.engine.observe(h, depth)]
     while todo:
         item = todo.pop()
         if isinstance(item, str):
@@ -68,12 +67,14 @@ def _emit(args, payload_text, payload_json):
         print(payload_text)
 
 
-def _emit_trees(args, kind, trees):
-    """Print ``(name, observation)`` pairs in the requested format only."""
+def _emit_observations(args, requests):
+    """Print ``(name, state, depth)`` requests in the requested format."""
     if args.format == "json":
-        print(json.dumps({name: _obs_json(t) for name, t in trees}, indent=2))
+        print(json.dumps({name: _obs_json(h.engine.observe(h, depth))
+                          for name, h, depth in requests}, indent=2))
     else:
-        print("\n".join(f"{name}: {_obs_text(kind, t)}" for name, t in trees))
+        print("\n".join(f"{name}: {_obs_text(h, depth)}"
+                        for name, h, depth in requests))
 
 
 def _read(path: str) -> str:
@@ -106,14 +107,14 @@ def _cmd_solve(args) -> int:
     engine = Engine()
     sol = engine.solve(system)
     requests = args.observe or [f"{v}:4" for v in system.vars]
-    trees = []
+    observed = []
     for req in requests:
         var, _, depth_txt = req.partition(":")
         if var not in sol:
             raise CorecError(f"no variable {var!r} in the system")
         depth = _depth(depth_txt, f"--observe {req}") if depth_txt else 4
-        trees.append((var, engine.observe(sol[var], depth)))
-    _emit_trees(args, system.kind, trees)
+        observed.append((var, sol[var], depth))
+    _emit_observations(args, observed)
     return 0
 
 
@@ -132,8 +133,8 @@ def _cmd_bde(args) -> int:
             "const", frontends.parse_rational(s)), []) for s in arg_specs]
     op = table.op(name)
     result = engine.interpret_op(table, op, handles)
-    _emit_trees(args, program.kind, [
-        (name, engine.observe(result, _depth(args.prefix, "--prefix")))])
+    _emit_observations(args, [
+        (name, result, _depth(args.prefix, "--prefix"))])
     return 0
 
 
@@ -156,12 +157,10 @@ def _cmd_circuit(args) -> int:
               if args.output in (None, o[0], o[1])]
     if not wanted:
         raise CorecError(f"no output {args.output!r}")
-    trees = []
-    for symbol, node_id, input_ids in wanted:
-        handle = engine.interpret_op(table, table.op(symbol),
-                                     [feeds[i] for i in input_ids])
-        trees.append((node_id, engine.observe(handle, prefix)))
-    _emit_trees(args, table.kind, trees)
+    _emit_observations(args, [
+        (node_id, engine.interpret_op(table, table.op(symbol),
+                                      [feeds[i] for i in input_ids]), prefix)
+        for symbol, node_id, input_ids in wanted])
     return 0
 
 
@@ -195,8 +194,7 @@ def _cmd_ccs(args) -> int:
     agent = args.agent or system.vars[0]
     if agent not in sol:
         raise CorecError(f"no agent {agent!r}")
-    _emit_trees(args, system.kind,
-                [(agent, engine.observe(sol[agent], depth))])
+    _emit_observations(args, [(agent, sol[agent], depth)])
     return 0
 
 

@@ -3,11 +3,12 @@
 Equation systems, behavioral differential equations, CCS agent files, and
 grammars are line-oriented text with `#` comments; circuits are JSON.
 Rational literals accept `p/q`, decimal, and integer forms and are read
-exactly.  `tokenize` reads a text with one regular-expression pass, and
-each text format is then read in one pass over its tokens, so parsing takes
-time linear in the file size.  One reader, `_read_kind`, maps a `kind …`
-header or a kind argument to a built-in table; the term grammar, which BDE
-clauses share, and the printers then read the syntax the kind states.
+exactly.  A `TokenStream` cuts a text into tokens with one `findall` and
+builds a `Tok` only for a token a parser reads, and each text format is
+read in one pass over its tokens, so parsing takes time linear in the file
+size.  One reader, `_read_kind`, maps a `kind …` header or a kind argument
+to a built-in table; the term grammar, which BDE clauses share, and the
+printers then read the syntax the kind states.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import operator
 import re
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -59,19 +61,20 @@ def format_label(value) -> str:
 # Lexer
 
 
-# One match per token: leading blanks and a comment are swallowed before
-# the token itself; `eof` ends the text and `bad` is any other character.
-_TOKEN_RE = re.compile(r"""
-    [ \t\r]*(?:\#[^\n]*)?
-    (?:
-      (?P<nl>\n)
-    | (?P<arrow>->)
-    | (?P<num>-?\d+(?:/\d+|\.\d+)?)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)
-    | (?P<sym>[().,;:=+*|\\{}\[\]])
-    | (?P<eof>\Z)
-    | (?P<bad>.)
-    )""", re.VERBOSE)
+# One findall cuts the text into pieces: a blank run or a comment (both
+# skipped), a newline, an arrow, a number, an identifier, a symbol, any
+# other single character, which is an error, and an empty piece at the end.
+# A piece's kind is its first character's.  Outside the table are `-`,
+# which starts an arrow or a number, and non-ASCII digits, which `\d`
+# takes: any other character there is an error.
+_PIECE_RE = re.compile(r"""
+    [ \t\r]+ | \#[^\n]* | \n | ->
+  | -?\d+(?:/\d+|\.\d+)?
+  | [A-Za-z_][A-Za-z0-9_]*'*
+  | . | \Z""", re.VERBOSE)
+_FIRST = dict.fromkeys(string.ascii_letters + "_", "ident") \
+    | dict.fromkeys(string.digits, "num") | dict.fromkeys(" \t\r#") \
+    | dict.fromkeys("().,;:=+*|\\{}[]", "sym") | {"\n": "nl", "": "eof"}
 
 
 class Tok(NamedTuple):
@@ -84,28 +87,21 @@ class Tok(NamedTuple):
 def tokenize(text: str):
     """All tokens of ``text``, ending with one `eof` token; a character no
     token starts with raises ParseError before anything is parsed."""
-    toks = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        value = m.group(kind)
-        start = m.end() - len(value)
-        if kind == "bad":
-            raise ParseError(line, start - line_start + 1,
-                             f"unexpected character {value!r}")
-        toks.append(Tok(kind, value, line, start - line_start + 1))
-        if kind == "nl":
-            line += 1
-            line_start = start + 1
-        elif kind == "eof":
-            return toks
+    ts = TokenStream(text)
+    return list(map(Tok, ts.kinds, ts.values, ts.lines, ts.cols))
+
+
+_INT_RATIO = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
 def parse_rational(text: str, line: int = 1, col: int = 1) -> Fraction:
     """A rational, `p/q` or a decimal, as a Fraction; anything else, a zero
-    denominator included, is a ParseError at ``line`` and ``col``."""
+    denominator included, is a ParseError at ``line`` and ``col``.  Integers
+    and ratios of integers are read through `int`."""
     try:
-        return Fraction(text.strip())
+        m = _INT_RATIO.fullmatch(text)
+        return Fraction(int(m[1]), int(m[2] or 1)) if m \
+            else Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         what = "bad rational" if isinstance(exc, ValueError) else \
             "zero denominator in"
@@ -113,22 +109,46 @@ def parse_rational(text: str, line: int = 1, col: int = 1) -> Fraction:
 
 
 class TokenStream:
-    def __init__(self, toks):
-        self.toks = toks
+    """A text's tokens, `eof` last, as lists of kinds, values, lines and
+    columns: a `Tok` is built only for a token a parser reads."""
+
+    def __init__(self, text: str):
+        kinds, values, lines, cols = \
+            self.kinds, self.values, self.lines, self.cols = [], [], [], []
+        line, line_start, pos, first = 1, 0, 0, _FIRST.get
+        for piece in _PIECE_RE.findall(text):
+            kind = first(piece[:1], "?")
+            if kind is not None:
+                if kind == "?":  # `-`, a non-ASCII digit or a stray character
+                    kind = "arrow" if piece == "->" else "num" \
+                        if piece[1:] or piece.isdecimal() else "bad"
+                    if kind == "bad":
+                        raise ParseError(line, pos - line_start + 1,
+                                         f"unexpected character {piece!r}")
+                kinds.append(kind)
+                values.append(piece)
+                lines.append(line)
+                cols.append(pos - line_start + 1)
+                if kind == "nl":
+                    line += 1
+                    line_start = pos + 1
+            pos += len(piece)
         self.i = 0
 
     def peek(self) -> Tok:
-        return self.toks[self.i]
+        i = self.i
+        return tuple.__new__(Tok, (self.kinds[i], self.values[i],
+                                   self.lines[i], self.cols[i]))
 
     def next(self) -> Tok:
-        t = self.toks[self.i]
+        t = self.peek()
         if t.kind != "eof":
             self.i += 1
         return t
 
     def skip_newlines(self):
-        while self.peek().kind == "nl":
-            self.next()
+        while self.kinds[self.i] == "nl":
+            self.i += 1
 
     def expect(self, kind, value=None) -> Tok:
         t = self.next()
@@ -139,10 +159,10 @@ class TokenStream:
 
     # No other token kind has a punctuation value, so the value decides.
     def at_sym(self, value) -> bool:
-        return self.toks[self.i].value == value
+        return self.values[self.i] == value
 
     def eat_sym(self, value) -> bool:
-        if self.toks[self.i].value == value:
+        if self.values[self.i] == value:
             self.i += 1
             return True
         return False
@@ -345,7 +365,7 @@ def parse_system(text: str, kind=None) -> System:
     ("stream", "tree", "language:<letters>", "process", or a kind object).
     A process system is an agent file, as `parse_ccs` reads it.
     """
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     table = _read_kind(ts, kind)
     if table is None:
         return parse_ccs(text)
@@ -579,7 +599,7 @@ def parse_bde(text: str) -> BdeProgram:
     ``head(x)``/``root(x)`` the argument's output as a constant, and
     ``r . t`` a stream register; ``mult(head(x), t)`` takes a parameter.
     """
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     given = _read_kind(ts, "stream")
     if given is None or given.kind.clauses is None:
         raise ParseError(1, 1, "bde files are `kind stream` or `kind tree`")
@@ -789,7 +809,7 @@ def parse_ccs(text: str) -> System:
     every agent variable must occur weakly guarded.  Agent constants
     require an explicit `.0` (`c.0`, not `c`).
     """
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     if _read_kind(ts, "process") is not None:
         raise ParseError(1, 1, "agent files are `kind process`")
     asts, actions, names = {}, set(), []
@@ -911,7 +931,7 @@ def _check_gnf_shape(g: GnfFile):
 
 def parse_gnf(text: str) -> GnfFile:
     """Parse a grammar file; productions must be in Greibach normal form."""
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     header = {}
     ts.skip_newlines()
     for key in ("terminals", "nonterminals", "start"):

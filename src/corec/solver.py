@@ -366,7 +366,8 @@ class Engine:
         """Depth-bounded unfolding in pre-order, port order, without Python
         recursion: ``todo`` holds ``(node, depth)`` pairs to unfold, each
         unfolded step below its children, to be assembled once they are
-        done; finished subtrees wait on ``done``."""
+        done; finished subtrees wait on ``done``.  The fuse counts the rule
+        applications of each unfolded node on its own."""
         todo = [(nid, depth)]
         done = []
         while todo:
@@ -382,6 +383,7 @@ class Engine:
             if depth <= 0:
                 done.append(CUT)
                 continue
+            self._work = 0
             step = self._unfold(nid)
             todo.append(step)
             for _, c in reversed(step.children):
@@ -407,7 +409,6 @@ class Engine:
     def observe(self, h: SolutionHandle, depth: int) -> ObservationTree:
         """Depth-bounded unfolding; deeper behavior is cut off."""
         self.check_handle(h)
-        self._work = 0
         return self._observe(h.node, depth)
 
     def interpret_op(self, table: RuleTable, op, args) -> SolutionHandle:

@@ -1,10 +1,13 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from corec import cli
+from corec import cli, frontends
 from corec.cli import cli_main
-from corec.instances import oracle_eval
+from corec.instances import oracle_eval, periodic_stream
+from corec.solver import Engine
 
 
 TM = """kind stream
@@ -153,6 +156,73 @@ def test_bde_apply(files, capsys):
                    "--prefix", "5"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "sh: 1 2 4 8 16"
+
+
+def _stream_system(seed, n):
+    """A seeded wide stream system over constants, prefixes, sums, zips
+    and scalings, with heads of every sign and denominator."""
+    rng = random.Random(seed)
+    lines = ["kind stream"]
+    for i in range(n):
+        a, b = (f"x{rng.randrange(n)}" for _ in range(2))
+        head = frontends.format_rat(
+            Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))))
+        tail = rng.choice((a, f"plus({a}, {b})", f"zip({a}, {b})",
+                           f"mult(-3/2, {a})", f"2 . {a}", "const(1/3)"))
+        lines.append(f"x{i} = {head} . {tail}")
+    return "\n".join(lines) + "\n"
+
+
+def _observed(engine, h, depth):
+    """A stream observation's labels printed with `format_rat`."""
+    tree, labels = engine.observe(h, depth), []
+    while not tree.cut:
+        labels.append(frontends.format_rat(tree.label))
+        tree = tree.children[0][1]
+    return " ".join(labels)
+
+
+@pytest.mark.parametrize("n", [300, 2000])
+def test_solve_text_is_the_observed_labels(tmp_path, capsys, n):
+    text = _stream_system(n, n)
+    path = tmp_path / "wide.sys"
+    path.write_text(text)
+    engine = Engine()
+    system = frontends.parse_system(text)
+    sol = engine.solve(system)
+    want = "".join(f"{v}: {_observed(engine, sol[v], 4)}\n"
+                   for v in system.vars)
+    assert cli_main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out == want
+    requests = ["x0:0", "x1:9", f"x{n - 1}:1", "x0:3"]
+    want = "".join(f"{v}: {_observed(engine, sol[v], int(d))}\n"
+                   for v, d in (r.split(":") for r in requests))
+    assert want.startswith("x0: \n")
+    assert cli_main(["solve", str(path), *(
+        a for r in requests for a in ("--observe", r))]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_bde_and_circuit_text_are_the_observed_labels(files, capsys):
+    specs = ["1/2|1/3;-2/5", "3/4;2|-1/6"]
+    program = frontends.parse_bde(SHUFFLE_BDE)
+    table = program.extended_table()
+    engine = Engine()
+    args = [periodic_stream(engine, *frontends.parse_stream_spec(s))
+            for s in specs]
+    h = engine.interpret_op(table, table.op("sh"), args)
+    assert cli_main(["bde", files["shuffle.bde"], "--apply",
+                     "sh:" + ",".join(specs), "--prefix", "60"]) == 0
+    assert capsys.readouterr().out == f"sh: {_observed(engine, h, 60)}\n"
+
+    spec = "1;2|3;-1/4"
+    table = frontends.compile_circuit(frontends.load_circuit(CIRCUIT)).table()
+    engine = Engine()
+    h = engine.interpret_op(table, table.op("f_out"), [
+        periodic_stream(engine, *frontends.parse_stream_spec(spec))])
+    assert cli_main(["circuit", files["circ.json"], "--input",
+                     f"sigma={spec}", "--prefix", "60"]) == 0
+    assert capsys.readouterr().out == f"out: {_observed(engine, h, 60)}\n"
 
 
 def test_solve_reads_a_process_header(tmp_path, capsys):

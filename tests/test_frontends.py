@@ -1,4 +1,6 @@
 import json
+import random
+import re
 import sys
 from fractions import Fraction
 
@@ -25,6 +27,7 @@ from corec.frontends import (
     parse_bde,
     parse_ccs,
     parse_gnf,
+    parse_rational,
     parse_stream_spec,
     parse_system,
     tokenize,
@@ -91,6 +94,112 @@ TOKENS = [
 def test_tokens_kind_value_and_position():
     assert [(t.kind, t.value, t.line, t.col)
             for t in tokenize(TOKEN_TEXT)] == TOKENS
+
+
+def _offset(text, line, col):
+    """The index in ``text`` of a 1-based line and column; a tab, a carriage
+    return and any other character count as one column."""
+    lines = text.split("\n")
+    return sum(len(x) + 1 for x in lines[:line - 1]) + col - 1
+
+
+_BETWEEN = re.compile(r"[ \t\r]*(?:#[^\n]*)?")
+_PIECES = ["x", "y_1", "f'", "0", "-3", "007/010", "0.25", "\u0663",
+           "-\u0664/\u0665", "->", "(", ")", ".", ",", ";", "=", "+", "\\", "[",
+           "\n"]
+_GAPS = ["", " ", "  ", "\t", "\r", " \t\r ", " # note", "# (", "\r\n"]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_mutated_tokens_point_at_their_values(seed):
+    rng = random.Random(seed)
+    fixtures = (TOKEN_TEXT, FLAT_TM, SANDWICHED, GRAMMAR, HALF_BDE,
+                "P = a.(P | c.0) + b.0\n")
+    values = [t.value for t in tokenize(rng.choice(fixtures))][:-1]
+    for _ in range(rng.randint(1, 12)):
+        i = rng.randrange(len(values) + 1)
+        mutation = rng.choice(("insert", "delete", "replace"))
+        if mutation == "insert" or i == len(values):
+            values.insert(i, rng.choice(_PIECES))
+        elif mutation == "delete":
+            del values[i]
+        else:
+            values[i] = rng.choice(_PIECES)
+    bad = rng.random() < 0.3
+    if bad:
+        values.insert(rng.randrange(len(values) + 1), rng.choice("@~%$?!"))
+    text = "".join(v + rng.choice(_GAPS) for v in values)
+    try:
+        toks = tokenize(text)
+    except ParseError as err:
+        assert bad
+        at = _offset(text, err.line, err.col)
+        assert text[at] in "@~%$?!"
+        assert err.message == f"unexpected character {text[at]!r}"
+        return
+    end = 0
+    for t in toks:
+        at = _offset(text, t.line, t.col)
+        assert text[at:at + len(t.value)] == t.value
+        # only blanks and a comment lie between two tokens
+        assert _BETWEEN.fullmatch(text, end, at), (t, text[end:at])
+        end = at + len(t.value)
+    assert toks[-1].kind == "eof" and end == len(text)
+
+
+@pytest.mark.parametrize("text, line, col, char", [
+    ("x =\t@", 1, 5, "@"),
+    ("kind stream\r\n@", 2, 1, "@"),
+    ("kind stream\r\nx = 1 . x # c\r\n  $", 3, 3, "$"),
+    ("x = 1 . x\t# c @ \n\t\r\t&", 2, 4, "&"),
+    ("x = 1 . x # note\n   \t!", 2, 5, "!"),
+], ids=["tab", "crlf", "comment-crlf", "comment-tabs", "comment"])
+def test_unexpected_character_position(text, line, col, char):
+    with pytest.raises(ParseError) as err:
+        tokenize(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert err.value.message == f"unexpected character {char!r}"
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_parse_rational_agrees_with_fraction(seed):
+    rng = random.Random(seed)
+
+    def digits():
+        return "0" * rng.randint(0, 2) + str(rng.randint(0, 10 ** 30)) \
+            if rng.random() < 0.5 else str(rng.randint(0, 99))
+
+    for _ in range(200):
+        text = rng.choice(("", "-")) + digits()
+        form = rng.random()
+        if form < 0.4:
+            text += "/" + "0" * rng.randint(0, 2) + str(rng.randint(1, 10 ** 9))
+        elif form < 0.5:
+            text += "." + digits()
+        value = parse_rational(text)
+        assert type(value) is Fraction
+        assert value == Fraction(text)
+        assert (value.numerator, value.denominator) == \
+            Fraction(text).as_integer_ratio()
+
+
+def test_parse_rational_reads_non_ascii_digits_as_fraction_does():
+    for text in ("\u0663", "-\u0664/\u0665", "\u0661\u0660.\u0665"):
+        assert parse_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0", "line 1, col 1: zero denominator in '1/0'"),
+    ("-1/000", "line 1, col 1: zero denominator in '-1/000'"),
+    (" 1/0 ", "line 1, col 1: zero denominator in '1/0'"),
+    ("abc", "line 1, col 1: bad rational 'abc'"),
+    ("1/", "line 1, col 1: bad rational '1/'"),
+    ("1" * 5000, f"line 1, col 1: bad rational '{'1' * 5000}'"),
+])
+def test_parse_rational_errors(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_rational(text)
+    assert str(err.value) == message
 
 
 def test_parse_flat_stream_system(engine):

@@ -288,12 +288,27 @@ def test_unguarded_context_rejected(engine):
 
 
 def test_rule_fuse_trips_as_diverged():
+    # the first step of zip nested 6 deep applies a rule at every level
     small = Engine(EngineConfig(unfold_fuse=3))
     table = stream_table()
     ones = periodic_stream(small, (), (1,))
-    h = small.interpret_op(table, table.op("shuffle"), [ones, ones])
+    h = ones
+    for _ in range(6):
+        h = small.interpret_op(table, table.op("zip"), [h, ones])
     with pytest.raises(RuleDiverged):
-        small.observe(h, 12)
+        small.observe(h, 1)
+
+
+def test_rule_fuse_counts_per_step_not_per_observation():
+    n = 3000
+    small = Engine(EngineConfig(unfold_fuse=1000))
+    u = small.solve(sandwiched_tm_system())["u"]
+    tree, digits = small.observe(u, n), []
+    while not tree.cut:
+        digits.append(tree.label)
+        tree = tree.children[0][1]
+    want = [bin(k).count("1") % 2 for k in range(n)]
+    assert digits == want == stream_take(u, n)
 
 
 def test_compose_systems_ccs_matches_displayed_combination(engine):
