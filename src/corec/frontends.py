@@ -3,12 +3,16 @@
 Equation systems, behavioral differential equations, CCS agent files, and
 grammars are line-oriented text with `#` comments; circuits are JSON.
 Rational literals accept `p/q`, decimal, and integer forms and are read
-exactly.  A `TokenStream` cuts a text into tokens with one `findall` and
-builds a `Tok` only for a token a parser reads, and each text format is
-read in one pass over its tokens, so parsing takes time linear in the file
-size.  One reader, `_read_kind`, maps a `kind …` header or a kind argument
-to a built-in table; the term grammar, which BDE clauses share, and the
-printers then read the syntax the kind states.
+exactly.  A `TokenStream` reads a text's token values with one `findall`
+and their kinds off their first characters; the readers index those two
+lists, and a parse node holds the index of its first token, whose line and
+column are found only when an error is raised.  Each text format is read
+in one pass over its tokens, so parsing takes time linear in the file
+size, and the system and agent compilers keep one `Var` per variable
+name and one symbol per name and parameter.  One reader, `_read_kind`,
+maps a `kind …` header or a kind argument to a built-in table; the term
+grammar, which BDE clauses share, and the printers then read the syntax
+the kind states.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import re
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .behavior import (
@@ -28,12 +34,12 @@ from .behavior import (
     process_step,
 )
 from .errors import (
+    CorecError,
     DanglingPort,
     InvalidCircuit,
     NotGnf,
     ParseError,
     Unguarded,
-    UnknownSymbol,
 )
 from .rules import GsosRule, RpsDef, RuleTable, extend_with_rps
 from .solver import System
@@ -61,20 +67,18 @@ def format_label(value) -> str:
 # Lexer
 
 
-# One findall cuts the text into pieces: a blank run or a comment (both
-# skipped), a newline, an arrow, a number, an identifier, a symbol, any
-# other single character, which is an error, and an empty piece at the end.
-# A piece's kind is its first character's.  Outside the table are `-`,
-# which starts an arrow or a number, and non-ASCII digits, which `\d`
-# takes: any other character there is an error.
-_PIECE_RE = re.compile(r"""
-    [ \t\r]+ | \#[^\n]* | \n | ->
-  | -?\d+(?:/\d+|\.\d+)?
-  | [A-Za-z_][A-Za-z0-9_]*'*
-  | . | \Z""", re.VERBOSE)
+# One findall reads the token values.  The pattern skips the blanks and the
+# comment before a token and captures an identifier, a number, a newline,
+# an arrow, any other single character, which is an error, or the empty
+# value at the end.  A token's kind is its first character's.  Outside the
+# table are `-`, which starts an arrow or a number, and non-ASCII digits,
+# which `\d` takes: any other character there is an error.
+_TOKEN_RE = re.compile(r"""[ \t\r]*(?:\#[^\n]*)?
+    ( [A-Za-z_][A-Za-z0-9_]*'* | -?\d+(?:/\d+|\.\d+)? | \n | -> | . | \Z )""",
+                       re.VERBOSE)
 _FIRST = dict.fromkeys(string.ascii_letters + "_", "ident") \
-    | dict.fromkeys(string.digits, "num") | dict.fromkeys(" \t\r#") \
-    | dict.fromkeys("().,;:=+*|\\{}[]", "sym") | {"\n": "nl", "": "eof"}
+    | dict.fromkeys(string.digits, "num") \
+    | dict.fromkeys("().,;:=+*|\\{}[]", "sym") | {"\n": "nl"}
 
 
 class Tok(NamedTuple):
@@ -88,16 +92,18 @@ def tokenize(text: str):
     """All tokens of ``text``, ending with one `eof` token; a character no
     token starts with raises ParseError before anything is parsed."""
     ts = TokenStream(text)
-    return list(map(Tok, ts.kinds, ts.values, ts.lines, ts.cols))
+    return [Tok(k, v, *p) for k, v, p in zip(ts.kinds, ts.values,
+                                             ts.positions())]
 
 
 _INT_RATIO = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
-def parse_rational(text: str, line: int = 1, col: int = 1) -> Fraction:
+def parse_rational(text: str) -> Fraction:
     """A rational, `p/q` or a decimal, as a Fraction; anything else, a zero
-    denominator included, is a ParseError at ``line`` and ``col``.  Integers
-    and ratios of integers are read through `int`."""
+    denominator included, is a ParseError at line 1, col 1, which a reader
+    of tokens moves to the token.  Integers and ratios of integers are read
+    through `int`."""
     try:
         m = _INT_RATIO.fullmatch(text)
         return Fraction(int(m[1]), int(m[2] or 1)) if m \
@@ -105,111 +111,133 @@ def parse_rational(text: str, line: int = 1, col: int = 1) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         what = "bad rational" if isinstance(exc, ValueError) else \
             "zero denominator in"
-        raise ParseError(line, col, f"{what} {text.strip()!r}") from None
+        raise ParseError(1, 1, f"{what} {text.strip()!r}") from None
 
 
 class TokenStream:
-    """A text's tokens, `eof` last, as lists of kinds, values, lines and
-    columns: a `Tok` is built only for a token a parser reads."""
+    """A text's token values, the empty `eof` value last, and their kinds:
+    two lists that readers index, at the cursor ``i`` or at an index they
+    hold.  A token's line and column are found only for an error or for
+    `tokenize`, by lexing the text again."""
 
     def __init__(self, text: str):
-        kinds, values, lines, cols = \
-            self.kinds, self.values, self.lines, self.cols = [], [], [], []
-        line, line_start, pos, first = 1, 0, 0, _FIRST.get
-        for piece in _PIECE_RE.findall(text):
-            kind = first(piece[:1], "?")
-            if kind is not None:
-                if kind == "?":  # `-`, a non-ASCII digit or a stray character
-                    kind = "arrow" if piece == "->" else "num" \
-                        if piece[1:] or piece.isdecimal() else "bad"
-                    if kind == "bad":
-                        raise ParseError(line, pos - line_start + 1,
-                                         f"unexpected character {piece!r}")
-                kinds.append(kind)
-                values.append(piece)
-                lines.append(line)
-                cols.append(pos - line_start + 1)
-                if kind == "nl":
-                    line += 1
-                    line_start = pos + 1
-            pos += len(piece)
+        self.text = text
+        values = self.values = _TOKEN_RE.findall(text)
+        if len(values) > 1 and not values[-2]:  # the end, after blanks,
+            values.pop()  # matches once with them and once alone
+        kinds = self.kinds = list(map(_FIRST.get,
+                                      map(itemgetter(0), values[:-1])))
+        kinds.append("eof")
+        if None in kinds:  # `-`, a non-ASCII digit or a stray character
+            for i, value in enumerate(values):
+                if kinds[i] is None:
+                    kinds[i] = "arrow" if value == "->" else "num" \
+                        if value[1:] or value.isdecimal() else None
+                    if kinds[i] is None:
+                        raise self.error(i, f"unexpected character {value!r}")
+        self.rats = {}
         self.i = 0
 
-    def peek(self) -> Tok:
+    def positions(self):
+        """Each token's line and column, in order."""
+        line, start = 1, 0
+        for m in _TOKEN_RE.finditer(self.text):
+            at = m.start(1)
+            yield line, at - start + 1
+            if m[1] == "\n":
+                line, start = line + 1, at + 1
+
+    def error(self, i, message) -> ParseError:
+        """A ParseError at token ``i``."""
+        return ParseError(*next(islice(self.positions(), i, None)), message)
+
+    def rational(self, i) -> Fraction:
+        """Token ``i`` read by `parse_rational`; one Fraction per spelling."""
+        value = self.values[i]
+        r = self.rats.get(value)
+        if r is None:
+            try:
+                r = self.rats[value] = parse_rational(value)
+            except ParseError as exc:
+                raise self.error(i, exc.message) from None
+        return r
+
+    def ident(self) -> int:
+        """The index of the identifier at the cursor, which moves past it."""
         i = self.i
-        return tuple.__new__(Tok, (self.kinds[i], self.values[i],
-                                   self.lines[i], self.cols[i]))
+        if self.kinds[i] != "ident":
+            raise self.error(i, f"expected 'ident', got {self.values[i]!r}")
+        self.i = i + 1
+        return i
 
-    def next(self) -> Tok:
-        t = self.peek()
-        if t.kind != "eof":
-            self.i += 1
-        return t
+    def expect(self, value):
+        """Move the cursor past ``value``, which must be there."""
+        i = self.i
+        if self.values[i] != value:
+            raise self.error(i, f"expected {value!r}, got {self.values[i]!r}")
+        self.i = i + 1
 
-    def skip_newlines(self):
-        while self.kinds[self.i] == "nl":
-            self.i += 1
-
-    def expect(self, kind, value=None) -> Tok:
-        t = self.next()
-        if t.kind != kind or (value is not None and t.value != value):
-            want = value or kind
-            raise ParseError(t.line, t.col, f"expected {want!r}, got {t.value!r}")
-        return t
-
-    # No other token kind has a punctuation value, so the value decides.
-    def at_sym(self, value) -> bool:
-        return self.values[self.i] == value
-
-    def eat_sym(self, value) -> bool:
+    def eat(self, value) -> bool:
         if self.values[self.i] == value:
             self.i += 1
             return True
         return False
 
-    def end_line(self):
-        t = self.peek()
-        if t.kind not in ("nl", "eof"):
-            raise ParseError(t.line, t.col, f"junk at end of line: {t.value!r}")
+    def skip_newlines(self):
+        while self.kinds[self.i] == "nl":
+            self.i += 1
+
+    def end_line(self, junk="junk at end of line"):
+        i = self.i
+        if self.kinds[i] not in ("nl", "eof"):
+            raise self.error(i, f"{junk}: {self.values[i]!r}")
         self.skip_newlines()
 
 
 # ---------------------------------------------------------------------------
 # Expressions for the deterministic kinds
 #
-# Parse nodes: ("num", r, tok)  ("var", name, tok)  ("call", name, args, tok)
-# ("guard", label, payload-list, tok), its label a "num" or "var" node
+# Parse nodes: ("num", r, i)  ("var", name, i)  ("call", name, args, i)
+# ("guard", label, payload-list, i), its label a "num" or "var" node; ``i``
+# is the index of the node's first token, which positions an error.
 
 
-def _parse_expr(ts: TokenStream):
-    t = ts.next()
-    if t.kind == "num":
-        node = ("num", parse_rational(t.value, t.line, t.col), t)
-    elif t.kind == "ident":
-        if ts.eat_sym("("):
-            args = []
-            if not ts.at_sym(")"):
-                args.append(_parse_expr(ts))
-                while ts.eat_sym(","):
-                    args.append(_parse_expr(ts))
-            ts.expect("sym", ")")
-            return ("call", t.value, args, t)
-        node = ("var", t.value, t)
+def _parse_expr(ts: TokenStream, i):
+    """The parse node of the term at token ``i``, and the index after it."""
+    values = ts.values
+    kind = ts.kinds[i]
+    if kind == "ident":
+        if values[i + 1] == "(":
+            args, j = _parse_args(ts, i + 2)
+            return ("call", values[i], args, i), j
+        node = ("var", values[i], i)
+    elif kind == "num":
+        node = ("num", ts.rational(i), i)
     else:
-        raise ParseError(t.line, t.col, f"expected a term, got {t.value!r}")
-    if ts.eat_sym("."):
-        return ("guard", node, _parse_payload(ts), t)
-    return node
+        raise ts.error(i, f"expected a term, got {values[i]!r}")
+    if values[i + 1] != ".":
+        return node, i + 1
+    if values[i + 2] == "(":
+        payload, j = _parse_args(ts, i + 3, False)
+    else:
+        payload, j = _parse_expr(ts, i + 2)
+        payload = [payload]
+    return ("guard", node, payload, i), j
 
 
-def _parse_payload(ts: TokenStream):
-    if ts.eat_sym("("):
-        out = [_parse_expr(ts)]
-        while ts.eat_sym(","):
-            out.append(_parse_expr(ts))
-        ts.expect("sym", ")")
-        return out
-    return [_parse_expr(ts)]
+def _parse_args(ts: TokenStream, j, empty=True):
+    """The nodes of the terms from token ``j`` to a `)`, comma-separated and
+    none only if ``empty``, and the index after the `)`."""
+    values, args = ts.values, []
+    if not (empty and values[j] == ")"):
+        node, j = _parse_expr(ts, j)
+        args.append(node)
+        while values[j] == ",":
+            node, j = _parse_expr(ts, j + 1)
+            args.append(node)
+        if values[j] != ")":
+            raise ts.error(j, f"expected ')', got {values[j]!r}")
+    return args, j + 1
 
 
 def _param(ptype, node):
@@ -232,78 +260,75 @@ def _letter_step(table: RuleTable, letter, term) -> Step:
 
 
 class _DetCompiler:
-    """Turns parse nodes into terms and guarded contexts over a table."""
+    """Turns parse nodes into terms and guarded contexts over a table, with
+    one `Var` per variable name and one symbol per name and parameter;
+    ``error`` places an error at a node's token."""
 
-    def __init__(self, table: RuleTable, variables, ops):
-        self.table = table
-        self.kind = table.kind
-        self.vars = variables
-        self.ops = ops
+    def __init__(self, table: RuleTable, variables, error):
+        self.table, self.kind, self.sig = table, table.kind, table.sig
+        self.vars = {v: Var(v) for v in variables}
+        self.syms = {}
+        self.error = error
 
-    def _op(self, name, args, tok):
-        try:
-            decl = self.table.sig.decl(name)
-        except UnknownSymbol:
-            raise ParseError(tok.line, tok.col,
-                             f"unknown operation {name!r}") from None
-        if not decl.parametric:
-            return self.table.sig.op(name), args
-        if not args:
-            raise ParseError(tok.line, tok.col,
-                             f"{name!r} needs a leading parameter")
-        param = _param(self.kind.params.get(name), args[0])
-        if param is None:
-            raise ParseError(tok.line, tok.col, f"bad parameter for {name!r}")
-        return self.table.sig.op(name, param), args[1:]
+    def _op(self, name, args, i):
+        if name not in self.sig:
+            raise self.error(i, f"unknown operation {name!r}")
+        param = None
+        if self.sig.decl(name).parametric:
+            if not args:
+                raise self.error(i, f"{name!r} needs a leading parameter")
+            param = _param(self.kind.params.get(name), args[0])
+            if param is None:
+                raise self.error(i, f"bad parameter for {name!r}")
+            args = args[1:]
+        op = self.syms.get((name, param))
+        if op is None:
+            op = self.syms[name, param] = self.sig.op(name, param)
+        return op, args
 
     def _call(self, node):
         """The symbol of a call node and its argument nodes."""
-        _, name, args, tok = node
+        _, name, args, i = node
         if name in self.vars:
-            raise ParseError(tok.line, tok.col,
-                             f"variable {name!r} applied to arguments")
-        op, rest = self._op(name, args, tok)
+            raise self.error(i, f"variable {name!r} applied to arguments")
+        op, rest = self._op(name, args, i)
         if len(rest) != op.arity:
-            raise ParseError(tok.line, tok.col,
-                             f"{name!r} expects {op.arity} arguments")
+            raise self.error(i, f"{name!r} expects {op.arity} arguments")
         return op, rest
 
     def term(self, node) -> Term:
         tag = node[0]
-        if tag == "num":  # a numeral in term position is `const`
-            return self.term(("call", "const", [node], node[2]))
         if tag == "var":
-            name = node[1]
-            if name in self.vars:
-                return Var(name)
-            if name in self.ops:
-                op, _ = self._op(name, [], node[2])
-                return mk_app(op, ())
-            raise ParseError(node[2].line, node[2].col,
-                             f"unknown name {name!r}")
+            leaf = self.vars.get(node[1])
+            if leaf is not None:
+                return leaf
+            if node[1] not in self.sig:
+                raise self.error(node[2], f"unknown name {node[1]!r}")
+            return mk_app(self._op(node[1], [], node[2])[0], ())
         if tag == "call":
             op, rest = self._call(node)
-            return mk_app(op, tuple(self.term(a) for a in rest))
+            return mk_app(op, tuple(map(self.term, rest)))
+        if tag == "num":  # a numeral in term position is `const`
+            return self.term(("call", "const", [node], node[2]))
         # `r . t` in term position is the kind's prefix symbol
-        _, label, payload, tok = node
+        _, label, payload, i = node
         if self.kind.prefix is None:
-            raise ParseError(tok.line, tok.col,
-                             f"no term-level guard for {self.kind.name}")
-        return self.term(("call", self.kind.prefix, [label, *payload], tok))
+            raise self.error(i, f"no term-level guard for {self.kind.name}")
+        return self.term(("call", self.kind.prefix, [label, *payload], i))
 
     def guard_step(self, node) -> Step:
         """A label and one term per port, or a language's letter guard."""
-        _, label, payload, tok = node
+        _, label, payload, i = node
         kind = self.kind
         if label[0] == "var" and not kind.rational:
             if label[1] not in kind.ports or len(payload) != 1:
-                raise ParseError(tok.line, tok.col, "letter guard is "
+                raise self.error(i, "letter guard is "
                                  f"`letter . term`, a letter of {kind.ports}")
             return _letter_step(self.table, label[1], self.term(payload[0]))
         n = len(kind.ports)
         value = _param("rat" if kind.rational else "bit", label)
         if value is None or len(payload) != n:
-            raise ParseError(tok.line, tok.col, f"{kind.name} guard is `"
+            raise self.error(i, f"{kind.name} guard is `"
                              f"{'rational' if kind.rational else '0/1'} . "
                              f"{'term' if n == 1 else f'({n} terms)'}`")
         return Step(value, tuple(zip(kind.ports, map(self.term, payload))))
@@ -333,12 +358,12 @@ def _read_kind(ts: TokenStream, kind=None) -> Optional[RuleTable]:
     "tree", "language:<letters>", "process" or a kind object), names; None
     for processes, whose actions fix their table.  The only reader of kinds."""
     ts.skip_newlines()
-    t, line, col = ts.peek(), 1, 1
-    if t.kind == "ident" and t.value == "kind":
-        ts.next()
-        t = ts.expect("ident")
-        name, line, col = t.value, t.line, t.col
-        letters = ts.expect("ident").value if name == "language" else ""
+    at = None
+    if ts.values[ts.i] == "kind":
+        ts.i += 1
+        at = ts.ident()
+        name = ts.values[at]
+        letters = ts.values[ts.ident()] if name == "language" else ""
         ts.end_line()
     elif kind is None:
         raise ParseError(1, 1, "no kind header and no kind argument")
@@ -354,7 +379,8 @@ def _read_kind(ts: TokenStream, kind=None) -> Optional[RuleTable]:
         return instances.stream_table()
     if name == "tree":
         return instances.tree_table()
-    raise ParseError(line, col, f"unknown kind {name!r}")
+    message = f"unknown kind {name!r}"
+    raise ParseError(1, 1, message) if at is None else ts.error(at, message)
 
 
 def parse_system(text: str, kind=None) -> System:
@@ -370,31 +396,39 @@ def parse_system(text: str, kind=None) -> System:
     if table is None:
         return parse_ccs(text)
 
-    entries = []
+    # A definition's name is the token before its `=`, the only `=` a
+    # system holds, so each right-hand side is compiled as soon as it is
+    # read.  The first error of the compiler waits, so that errors come in
+    # the order: syntax, then names, then right-hand sides.
+    values = ts.values
+    comp = _DetCompiler(table, compress(values, map(
+        "=".__eq__, islice(values, 1, None))), ts.error)
+    names, rhs, late = [], {}, None
     ts.skip_newlines()
-    while ts.peek().kind != "eof":
-        name_tok = ts.expect("ident")
-        ts.expect("sym", "=")
-        node = _parse_expr(ts)
+    while ts.kinds[ts.i] != "eof":
+        names.append(ts.ident())
+        ts.expect("=")
+        node, ts.i = _parse_expr(ts, ts.i)
         ts.end_line()
-        entries.append((name_tok, node))
-    if not entries:
+        if late is None:
+            try:
+                rhs.setdefault(values[names[-1]], comp.rhs(node))
+            except CorecError as exc:
+                late = exc
+    if not names:
         raise ParseError(1, 1, "empty system")
 
-    ops = set(table.sig.names)
-    variables = {}
-    for tok, node in entries:
-        if tok.value in ops:
-            raise ParseError(tok.line, tok.col,
-                             f"variable {tok.value!r} shadows an operation")
-        if tok.value in variables:
-            raise ParseError(tok.line, tok.col,
-                             f"variable {tok.value!r} defined twice")
-        variables[tok.value] = node
-
-    comp = _DetCompiler(table, variables, ops)
-    rhs = {v: comp.rhs(node) for v, node in variables.items()}
-    return System(table.kind, table, tuple(variables), rhs)
+    seen = set()
+    for at in names:
+        name = values[at]
+        if name in table.sig:
+            raise ts.error(at, f"variable {name!r} shadows an operation")
+        if name in seen:
+            raise ts.error(at, f"variable {name!r} defined twice")
+        seen.add(name)
+    if late is not None:
+        raise late
+    return System(table.kind, table, tuple(rhs), rhs)
 
 
 def format_term(table: RuleTable, t: Term) -> str:
@@ -465,70 +499,58 @@ class BdeProgram:
 
 def _parse_head_expr(ts: TokenStream, head_kw, params):
     """The initial-value expression as a function of the argument labels."""
+    values = ts.values
+
     def binary(op, a, b):
         return lambda labels: op(a(labels), b(labels))
 
     def atom():
-        t = ts.peek()
-        if t.kind == "num":
-            ts.next()
-            value = parse_rational(t.value, t.line, t.col)
+        i = ts.i
+        if ts.kinds[i] == "num":
+            ts.i += 1
+            value = ts.rational(i)
             return lambda labels: value
-        if ts.eat_sym("("):
+        if ts.eat("("):
             e = add()
-            ts.expect("sym", ")")
+            ts.expect(")")
             return e
-        if t.kind == "ident" and t.value == head_kw:
-            ts.next()
-            ts.expect("sym", "(")
-            var = ts.expect("ident")
-            ts.expect("sym", ")")
-            if var.value not in params:
-                raise ParseError(var.line, var.col,
-                                 f"unknown argument {var.value!r}")
-            i = params.index(var.value)
-            return lambda labels: labels[i]
-        raise ParseError(t.line, t.col,
-                         f"bad initial-value expression at {t.value!r}")
+        if values[i] == head_kw:
+            ts.i += 1
+            ts.expect("(")
+            var = ts.ident()
+            ts.expect(")")
+            if values[var] not in params:
+                raise ts.error(var, f"unknown argument {values[var]!r}")
+            k = params.index(values[var])
+            return lambda labels: labels[k]
+        raise ts.error(i, f"bad initial-value expression at {values[i]!r}")
 
     def mul():
         e = atom()
-        while ts.eat_sym("*"):
+        while ts.eat("*"):
             e = binary(operator.mul, e, atom())
         return e
 
     def add():
         e = mul()
-        while ts.eat_sym("+"):
+        while ts.eat("+"):
             e = binary(operator.add, e, mul())
         return e
 
     return add()
 
 
-def _clause_argument(pos, node):
-    """The position of the `x` of head(x), tail(x), left(x), right(x) or
-    root(x), arguments at ``pos`` by name."""
-    _, name, args, tok = node
-    if len(args) != 1 or args[0][0] != "var":
-        raise ParseError(tok.line, tok.col,
-                         f"{name!r} takes one argument name")
-    var = args[0]
-    if var[1] not in pos:
-        raise ParseError(var[2].line, var[2].col,
-                         f"unknown argument {var[1]!r}")
-    return pos[var[1]]
-
-
 class _ClauseCompiler:
     """Derivative clauses' parse nodes (`_parse_expr`) as functions from the
     premises to continuation terms over ``sig``, one compiler per program.
-    A token serves only errors: a generated, well-formed node holds None."""
+    A token index serves only errors, placed by ``error``: a generated,
+    well-formed node holds None."""
 
-    def __init__(self, sig, kind):
+    def __init__(self, sig, kind, error=None):
         self.sig, self.kind, self.head_kw = sig, kind, kind.clauses[0]
         self.ports = dict(zip(kind.clauses[1:], kind.ports))
         self.reads = {}
+        self.error = error
 
     def _read(self, i, port=None):
         """Premise ``i``, or its continuation at ``port``; one per program."""
@@ -538,38 +560,45 @@ class _ClauseCompiler:
                 if port is None else (lambda a: a[i].at(port))
         return fn
 
+    def _argument(self, pos, node):
+        """The position of the `x` of head(x), tail(x), left(x), right(x)
+        or root(x), arguments at ``pos`` by name."""
+        _, name, args, at = node
+        if len(args) != 1 or args[0][0] != "var":
+            raise self.error(at, f"{name!r} takes one argument name")
+        _, var, at = args[0]
+        if var not in pos:
+            raise self.error(at, f"unknown argument {var!r}")
+        return pos[var]
+
     def compile(self, pos, node):
         """The function of ``node``, arguments at ``pos`` by name."""
         sig, kind, head_kw = self.sig, self.kind, self.head_kw
-        tag, tok = node[0], node[-1]
+        tag, at = node[0], node[-1]
         if tag == "num":
             term = mk_app(sig.op("const", node[1]), ())
             return lambda a: term
         if tag == "var":
             if node[1] not in pos:
-                raise ParseError(tok.line, tok.col, f"unknown name {node[1]!r}")
+                raise self.error(at, f"unknown name {node[1]!r}")
             return self._read(pos[node[1]])
         if tag == "guard":
             _, label, payload, _ = node
             if label[0] == "var":
-                raise ParseError(tok.line, tok.col,
-                                 f"unknown name {label[1]!r}")
+                raise self.error(at, f"unknown name {label[1]!r}")
             if kind.prefix is None:
-                raise ParseError(tok.line, tok.col,
-                                 "prefix terms are stream-only")
+                raise self.error(at, "prefix terms are stream-only")
             return self.compile(pos, ("call", kind.prefix,
-                                      [label, *payload], tok))
+                                      [label, *payload], at))
         _, name, args, _ = node
         if name == head_kw:
-            i = _clause_argument(pos, node)
+            i = self._argument(pos, node)
             return lambda a: mk_app(sig.op("const", a[i].head), ())
         if name in self.ports:
-            return self._read(_clause_argument(pos, node), self.ports[name])
-        try:
-            decl = sig.decl(name)
-        except UnknownSymbol:
-            raise ParseError(tok.line, tok.col,
-                             f"unknown operation {name!r}") from None
+            return self._read(self._argument(pos, node), self.ports[name])
+        if name not in sig:
+            raise self.error(at, f"unknown operation {name!r}")
+        decl = sig.decl(name)
         if not decl.parametric:
             op = sig.op(name)
             op_of = lambda a: op  # noqa: E731
@@ -577,14 +606,12 @@ class _ClauseCompiler:
             op, args = sig.op(name, args[0][1]), args[1:]
             op_of = lambda a: op  # noqa: E731
         elif args and args[0][0] == "call" and args[0][1] == head_kw:
-            i, args = _clause_argument(pos, args[0]), args[1:]
+            i, args = self._argument(pos, args[0]), args[1:]
             op_of = lambda a: sig.op(name, a[i].head)  # noqa: E731
         else:
-            raise ParseError(tok.line, tok.col,
-                             f"{name!r} needs a rational parameter")
+            raise self.error(at, f"{name!r} needs a rational parameter")
         if len(args) != decl.arity:
-            raise ParseError(tok.line, tok.col,
-                             f"{name!r} expects {decl.arity} arguments")
+            raise self.error(at, f"{name!r} expects {decl.arity} arguments")
         kids = [self.compile(pos, n) for n in args]
         return lambda a: mk_app(op_of(a), tuple(k(a) for k in kids))
 
@@ -603,72 +630,66 @@ def parse_bde(text: str) -> BdeProgram:
     given = _read_kind(ts, "stream")
     if given is None or given.kind.clauses is None:
         raise ParseError(1, 1, "bde files are `kind stream` or `kind tree`")
-    kind = given.kind
+    kind, values = given.kind, ts.values
     head_kw = kind.clauses[0]
 
     ts.skip_newlines()
-    if ts.peek().kind == "ident" and ts.peek().value == "given":
-        ts.next()
-        while ts.peek().kind == "ident":
-            g = ts.next()
-            if g.value not in given.sig:
-                raise ParseError(g.line, g.col,
-                                 f"no given operation {g.value!r}")
+    if ts.eat("given"):
+        while ts.kinds[ts.i] == "ident":
+            if values[ts.i] not in given.sig:
+                raise ts.error(ts.i, f"no given operation {values[ts.i]!r}")
+            ts.i += 1
         ts.end_line()
 
     defs = {}
-    while ts.peek().kind != "eof":
-        name_tok = ts.expect("ident")
-        name = name_tok.value
+    while ts.kinds[ts.i] != "eof":
+        at = ts.ident()
+        name = values[at]
         if name in defs:
-            raise ParseError(name_tok.line, name_tok.col,
-                             f"operation {name!r} defined twice")
+            raise ts.error(at, f"operation {name!r} defined twice")
         if name in given.sig:
-            raise ParseError(name_tok.line, name_tok.col,
-                             f"operation {name!r} shadows a given")
-        ts.expect("sym", "(")
+            raise ts.error(at, f"operation {name!r} shadows a given")
+        ts.expect("(")
         params = []
-        if not ts.at_sym(")"):
+        if values[ts.i] != ")":
             while True:
-                p = ts.expect("ident")
-                if p.value in params:
-                    raise ParseError(p.line, p.col,
-                                     f"argument {p.value!r} named twice")
-                params.append(p.value)
-                if not ts.eat_sym(","):
+                p = ts.ident()
+                if values[p] in params:
+                    raise ts.error(p, f"argument {values[p]!r} named twice")
+                params.append(values[p])
+                if not ts.eat(","):
                     break
-        ts.expect("sym", ")")
-        ts.expect("sym", ":")
-        kw = ts.expect("ident")
-        if kw.value != head_kw:
-            raise ParseError(kw.line, kw.col,
-                             f"definition must start with `{head_kw} =`")
-        ts.expect("sym", "=")
+        ts.expect(")")
+        ts.expect(":")
+        kw = ts.ident()
+        if values[kw] != head_kw:
+            raise ts.error(kw, f"definition must start with `{head_kw} =`")
+        ts.expect("=")
         head_expr = _parse_head_expr(ts, head_kw, params)
         clauses = []
         for clause in kind.clauses[1:]:
-            if not ts.eat_sym(";"):
-                t = ts.peek()
-                raise ParseError(t.line, t.col, f"missing `{clause} =` clause")
-            kw = ts.expect("ident")
-            if kw.value != clause:
-                raise ParseError(kw.line, kw.col,
-                                 f"expected clause {clause!r}")
-            ts.expect("sym", "=")
-            clauses.append(_parse_expr(ts))
+            if not ts.eat(";"):
+                raise ts.error(ts.i, f"missing `{clause} =` clause")
+            kw = ts.ident()
+            if values[kw] != clause:
+                raise ts.error(kw, f"expected clause {clause!r}")
+            ts.expect("=")
+            node, ts.i = _parse_expr(ts, ts.i)
+            clauses.append(node)
         ts.end_line()
         defs[name] = (params, head_expr, clauses)
-    return _bde_program(given, defs)
+    return _bde_program(given, defs, ts.error)
 
 
-def _bde_program(given: RuleTable, defs) -> BdeProgram:
+def _bde_program(given: RuleTable, defs, error=None) -> BdeProgram:
     """The program of ``defs``, ``{name: (params, head, clauses)}`` over
     ``given``: a head maps the argument labels to the label, and the
-    clauses are parse nodes (`_parse_expr`), one per port of the kind."""
+    clauses are parse nodes (`_parse_expr`), one per port of the kind;
+    ``error`` places an error at a node's token."""
     kind = given.kind
     new_sig = signature(*((n, len(d[0])) for n, d in defs.items()))
     sum_sig = sig_sum(given.sig, new_sig)
-    comp, rules = _ClauseCompiler(sum_sig, kind), {}
+    comp, rules = _ClauseCompiler(sum_sig, kind, error), {}
     for name, (params, head_expr, clauses) in defs.items():
         pos = {p: i for i, p in enumerate(params)}
         derivs = [comp.compile(pos, node) for node in clauses]
@@ -693,84 +714,91 @@ _CCS_RESERVED = {"alt", "seq", "tau", "kind"}
 
 
 def _parse_ccs_expr(ts: TokenStream, actions, names):
-    """One agent expression.  Action names go into ``actions``; each
-    identifier read as an action prefix or an agent reference goes into
-    ``names`` as ``(token, is_prefix)``, to be checked once every agent is
-    known."""
+    """One agent expression from the cursor on.  Action names go into
+    ``actions``; the index of each identifier read as an action prefix,
+    which a `.` follows, or as an agent reference goes into ``names``, to
+    be checked once every agent is known."""
+    values, kinds = ts.values, ts.kinds
+
     def atom():
-        t = ts.peek()
-        if t.kind == "num" and t.value == "0":
-            ts.next()
+        i = ts.i
+        value = values[i]
+        if value == "0":
+            ts.i = i + 1
             return ("sum", ())
-        if ts.eat_sym("("):
+        if value == "(":
+            ts.i = i + 1
             e = expr()
-            ts.expect("sym", ")")
+            ts.expect(")")
             return e
-        if t.kind != "ident":
-            raise ParseError(t.line, t.col, f"expected an agent, got {t.value!r}")
-        ts.next()
-        name = t.value
-        if name in ("alt", "seq") and ts.at_sym("("):
-            ts.next()
+        if kinds[i] != "ident":
+            raise ts.error(i, f"expected an agent, got {value!r}")
+        after = values[i + 1]
+        if after == "(" and value in ("alt", "seq"):
+            ts.i = i + 2
             a = expr()
-            ts.expect("sym", ",")
+            ts.expect(",")
             b = expr()
-            ts.expect("sym", ")")
-            return (name, a, b)
-        if ts.eat_sym("."):
-            names.append((t, True))
-            actions.add(name)
-            return ("pref", name, postfix())
-        names.append((t, False))
-        return ("ref", name)
+            ts.expect(")")
+            return (value, a, b)
+        names.append(i)
+        if after == ".":
+            ts.i = i + 2
+            actions.add(value)
+            return ("pref", value, postfix())
+        ts.i = i + 1
+        return ("ref", value)
 
     def action():
-        a = ts.expect("ident").value
+        a = values[ts.ident()]
         actions.add(a)
         return a
 
     def postfix():
         e = atom()
         while True:
-            if ts.eat_sym("["):
+            after = values[ts.i]
+            if after == "[":
+                ts.i += 1
                 pairs = []
                 while True:
                     a = action()
-                    ts.expect("arrow", "->")
+                    ts.expect("->")
                     pairs.append((a, action()))
-                    if not ts.eat_sym(","):
+                    if not ts.eat(","):
                         break
-                ts.expect("sym", "]")
+                ts.expect("]")
                 e = ("relabel", tuple(pairs), e)
-            elif ts.eat_sym("\\"):
-                ts.expect("sym", "{")
+            elif after == "\\":
+                ts.i += 1
+                ts.expect("{")
                 restricted = []
-                if not ts.at_sym("}"):
+                if values[ts.i] != "}":
                     restricted.append(action())
-                    while ts.eat_sym(","):
+                    while ts.eat(","):
                         restricted.append(action())
-                ts.expect("sym", "}")
+                ts.expect("}")
                 e = ("restrict", tuple(sorted(restricted)), e)
             else:
                 return e
 
     def seq_level():
         e = postfix()
-        while ts.eat_sym(";"):
+        while ts.eat(";"):
             e = ("seq", e, postfix())
         return e
 
     def par_level():
         e = seq_level()
-        while ts.eat_sym("|"):
+        while ts.eat("|"):
             e = ("par", e, seq_level())
         return e
 
     def expr():
         e = par_level()
-        if ts.at_sym("+"):
+        if values[ts.i] == "+":
             parts = [e]
-            while ts.eat_sym("+"):
+            while ts.eat("+"):
                 parts.append(par_level())
             return ("sum", tuple(parts))
         return e
@@ -781,23 +809,24 @@ def _parse_ccs_expr(ts: TokenStream, actions, names):
 _NO_MOVES = Guard(process_step(()))
 
 
-def _ccs_context(table, ast, path=()):
+def _ccs_context(table, ast, shared, path=()):
     """Guarded term of an agent AST; a sum of guards is one guard, and a
     guard with no moves (`0`) below any other operator is `nil`, which the
-    `par` law drops."""
+    `par` law drops.  Leaves and symbols are shared through ``shared``, as
+    `instances.ccs_term` shares them."""
     tag = ast[0]
     if tag == "pref":
         return Guard(process_step(
-            ((ast[1], instances.ccs_term(table, ast[2])),)))
+            ((ast[1], instances.ccs_term(table, ast[2], shared)),)))
     if tag == "ref":
         raise Unguarded(ast[1], path)
-    op, subs = instances.ccs_op(table, ast)
-    kids = tuple(_ccs_context(table, s, path + (i,))
+    op, subs = instances.ccs_op(table, ast, shared)
+    kids = tuple(_ccs_context(table, s, shared, path + (i,))
                  for i, s in enumerate(subs))
     if tag == "sum" and all(isinstance(k, Guard) for k in kids):
         return Guard(process_step(
             tuple(m for k in kids for m in k.step.children)))
-    nil = App(table.op("nil"), ())
+    nil = instances.ccs_term(table, ("sum", ()), shared)
     return App(op, tuple(nil if k == _NO_MOVES else k for k in kids))
 
 
@@ -812,35 +841,31 @@ def parse_ccs(text: str) -> System:
     ts = TokenStream(text)
     if _read_kind(ts, "process") is not None:
         raise ParseError(1, 1, "agent files are `kind process`")
-    asts, actions, names = {}, set(), []
-    while ts.peek().kind != "eof":
-        name_tok = ts.expect("ident")
-        name = name_tok.value
+    asts, actions, names, values = {}, set(), [], ts.values
+    while ts.kinds[ts.i] != "eof":
+        at = ts.ident()
+        name = values[at]
         if name in _CCS_RESERVED:
-            raise ParseError(name_tok.line, name_tok.col,
-                             f"{name!r} cannot name an agent")
+            raise ts.error(at, f"{name!r} cannot name an agent")
         if name in asts:
-            raise ParseError(name_tok.line, name_tok.col,
-                             f"agent {name!r} defined twice")
-        ts.expect("sym", "=")
+            raise ts.error(at, f"agent {name!r} defined twice")
+        ts.expect("=")
         asts[name] = _parse_ccs_expr(ts, actions, names)
-        t = ts.peek()
-        if t.kind not in ("nl", "eof"):
-            raise ParseError(t.line, t.col, f"junk after agent: {t.value!r}")
-        ts.skip_newlines()
+        ts.end_line("junk after agent")
     if not asts:
         raise ParseError(1, 1, "empty agent file")
-    for t, is_prefix in names:
-        if is_prefix and t.value in asts:
-            raise ParseError(t.line, t.col,
-                             f"{t.value!r} is an agent, not an action")
-        if not is_prefix and t.value not in asts:
-            raise ParseError(t.line, t.col, f"unknown agent {t.value!r}")
+    for i in names:
+        name = values[i]
+        if values[i + 1] == ".":
+            if name in asts:
+                raise ts.error(i, f"{name!r} is an agent, not an action")
+        elif name not in asts:
+            raise ts.error(i, f"unknown agent {name!r}")
 
     bases = sorted({a.rstrip("'") for a in actions} - {"tau"})
     kind = process_actions(*bases)
-    table = instances.ccs_table(kind)
-    rhs = {v: _ccs_context(table, ast) for v, ast in asts.items()}
+    table, shared = instances.ccs_table(kind), {}
+    rhs = {v: _ccs_context(table, ast, shared) for v, ast in asts.items()}
     return System(kind, table, tuple(asts), rhs)
 
 
@@ -932,18 +957,23 @@ def _check_gnf_shape(g: GnfFile):
 def parse_gnf(text: str) -> GnfFile:
     """Parse a grammar file; productions must be in Greibach normal form."""
     ts = TokenStream(text)
+    values, kinds = ts.values, ts.kinds
+
+    def idents():
+        start = ts.i
+        while kinds[ts.i] == "ident":
+            ts.i += 1
+        return tuple(values[start:ts.i])
+
     header = {}
     ts.skip_newlines()
     for key in ("terminals", "nonterminals", "start"):
-        kw = ts.expect("ident")
-        if kw.value != key:
-            raise ParseError(kw.line, kw.col, f"expected `{key}:` header")
-        ts.expect("sym", ":")
-        names = []
-        while ts.peek().kind == "ident":
-            names.append(ts.next().value)
+        kw = ts.ident()
+        if values[kw] != key:
+            raise ts.error(kw, f"expected `{key}:` header")
+        ts.expect(":")
+        header[key] = idents()
         ts.end_line()
-        header[key] = tuple(names)
     if len(header["start"]) != 1:
         raise ParseError(1, 1, "exactly one start symbol")
     for t in header["terminals"]:
@@ -951,14 +981,11 @@ def parse_gnf(text: str) -> GnfFile:
             raise ParseError(1, 1, f"terminals are single letters, got {t!r}")
 
     productions = []
-    while ts.peek().kind != "eof":
-        lhs = ts.expect("ident")
-        ts.expect("arrow", "->")
-        rhs = []
-        while ts.peek().kind == "ident":
-            rhs.append(ts.next().value)
+    while kinds[ts.i] != "eof":
+        lhs = values[ts.ident()]
+        ts.expect("->")
+        productions.append((lhs, idents()))
         ts.end_line()
-        productions.append((lhs.value, tuple(rhs)))
 
     g = GnfFile(header["terminals"], header["nonterminals"],
                 header["start"][0], tuple(productions))

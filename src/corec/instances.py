@@ -487,54 +487,91 @@ def language_member(h: SolutionHandle, word: str) -> bool:
 # Shared tuple ASTs compiled for the engine (oracles consume them directly)
 
 
+def _build_term(root, split) -> Term:
+    """The term of the AST ``root``, built in post-order on an explicit
+    stack: ``split(ast)`` is a node's symbol and its argument ASTs, or its
+    leaf term and None.  A None on the stack marks that the arguments of
+    the symbol below it are built."""
+    stack, built = [root], []
+    while stack:
+        ast = stack.pop()
+        if ast is None:
+            op = stack.pop()
+            cut = len(built) - op.arity
+            args = tuple(built[cut:])
+            del built[cut:]
+            built.append(mk_app(op, args))
+            continue
+        op, subs = split(ast)
+        if subs is None:
+            built.append(op)
+        else:
+            stack += (op, None, *reversed(subs))
+    return built[0]
+
+
 def language_term(table: RuleTable, expr) -> Term:
     """Compile a language expression AST into a term over the table."""
-    tag = expr[0]
-    if tag in ("empty", "eps"):
-        return mk_app(table.op(tag), ())
-    if tag == "char":
-        return mk_app(table.op("char", expr[1]), ())
-    if tag in ("union", "inter", "concat"):
-        return mk_app(table.op(tag), (language_term(table, expr[1]),
-                                      language_term(table, expr[2])))
-    if tag in ("compl", "star"):
-        return mk_app(table.op(tag), (language_term(table, expr[1]),))
-    if tag == "prefix":
-        return mk_app(table.op("prefix", expr[1]),
-                      (language_term(table, expr[2]),))
-    if tag == "cons":
-        return mk_app(table.op("cons", bool(expr[1])),
-                      tuple(language_term(table, e) for e in expr[2]))
-    raise UnknownOracle(f"unknown language expression {expr!r}")
+    def split(e):
+        tag = e[0]
+        if tag in ("empty", "eps"):
+            return table.op(tag), ()
+        if tag == "char":
+            return table.op("char", e[1]), ()
+        if tag in ("union", "inter", "concat"):
+            return table.op(tag), e[1:3]
+        if tag in ("compl", "star"):
+            return table.op(tag), e[1:2]
+        if tag == "prefix":
+            return table.op("prefix", e[1]), e[2:3]
+        if tag == "cons":
+            return table.op("cons", bool(e[1])), e[2]
+        raise UnknownOracle(f"unknown language expression {e!r}")
+
+    return _build_term(expr, split)
 
 
-def ccs_op(table: RuleTable, ast):
+def ccs_op(table: RuleTable, ast, shared=None):
     """The root symbol of a process AST other than ("ref", x), and the
-    ASTs of its arguments."""
-    kind = table.kind
+    ASTs of its arguments.  ``shared``, a dict kept across calls, keeps one
+    symbol per tag and parameter, under a tuple key."""
     tag = ast[0]
-    if tag == "pref":
-        return table.op("pref", ast[1]), (ast[2],)
-    if tag == "sum":
-        if not ast[1]:
-            return table.op("nil"), ()
-        return table.op("sum", len(ast[1])), ast[1]
     if tag in ("par", "seq", "alt"):
-        return table.op(tag), ast[1:]
-    if tag == "relabel":
-        return (table.op("relabel", relabel_param(kind, dict(ast[1]))),
-                (ast[2],))
-    if tag == "restrict":
-        return table.op("restrict", restrict_param(kind, ast[1])), (ast[2],)
-    raise UnknownOracle(f"unknown process expression {ast!r}")
+        key, subs = (tag,), ast[1:]
+    elif tag == "sum":
+        key, subs = (tag, len(ast[1])), ast[1]
+    elif tag in ("pref", "relabel", "restrict"):
+        key, subs = (tag, ast[1]), ast[2:]
+    else:
+        raise UnknownOracle(f"unknown process expression {ast!r}")
+    shared = {} if shared is None else shared
+    op = shared.get(key)
+    if op is None:
+        if tag == "relabel":
+            op = table.op(tag, relabel_param(table.kind, dict(ast[1])))
+        elif tag == "restrict":
+            op = table.op(tag, restrict_param(table.kind, ast[1]))
+        else:
+            op = table.op(*key) if subs else table.op("nil")
+        shared[key] = op
+    return op, subs
 
 
-def ccs_term(table: RuleTable, ast) -> Term:
-    """Compile a process AST into a term; ("ref", x) becomes a variable."""
-    if ast[0] == "ref":
-        return Var(ast[1])
-    op, subs = ccs_op(table, ast)
-    return mk_app(op, tuple(ccs_term(table, a) for a in subs))
+def ccs_term(table: RuleTable, ast, shared=None) -> Term:
+    """Compile a process AST into a term; ("ref", x) becomes a variable.
+    ``shared``, a dict kept across calls, keeps one `Var` per name, under
+    the name, and one symbol per tag and parameter, as `ccs_op` does."""
+    shared = {} if shared is None else shared
+
+    def split(a):
+        if a[0] != "ref":
+            return ccs_op(table, a, shared)
+        leaf = shared.get(a[1])
+        if leaf is None:
+            leaf = shared[a[1]] = Var(a[1])
+        return leaf, None
+
+    return _build_term(ast, split)
 
 
 # ---------------------------------------------------------------------------

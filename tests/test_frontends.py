@@ -45,7 +45,7 @@ from corec.instances import (
     tree_table,
 )
 from corec.solver import Engine
-from corec.terms import App, Guard
+from corec.terms import App, Guard, Var, subterms
 
 
 @pytest.fixture()
@@ -669,6 +669,112 @@ def test_wide_ccs_file_reports_an_unknown_agent_on_its_last_line():
     with pytest.raises(ParseError) as err:
         parse_ccs(text)
     assert str(err.value) == "line 5000, col 18: unknown agent 'Q'"
+
+
+def _seeded_stream_system(n, seed=1):
+    """A wide seeded stream system: x_i = r . t, where t is a variable or
+    `plus`, `zip`, `mult` or a term-level register over variables."""
+    rng = random.Random(seed)
+
+    def term(depth=1):
+        pick = rng.random()
+        if depth <= 0 or pick < 0.3:
+            return f"x{rng.randrange(n)}"
+        if pick < 0.4:
+            return f"mult({rng.choice(('1/2', '2', '-3'))}, {term(depth - 1)})"
+        if pick < 0.5:
+            return f"{rng.choice(('0', '1/3'))} . {term(depth - 1)}"
+        return (f"{rng.choice(('plus', 'zip'))}({term(depth - 1)}, "
+                f"{term(depth - 1)})")
+
+    lines = [f"x{i} = {rng.randint(0, 4)}/{rng.choice((1, 2))} . {term()}"
+             for i in range(n)]
+    return "kind stream\n" + "\n".join(lines) + "\n"
+
+
+def _seeded_agents(n, seed=1):
+    """A seeded agent file A0 … A(n-1) of sums, parallels and relabelings."""
+    rng = random.Random(seed)
+    lines = []
+    for i in range(n):
+        j, k = rng.randrange(n), rng.randrange(n)
+        lines.append(rng.choice((f"A{i} = a.A{j} + b.(A{k} | c.0)",
+                                 f"A{i} = c.A{j} + b.A{k} + a.0",
+                                 f"A{i} = (a.A{j})[a->b] + c.A{k}")))
+    return "\n".join(lines) + "\n"
+
+
+def _leaves_and_symbols(terms):
+    """The ids of the `Var`s below ``terms`` by name, and of the symbols by
+    name and parameter."""
+    leaves, symbols = {}, {}
+    for t in terms:
+        for node in subterms(t):
+            if isinstance(node, Var):
+                leaves.setdefault(node.name, set()).add(id(node))
+            elif isinstance(node, App):
+                symbols.setdefault((node.op.name, node.op.param),
+                                   set()).add(id(node.op))
+    return leaves, symbols
+
+
+def test_a_wide_system_keeps_one_leaf_per_name_and_symbol_per_parameter():
+    system = parse_system(_seeded_stream_system(2000))
+    leaves, symbols = _leaves_and_symbols(system.rhs.values())
+    assert len(leaves) > 1500
+    assert all(len(ids) == 1 for ids in leaves.values())
+    assert {name for name, _ in symbols} == {"plus", "zip", "mult",
+                                             "register"}
+    assert len(symbols) == 7
+    assert all(len(ids) == 1 for ids in symbols.values())
+
+
+def test_an_agent_file_keeps_one_leaf_per_agent_name():
+    system = parse_ccs(_seeded_agents(500))
+    leaves, symbols = _leaves_and_symbols(system.rhs.values())
+    assert len(leaves) > 400
+    assert all(len(ids) == 1 for ids in leaves.values())
+    assert all(len(ids) == 1 for ids in symbols.values())
+
+
+_LAST = _seeded_stream_system(2000).rsplit("\n", 2)[0] + "\n"
+_LAST_AGENT = _seeded_agents(500).rsplit("\n", 2)[0] + "\n"
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_system, _LAST + "x1999 = 1 . plus(x5, nope)\n",
+     "line 2001, col 22: unknown name 'nope'"),
+    (parse_system, _LAST + "x7 = 1 . x7\n",
+     "line 2001, col 1: variable 'x7' defined twice"),
+    (parse_system, _LAST + f"x1999 = 1 . mult({'7' * 5000}, x3)\n",
+     f"line 2001, col 18: bad rational '{'7' * 5000}'"),
+    (parse_system, _LAST + "x1999 = 1 . x0  # fine\n\t@ x\n",
+     "line 2002, col 2: unexpected character '@'"),
+    (parse_ccs, _LAST_AGENT + "A3 = a.0\n",
+     "line 500, col 1: agent 'A3' defined twice"),
+    (parse_ccs, _LAST_AGENT + "A499 = a.A1 + b.(A2 | Q)\n",
+     "line 500, col 23: unknown agent 'Q'"),
+    (parse_ccs, _LAST_AGENT + "A499 = a.A1 + A2.0\n",
+     "line 500, col 15: 'A2' is an agent, not an action"),
+], ids=["unknown-name", "defined-twice", "bad-rational", "after-comment",
+        "agent-twice", "unknown-agent", "agent-as-action"])
+def test_errors_on_the_last_line_of_a_wide_file_keep_their_position(
+        parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_errors_come_syntax_first_then_names_then_right_hand_sides():
+    bad_rhs = _S + "x = 1 . nope\ny = 1 . x\n"
+    with pytest.raises(ParseError, match="line 2, col 9: unknown name"):
+        parse_system(bad_rhs)
+    with pytest.raises(ParseError, match="line 4, col 1: variable 'y'"):
+        parse_system(bad_rhs + "y = 0 . y\n")
+    with pytest.raises(ParseError, match="line 4, col 9: expected a term"):
+        parse_system(bad_rhs + "y = 1 . )\n")
+    with pytest.raises(Unguarded):
+        parse_system(_S + "x = plus(x, 1 . x)\nz = 1 . plus(x)\n")
 
 
 # -- circuits --------------------------------------------------------------------

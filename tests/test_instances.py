@@ -18,6 +18,7 @@ from corec.instances import (
     DEFAULT_ACTIONS,
     ccs_sos,
     ccs_table,
+    ccs_term,
     language_member,
     language_table,
     language_term,
@@ -31,6 +32,7 @@ from corec.instances import (
     tree_table,
 )
 from corec.solver import Engine
+from corec.terms import App, Var
 
 
 @pytest.fixture()
@@ -184,6 +186,21 @@ def test_empty_alphabet_rejected():
         language_table("")
 
 
+def test_language_term_builds_a_concat_nested_ten_thousand_deep(engine):
+    table, n = language_table("ab"), 10_000
+    expr = ("char", "a")
+    for k in range(n - 1):
+        expr = ("concat", ("char", "ab"[k % 2]), expr)
+    term = language_term(table, expr)
+    assert isinstance(engine.interpret_term(table, term).node, int)
+    letters = []
+    while term.op.name == "concat":
+        letters.append(term.args[0].op.param)
+        term = term.args[1]
+    assert letters + [term.op.param] == ["ab"[k % 2] for k in reversed(
+        range(n - 1))] + ["a"]
+
+
 # -- processes ----------------------------------------------------------------
 
 
@@ -280,6 +297,22 @@ def test_process_actions_shape():
     kind = process_actions("a", "b")
     assert kind.tau == "tau"
     assert set(kind.actions) == {"a", "a'", "b", "b'", "tau"}
+
+
+def test_ccs_term_builds_a_chain_of_ten_thousand_prefixes(engine):
+    table, n = ccs_table(DEFAULT_ACTIONS), 10_000
+    ast = ("ref", "X")
+    for k in range(n):
+        ast = ("pref", "ab"[k % 2], ast)
+    term, actions = ccs_term(table, ast), []
+    while isinstance(term, App):
+        actions.append(term.op.param)
+        term = term.args[0]
+    assert term == Var("X")
+    assert actions == ["ab"[k % 2] for k in reversed(range(n))]
+    shared = {}
+    assert ccs_term(table, ("pref", "a", ("ref", "X")), shared).args[0] \
+        is ccs_term(table, ("ref", "X"), shared)
 
 
 # -- oracles -------------------------------------------------------------------
