@@ -177,17 +177,18 @@ STREAM = StreamKind()
 TREE = TreeKind()
 
 
-def process_actions(*base_names, tau="tau") -> ProcessKind:
-    """Action structure with a primed complement for every base name."""
+def process_actions(*base_names) -> ProcessKind:
+    """Action structure with a primed complement for every base name, and
+    the silent action ``tau``."""
     actions = []
     comp = []
     for n in sorted(base_names):
         co = n + "'"
         actions.extend([n, co])
         comp.extend([(n, co), (co, n)])
-    actions.append(tau)
-    comp.append((tau, tau))
-    return ProcessKind(tuple(actions), tuple(comp), tau)
+    actions.append("tau")
+    comp.append(("tau", "tau"))
+    return ProcessKind(tuple(actions), tuple(comp), "tau")
 
 
 @dataclass(slots=True, unsafe_hash=True)

@@ -12,7 +12,9 @@ size, and the system and agent compilers keep one `Var` per variable
 name and one symbol per name and parameter.  One reader, `_read_kind`,
 maps a `kind …` header or a kind argument to a built-in table; the term
 grammar, which BDE clauses share, and the printers then read the syntax
-the kind states.
+the kind states.  A BDE definition, parsed or made from a circuit, is
+compiled once into its conclusion on symbolic premises, with no closure
+and no recursion, and one `_conclude` fills it in at the premises.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ import re
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial, reduce
 from itertools import compress, islice
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .behavior import (
     Step,
+    SymbolicLabel,
     move_action,
     process_actions,
     process_step,
@@ -43,7 +47,8 @@ from .errors import (
 )
 from .rules import GsosRule, RpsDef, RuleTable, extend_with_rps
 from .solver import System
-from .terms import App, Guard, Term, Var, mk_app, sig_sum, signature
+from .terms import (App, Guard, OpSym, Slot, Term, Var, mk_app, sig_sum,
+                    signature)
 from . import instances
 
 
@@ -497,21 +502,52 @@ class BdeProgram:
         return extend_with_rps(self.given, self.rps)
 
 
-def _parse_head_expr(ts: TokenStream, head_kw, params):
-    """The initial-value expression as a function of the argument labels."""
-    values = ts.values
+def _infix(ts: TokenStream, levels, operand, k=0):
+    """The expression at the cursor of operands read by ``operand`` and the
+    infix tokens of ``levels[k:]``, loosest first, each with the function
+    joining the list of operands it separates, left to right."""
+    if k == len(levels):
+        return operand()
+    token, join = levels[k]
+    e = _infix(ts, levels, operand, k + 1)
+    if ts.values[ts.i] != token:
+        return e
+    parts = [e]
+    while ts.eat(token):
+        parts.append(_infix(ts, levels, operand, k + 1))
+    return join(parts)
 
-    def binary(op, a, b):
-        return lambda labels: op(a(labels), b(labels))
+
+def _pairwise(op, parts):
+    """``parts`` joined by ``op`` in a tree of depth log2 of their number."""
+    while len(parts) > 1:
+        parts = [op(a, b) for a, b in zip(parts[::2], parts[1::2])] \
+            + parts[len(parts) // 2 * 2:]
+    return parts[0]
+
+
+_VALUE_LEVELS = (("+", partial(_pairwise, operator.add)),
+                 ("*", partial(_pairwise, operator.mul)))
+
+# Premise labels and slots are immutable, so one object per number serves
+# every program: a wide circuit keeps one, not one per definition.
+_premise_label = lru_cache(maxsize=None)(SymbolicLabel)
+_slot = lru_cache(maxsize=None)(Slot)
+
+
+def _parse_head_expr(ts: TokenStream, head_kw, params):
+    """The initial value at the cursor: a Fraction, or the `SymbolicLabel`
+    that its arithmetic records over ``head(x)``, `SymbolicLabel(k)` for
+    the k-th of the argument names ``params``."""
+    values = ts.values
 
     def atom():
         i = ts.i
         if ts.kinds[i] == "num":
             ts.i += 1
-            value = ts.rational(i)
-            return lambda labels: value
+            return ts.rational(i)
         if ts.eat("("):
-            e = add()
+            e = _infix(ts, _VALUE_LEVELS, atom)
             ts.expect(")")
             return e
         if values[i] == head_kw:
@@ -521,99 +557,104 @@ def _parse_head_expr(ts: TokenStream, head_kw, params):
             ts.expect(")")
             if values[var] not in params:
                 raise ts.error(var, f"unknown argument {values[var]!r}")
-            k = params.index(values[var])
-            return lambda labels: labels[k]
+            return _premise_label(params.index(values[var]))
         raise ts.error(i, f"bad initial-value expression at {values[i]!r}")
 
-    def mul():
-        e = atom()
-        while ts.eat("*"):
-            e = binary(operator.mul, e, atom())
-        return e
-
-    def add():
-        e = mul()
-        while ts.eat("+"):
-            e = binary(operator.add, e, mul())
-        return e
-
-    return add()
+    return _infix(ts, _VALUE_LEVELS, atom)
 
 
 class _ClauseCompiler:
-    """Derivative clauses' parse nodes (`_parse_expr`) as functions from the
-    premises to continuation terms over ``sig``, one compiler per program.
-    A token index serves only errors, placed by ``error``: a generated,
-    well-formed node holds None."""
+    """Definitions compiled, one compiler per program, into conclusions on
+    symbolic premises: a `Step` of the initial value and a clause term over
+    ``sig`` per port, built from parse nodes (`_parse_expr`) on the stack of
+    `instances._build_term`.  Of P ports, argument i is `Slot` i·(P+1) and
+    its k-th continuation `Slot` i·(P+1)+1+k, as `rules.plan_rule` numbers
+    holes; ``head(x_i)`` is `SymbolicLabel(i)`, in `const` or a parameter.
+    A node's token index places an error by ``error``, or is None."""
 
     def __init__(self, sig, kind, error=None):
         self.sig, self.kind, self.head_kw = sig, kind, kind.clauses[0]
-        self.ports = dict(zip(kind.clauses[1:], kind.ports))
-        self.reads = {}
-        self.error = error
+        self.ports = {c: k + 1 for k, c in enumerate(kind.clauses[1:])}
+        self.width, self.error, self.pos = len(kind.ports) + 1, error, {}
 
-    def _read(self, i, port=None):
-        """Premise ``i``, or its continuation at ``port``; one per program."""
-        fn = self.reads.get((i, port))
-        if fn is None:
-            fn = self.reads[i, port] = (lambda a: a[i].self_term) \
-                if port is None else (lambda a: a[i].at(port))
-        return fn
+    def conclusion(self, params, head, clauses) -> Step:
+        """The conclusion of ``head`` and ``clauses`` over ``params``."""
+        self.pos = {p: i for i, p in enumerate(params)}
+        return Step(head, tuple(zip(self.kind.ports, [
+            instances._build_term(node, self._split) for node in clauses])))
 
-    def _argument(self, pos, node):
-        """The position of the `x` of head(x), tail(x), left(x), right(x)
-        or root(x), arguments at ``pos`` by name."""
+    def _argument(self, node):
+        """The index of the `x` of head(x), tail(x), left(x) or right(x)."""
         _, name, args, at = node
         if len(args) != 1 or args[0][0] != "var":
             raise self.error(at, f"{name!r} takes one argument name")
         _, var, at = args[0]
-        if var not in pos:
+        if var not in self.pos:
             raise self.error(at, f"unknown argument {var!r}")
-        return pos[var]
+        return self.pos[var]
 
-    def compile(self, pos, node):
-        """The function of ``node``, arguments at ``pos`` by name."""
-        sig, kind, head_kw = self.sig, self.kind, self.head_kw
+    def _split(self, node):
+        """A clause node's symbol and argument nodes, or its leaf and None."""
+        sig, head_kw = self.sig, self.head_kw
         tag, at = node[0], node[-1]
         if tag == "num":
-            term = mk_app(sig.op("const", node[1]), ())
-            return lambda a: term
+            return sig.op("const", node[1]), ()
         if tag == "var":
-            if node[1] not in pos:
+            if node[1] not in self.pos:
                 raise self.error(at, f"unknown name {node[1]!r}")
-            return self._read(pos[node[1]])
+            return _slot(self.pos[node[1]] * self.width), None
         if tag == "guard":
             _, label, payload, _ = node
             if label[0] == "var":
                 raise self.error(at, f"unknown name {label[1]!r}")
-            if kind.prefix is None:
+            if self.kind.prefix is None:
                 raise self.error(at, "prefix terms are stream-only")
-            return self.compile(pos, ("call", kind.prefix,
-                                      [label, *payload], at))
+            node = ("call", self.kind.prefix, [label, *payload], at)
         _, name, args, _ = node
         if name == head_kw:
-            i = self._argument(pos, node)
-            return lambda a: mk_app(sig.op("const", a[i].head), ())
+            return sig.op("const", _premise_label(self._argument(node))), ()
         if name in self.ports:
-            return self._read(self._argument(pos, node), self.ports[name])
+            return _slot(self._argument(node) * self.width
+                         + self.ports[name]), None
         if name not in sig:
             raise self.error(at, f"unknown operation {name!r}")
         decl = sig.decl(name)
         if not decl.parametric:
             op = sig.op(name)
-            op_of = lambda a: op  # noqa: E731
         elif args and args[0][0] == "num":
             op, args = sig.op(name, args[0][1]), args[1:]
-            op_of = lambda a: op  # noqa: E731
         elif args and args[0][0] == "call" and args[0][1] == head_kw:
-            i, args = self._argument(pos, args[0]), args[1:]
-            op_of = lambda a: sig.op(name, a[i].head)  # noqa: E731
+            op = sig.op(name, _premise_label(self._argument(args[0])))
+            args = args[1:]
         else:
             raise self.error(at, f"{name!r} needs a rational parameter")
         if len(args) != decl.arity:
             raise self.error(at, f"{name!r} expects {decl.arity} arguments")
-        kids = [self.compile(pos, n) for n in args]
-        return lambda a: mk_app(op_of(a), tuple(k(a) for k in kids))
+        return op, args
+
+
+def _conclude(step: Step, op, args) -> Step:
+    """A compiled conclusion ``step`` (`_ClauseCompiler`) at the premises
+    ``args``: each `Slot` the premise so numbered, each `SymbolicLabel` its
+    value at their labels; at `rules.plan_symbolic`'s, ``step`` itself."""
+    if not args or args[0].head.__class__ is SymbolicLabel:
+        return step
+    labels = [a.head for a in args]
+    slots = [s for a in args for s in (a.self_term, *[t for _, t in a.tails])]
+
+    def split(t):
+        if t.__class__ is Slot:
+            return slots[t.node], None
+        sym = t.op
+        if sym.param.__class__ is SymbolicLabel:
+            sym = OpSym(sym.name, sym.arity, sym.sig_id, sym.param.ev(labels))
+        return (sym, t.args) if t.args or sym is not t.op else (t, None)
+
+    label = step.label.ev(labels) if step.label.__class__ is SymbolicLabel \
+        else step.label
+    return Step(label, tuple([(p, slots[t.node] if t.__class__ is Slot
+                               else instances._build_term(t, split))
+                              for p, t in step.children]))
 
 
 def parse_bde(text: str) -> BdeProgram:
@@ -683,23 +724,16 @@ def parse_bde(text: str) -> BdeProgram:
 
 def _bde_program(given: RuleTable, defs, error=None) -> BdeProgram:
     """The program of ``defs``, ``{name: (params, head, clauses)}`` over
-    ``given``: a head maps the argument labels to the label, and the
-    clauses are parse nodes (`_parse_expr`), one per port of the kind;
-    ``error`` places an error at a node's token."""
-    kind = given.kind
+    ``given``, a head a Fraction or a `SymbolicLabel` over the arguments and
+    a clause a parse node per port; ``error`` places an error at a node's
+    token.  Each rule concludes its compiled step through `_conclude`."""
     new_sig = signature(*((n, len(d[0])) for n, d in defs.items()))
     sum_sig = sig_sum(given.sig, new_sig)
-    comp, rules = _ClauseCompiler(sum_sig, kind, error), {}
-    for name, (params, head_expr, clauses) in defs.items():
-        pos = {p: i for i, p in enumerate(params)}
-        derivs = [comp.compile(pos, node) for node in clauses]
-
-        def conclude(op, args, head_expr=head_expr, derivs=derivs):
-            return Step(head_expr([a.head for a in args]),
-                        tuple(zip(kind.ports, [d(args) for d in derivs])))
-
-        rules[name] = GsosRule(sum_sig.template(name), conclude)
-    return BdeProgram(kind, given, RpsDef(new_sig, rules), tuple(defs))
+    comp = _ClauseCompiler(sum_sig, given.kind, error)
+    rules = {name: GsosRule(sum_sig.template(name),
+                            partial(_conclude, comp.conclusion(*d)))
+             for name, d in defs.items()}
+    return BdeProgram(given.kind, given, RpsDef(new_sig, rules), tuple(defs))
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +745,9 @@ def _bde_program(given: RuleTable, defs, error=None) -> BdeProgram:
 
 
 _CCS_RESERVED = {"alt", "seq", "tau", "kind"}
+_AGENT_LEVELS = (("+", lambda parts: ("sum", tuple(parts))),
+                 ("|", partial(reduce, lambda a, b: ("par", a, b))),
+                 (";", partial(reduce, lambda a, b: ("seq", a, b))))
 
 
 def _parse_ccs_expr(ts: TokenStream, actions, names):
@@ -782,27 +819,7 @@ def _parse_ccs_expr(ts: TokenStream, actions, names):
             else:
                 return e
 
-    def seq_level():
-        e = postfix()
-        while ts.eat(";"):
-            e = ("seq", e, postfix())
-        return e
-
-    def par_level():
-        e = seq_level()
-        while ts.eat("|"):
-            e = ("par", e, seq_level())
-        return e
-
-    def expr():
-        e = par_level()
-        if values[ts.i] == "+":
-            parts = [e]
-            while ts.eat("+"):
-                parts.append(par_level())
-            return ("sum", tuple(parts))
-        return e
-
+    expr = partial(_infix, ts, _AGENT_LEVELS, postfix)
     return expr()
 
 
@@ -1138,24 +1155,12 @@ class CompiledCircuit:
         return self.program.extended_table()
 
 
-def _wire_value(node, labels, values):
-    """A wire's parse node (`compile_circuit`) valued at the ``labels`` of
-    its inputs by id and the ``values`` of its registers by symbol."""
-    if node[0] == "var":
-        return labels[node[1]]
-    _, name, args, _ = node
-    if name == "mult":
-        return args[0][1] * _wire_value(args[1], labels, values)
-    if name == "plus":
-        return (_wire_value(args[0], labels, values)
-                + _wire_value(args[1], labels, values))
-    return values[name]
-
-
 def compile_circuit(cf: CircuitFile) -> CompiledCircuit:
     """The circuit's BDE program over the reachable inputs: register ``r``
-    is ``g_r: head = <value>; tail = <its wire>``, and output ``o`` is
-    ``f_o: head = <its wire's head>; tail = <its wire's tail>``."""
+    is ``g_r: head = <value>; tail = <its input's wire>``, and output ``o``
+    is ``f_o: head = <its wire's head>; tail = <its wire's tail>``.  Wires,
+    tail wires and heads, linear forms ``{input id: coefficient, None:
+    constant}``, are built in Kahn's order of the non-registers."""
     by_id = {n.id: n for n in cf.nodes}
     incoming = {n.id: [] for n in cf.nodes}
     outgoing = {n.id: [] for n in cf.nodes}
@@ -1170,9 +1175,23 @@ def compile_circuit(cf: CircuitFile) -> CompiledCircuit:
                 f"and {len(outgoing[n.id])} outputs, needs "
                 f"{want_in}/{want_out}")
 
-    # validity: every loop must pass through a register
-    loop = _register_free_loop(cf, incoming)
-    if loop is not None:
+    waiting = {n.id: sum(by_id[s].kind != "register" for s in incoming[n.id])
+               for n in cf.nodes if n.kind != "register"}
+    order = [nid for nid, k in waiting.items() if not k]
+    for nid in order:  # Kahn's order grows as it is read
+        for dst in outgoing[nid]:
+            if dst in waiting:
+                waiting[dst] -= 1
+                if not waiting[dst]:
+                    order.append(dst)
+    if len(order) < len(waiting):
+        # a node left out waits on an input left out: walk back along those
+        # until a node repeats, and read that loop along the edges
+        at, nid = {}, next(n for n, k in waiting.items() if k)
+        while nid not in at:
+            at[nid] = len(at)
+            nid = next(s for s in incoming[nid] if waiting.get(s))
+        loop = [nid, *reversed(list(at)[at[nid]:])]
         raise InvalidCircuit(
             "register-free loop through " + " -> ".join(loop), loop=loop)
 
@@ -1193,32 +1212,31 @@ def compile_circuit(cf: CircuitFile) -> CompiledCircuit:
     outputs = tuple(n for n in cf.nodes if n.kind == "output")
     params = {n.id: reachable_inputs(n.id) for n in registers + outputs}
 
-    def wire(src, whole=True):
-        """The parse node of the stream out of ``src``, or of its tail; an
-        output or a copier passes its input's on."""
-        node = by_id[src]
-        if node.kind == "input":
-            var = ("var", src, None)
-            return var if whole else ("call", "tail", [var], None)
-        if node.kind == "register":
-            if not whole:
-                return wire(incoming[src][0])
-            return ("call", f"g_{src}",
-                    [("var", i, None) for i in params[src]], None)
-        kids = [wire(s, whole) for s in incoming[src]]
-        if node.kind == "mult":
-            return ("call", "mult", [("num", node.value, None), *kids], None)
-        return ("call", "plus", kids, None) if node.kind == "adder" \
-            else kids[0]
+    def walk(leaves, mult, plus):
+        """The values of the inputs and registers, ``leaves``, and in order
+        each other node's, by ``mult`` and ``plus`` of its inputs'."""
+        out = dict(leaves)
+        for nid in order:
+            if nid not in out:
+                node, kids = by_id[nid], [out[s] for s in incoming[nid]]
+                out[nid] = mult(node.value, kids[0]) if node.kind == "mult" \
+                    else plus(*kids) if node.kind == "adder" else kids[0]
+        return out
 
-    values = {f"g_{r.id}": r.value for r in registers}
-    defs = {f"g_{r.id}": (params[r.id], lambda labels, v=r.value: v,
-                          [wire(r.id, False)]) for r in registers}
-    for o in outputs:
-        def head(labels, node=wire(o.id), names=params[o.id]):
-            return _wire_value(node, dict(zip(names, labels)), values)
-
-        defs[f"f_{o.id}"] = (params[o.id], head, [wire(o.id, False)])
+    var = {i: ("var", i, None) for i in inputs}
+    calls = {r.id: ("call", f"g_{r.id}", [var[i] for i in params[r.id]], None)
+             for r in registers}
+    wire = walk(var | calls, _mult_node, _plus_node)
+    tail = walk({i: ("call", "tail", [v], None) for i, v in var.items()}
+                | {r.id: wire[incoming[r.id][0]] for r in registers},
+                _mult_node, _plus_node)
+    head = walk({i: {i: 1} for i in inputs}
+                | {r.id: {None: r.value} for r in registers},
+                lambda c, f: {i: c * v for i, v in f.items()},
+                lambda f, g: f | {i: f.get(i, 0) + v for i, v in g.items()})
+    defs = {f"g_{r.id}": (params[r.id], r.value, [tail[r.id]])
+            for r in registers} | {f"f_{o.id}": (params[o.id], _form_label(
+                head[o.id], params[o.id]), [tail[o.id]]) for o in outputs}
     return CompiledCircuit(
         _bde_program(instances.stream_table(), defs),
         inputs,
@@ -1227,35 +1245,21 @@ def compile_circuit(cf: CircuitFile) -> CompiledCircuit:
     )
 
 
-def _register_free_loop(cf: CircuitFile, incoming):
-    """A cycle avoiding all registers, as a node-id list, or None."""
-    blocked = {n.id for n in cf.nodes if n.kind == "register"}
-    graph = {n.id: [s for s in incoming[n.id] if s not in blocked]
-             for n in cf.nodes if n.id not in blocked}
-    state = {}
-    stack = []
+def _mult_node(value, node):
+    return ("call", "mult", [("num", value, None), node], None)
 
-    def visit(nid):
-        state[nid] = 1
-        stack.append(nid)
-        for nxt in graph.get(nid, ()):
-            if state.get(nxt) == 1:
-                i = stack.index(nxt)
-                return stack[i:] + [nxt]
-            if nxt not in state:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        state[nid] = 2
-        return None
 
-    for nid in graph:
-        if nid not in state:
-            found = visit(nid)
-            if found:
-                return found
-    return None
+def _plus_node(a, b):
+    return ("call", "plus", [a, b], None)
+
+
+def _form_label(form, names):
+    """The linear ``form`` (`compile_circuit`) as a value over ``names``."""
+    pos = {n: k for k, n in enumerate(names)}
+    return _pairwise(operator.add, [
+        c if i is None else _premise_label(pos[i]) * c if c != 1
+        else _premise_label(pos[i]) for i, c in form.items() if c]
+        or [Fraction(0)])
 
 
 # ---------------------------------------------------------------------------

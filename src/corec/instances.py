@@ -9,10 +9,9 @@ let the same randomly generated input drive both sides.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .behavior import (
     LanguageKind,
@@ -578,13 +577,6 @@ def ccs_term(table: RuleTable, ast, shared=None) -> Term:
 # Oracles: brute-force evaluators independent of the rule engine
 
 
-@dataclass(frozen=True)
-class OracleSpec:
-    name: str
-    inputs: str
-    evaluate: Callable
-
-
 def _thue_morse(n: int) -> int:
     return bin(n).count("1") % 2
 
@@ -761,33 +753,24 @@ def ccs_sos(kind: ProcessKind, ast, env=None):
 
 
 ORACLES = {
-    "thue_morse": OracleSpec(
-        "thue_morse", "index n", _thue_morse),
-    "binomial_shuffle": OracleSpec(
-        "binomial_shuffle", "two prefix lists", _binomial_shuffle),
-    "cauchy_convolution": OracleSpec(
-        "cauchy_convolution", "two prefix lists", _cauchy_convolution),
-    "zip_fixpoint": OracleSpec(
-        "zip_fixpoint", "prefix list sigma, length n", _zip_fixpoint),
-    "word_membership": OracleSpec(
-        "word_membership", "language AST, word, alphabet", _word_membership),
-    "language_words": OracleSpec(
-        "language_words", "language AST, maxlen, alphabet", _lang_eval),
-    "gnf_derivations": OracleSpec(
-        "gnf_derivations", "productions, start, maxlen", _gnf_words),
-    "ccs_sos": OracleSpec(
-        "ccs_sos", "process kind, AST, defs", ccs_sos),
+    "thue_morse": _thue_morse,
+    "binomial_shuffle": _binomial_shuffle,
+    "cauchy_convolution": _cauchy_convolution,
+    "zip_fixpoint": _zip_fixpoint,
+    "word_membership": _word_membership,
+    "language_words": _lang_eval,
+    "gnf_derivations": _gnf_words,
+    "ccs_sos": ccs_sos,
 }
 
 
-def oracle_eval(spec, *args, **kwargs):
-    """Evaluate a registered brute-force oracle by name or spec."""
-    if isinstance(spec, OracleSpec):
-        return spec.evaluate(*args, **kwargs)
+def oracle_eval(name, *args, **kwargs):
+    """Evaluate the brute-force oracle registered under ``name``."""
     try:
-        return ORACLES[spec].evaluate(*args, **kwargs)
+        oracle = ORACLES[name]
     except KeyError:
-        raise UnknownOracle(f"no oracle named {spec!r}") from None
+        raise UnknownOracle(f"no oracle named {name!r}") from None
+    return oracle(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -420,10 +420,10 @@ def _pointwise_sum(op, args):
 
 
 def _probe(kind, sig: Signature, name: str, rule: GsosRule,
-           rng: random.Random, rounds: int = 3):
+           rng: random.Random):
     """Check the rule's law if it has one, then plan the rule as the engine
-    does on synthetic premises, resolving against ``sig``, ``rounds`` times
-    per probe parameter; an additive rule must plan as `_pointwise_sum`.
+    does on synthetic premises, resolving against ``sig``, three times per
+    probe parameter; an additive rule must plan as `_pointwise_sum`.
     Planned again with every hole 0, a natural rule gives the same code
     with its holes set to 0, as its symbolic plan valued at the labels does."""
     law = rule.law
@@ -434,7 +434,7 @@ def _probe(kind, sig: Signature, name: str, rule: GsosRule,
     for param in rule.probe_params:
         op = sig.op(name, param) if decl.parametric else sig.op(name)
         symbolic = kind.rational and plan_symbolic(kind, resolve, rule, op)
-        for _ in range(rounds):
+        for _ in range(3):
             steps = [_synthetic_step(kind, rng) for _ in range(op.arity)]
             code = plan_rule(kind, resolve, rule, op, steps,
                              itertools.count())
