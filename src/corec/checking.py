@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .behavior import move_action
-from .errors import KindMismatch, UnknownSuite
+from .errors import InvalidHandle, KindMismatch, UnknownSuite
 from .solver import Engine, ExternalRhs, SolutionHandle, System
 from .terms import App, Guard, Var, mk_app
 
@@ -67,12 +67,19 @@ class CheckReport:
 # Both searches reach an engine only through ``Engine.node_step``.
 
 
+def _check_states(h1, h2):
+    """Raise InvalidHandle unless both are live states of their engines."""
+    for h in (h1, h2):
+        if not isinstance(h, SolutionHandle):
+            raise InvalidHandle(f"{h!r} is not a state")
+        h.engine.check_handle(h)
+
+
 def bounded_equal(h1: SolutionHandle, h2: SolutionHandle, depth: int) -> bool:
     """Depth-d behavioral equality; for processes one mutual simulation."""
+    _check_states(h1, h2)
     if h1.kind.deterministic or h1.kind != h2.kind:
         return find_divergence(h1, h2, depth) is None
-    h1.engine.check_handle(h1)
-    h2.engine.check_handle(h2)
     sim = _Simulation(h1.engine, h2.engine)
     return sim.known(h1.node, h2.node, depth) or \
         sim.unmatched(h1.node, h2.node, depth) is None
@@ -81,11 +88,10 @@ def bounded_equal(h1: SolutionHandle, h2: SolutionHandle, depth: int) -> bool:
 def find_divergence(h1: SolutionHandle, h2: SolutionHandle,
                     depth: int) -> Optional[Witness]:
     """Minimal-depth divergence witness, or None when depth-d equal."""
+    _check_states(h1, h2)
     if h1.kind != h2.kind:
         raise KindMismatch(
             f"cannot compare {h1.kind.name} with {h2.kind.name}")
-    h1.engine.check_handle(h1)
-    h2.engine.check_handle(h2)
     walk = _pair_search if h1.kind.deterministic else _simulation_search
     return walk(h1.engine, h1.node, h2.engine, h2.node, depth)
 

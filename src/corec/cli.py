@@ -93,11 +93,6 @@ def _depth(value, arg: str) -> int:
     return int(value)
 
 
-def _stream_arg(engine: Engine, spec: str):
-    pre, cyc = frontends.parse_stream_spec(spec)
-    return instances.periodic_stream(engine, pre, cyc)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -127,7 +122,8 @@ def _cmd_bde(args) -> int:
         raise CorecError(f"no defined operation {name!r}")
     arg_specs = [s for s in arg_txt.split(",") if s.strip()] if arg_txt else []
     if isinstance(program.kind, StreamKind):
-        handles = [_stream_arg(engine, s) for s in arg_specs]
+        handles = [instances.periodic_stream(
+            engine, *frontends.parse_stream_spec(s)) for s in arg_specs]
     else:
         handles = [engine.interpret_op(table, table.op(
             "const", frontends.parse_rational(s)), []) for s in arg_specs]
@@ -146,17 +142,19 @@ def _cmd_circuit(args) -> int:
     for pair in args.input or []:
         if "=" not in pair:
             raise CorecError(f"--input {pair}: expected NAME=SPEC")
-    given = dict(pair.split("=", 1) for pair in args.input or [])
-    feeds = {}
-    for input_id in compiled.inputs:
-        feeds[input_id] = _stream_arg(engine, given.pop(input_id, "zeros"))
-    if given:
-        raise CorecError(f"unknown inputs: {sorted(given)}")
+    given = {name: frontends.parse_stream_spec(spec) for name, spec in (
+        pair.split("=", 1) for pair in args.input or [])}
+    unknown = given.keys() - set(compiled.inputs)
+    if unknown:
+        raise CorecError(f"unknown inputs: {sorted(unknown)}")
     prefix = _depth(args.prefix, "--prefix")
     wanted = [o for o in compiled.outputs
               if args.output in (None, o[0], o[1])]
     if not wanted:
         raise CorecError(f"no output {args.output!r}")
+    # one stream, zeros unless given, per input that a wanted output reads
+    feeds = {i: instances.periodic_stream(engine, *given.get(i, ((), (0,))))
+             for i in dict.fromkeys(j for o in wanted for j in o[2])}
     _emit_observations(args, [
         (node_id, engine.interpret_op(table, table.op(symbol),
                                       [feeds[i] for i in input_ids]), prefix)

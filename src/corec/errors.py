@@ -79,8 +79,8 @@ class ParseError(CorecError):
         self.message = message
 
 
-class Unguarded(CorecError):
-    """A recursion variable occurs with no guard on its path."""
+class Unguarded(UnguardedPath):
+    """The leftmost recursion variable with no guard on its path."""
 
     def __init__(self, var, path):
         super().__init__(f"variable {var!r} is unguarded at {path}")

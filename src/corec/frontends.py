@@ -43,12 +43,11 @@ from .errors import (
     InvalidCircuit,
     NotGnf,
     ParseError,
-    Unguarded,
 )
 from .rules import GsosRule, RpsDef, RuleTable, extend_with_rps
 from .solver import System
-from .terms import (App, Guard, OpSym, Slot, Term, Var, mk_app, sig_sum,
-                    signature)
+from .terms import (App, Guard, OpSym, Slot, Term, Var, build_term, mk_app,
+                    sig_sum, signature)
 from . import instances
 
 
@@ -338,19 +337,17 @@ class _DetCompiler:
                              f"{'term' if n == 1 else f'({n} terms)'}`")
         return Step(value, tuple(zip(kind.ports, map(self.term, payload))))
 
-    def rhs(self, node, path=()):
-        """The guarded term of a right-hand side, or of its part at
-        ``path``, which lies above the guards."""
+    def rhs(self, node):
+        """The term of a right-hand side, or of its part above the guards,
+        where `r . t` is a `Guard`; `Guard.above` checks it guarded."""
         tag = node[0]
         if tag == "guard":
             return Guard(self.guard_step(node))
-        if tag == "var" and node[1] in self.vars:
-            raise Unguarded(node[1], path)
         if tag == "call":
             op, rest = self._call(node)
-            return App(op, tuple(self.rhs(a, path + (i,))
-                                 for i, a in enumerate(rest)))
-        # a bare constant is a closed given term, vacuously guarded
+            return App(op, tuple(map(self.rhs, rest)))
+        # a variable, which `Guard.above` rejects, or a bare constant, a
+        # closed given term and vacuously guarded
         return self.term(node)
 
 
@@ -417,7 +414,8 @@ def parse_system(text: str, kind=None) -> System:
         ts.end_line()
         if late is None:
             try:
-                rhs.setdefault(values[names[-1]], comp.rhs(node))
+                t = rhs.setdefault(values[names[-1]], comp.rhs(node))
+                Guard.above(t)
             except CorecError as exc:
                 late = exc
     if not names:
@@ -567,7 +565,7 @@ class _ClauseCompiler:
     """Definitions compiled, one compiler per program, into conclusions on
     symbolic premises: a `Step` of the initial value and a clause term over
     ``sig`` per port, built from parse nodes (`_parse_expr`) on the stack of
-    `instances._build_term`.  Of P ports, argument i is `Slot` i·(P+1) and
+    `build_term`.  Of P ports, argument i is `Slot` i·(P+1) and
     its k-th continuation `Slot` i·(P+1)+1+k, as `rules.plan_rule` numbers
     holes; ``head(x_i)`` is `SymbolicLabel(i)`, in `const` or a parameter.
     A node's token index places an error by ``error``, or is None."""
@@ -581,7 +579,7 @@ class _ClauseCompiler:
         """The conclusion of ``head`` and ``clauses`` over ``params``."""
         self.pos = {p: i for i, p in enumerate(params)}
         return Step(head, tuple(zip(self.kind.ports, [
-            instances._build_term(node, self._split) for node in clauses])))
+            build_term(node, self._split) for node in clauses])))
 
     def _argument(self, node):
         """The index of the `x` of head(x), tail(x), left(x) or right(x)."""
@@ -653,7 +651,7 @@ def _conclude(step: Step, op, args) -> Step:
     label = step.label.ev(labels) if step.label.__class__ is SymbolicLabel \
         else step.label
     return Step(label, tuple([(p, slots[t.node] if t.__class__ is Slot
-                               else instances._build_term(t, split))
+                               else build_term(t, split))
                               for p, t in step.children]))
 
 
@@ -826,20 +824,19 @@ def _parse_ccs_expr(ts: TokenStream, actions, names):
 _NO_MOVES = Guard(process_step(()))
 
 
-def _ccs_context(table, ast, shared, path=()):
-    """Guarded term of an agent AST; a sum of guards is one guard, and a
-    guard with no moves (`0`) below any other operator is `nil`, which the
-    `par` law drops.  Leaves and symbols are shared through ``shared``, as
-    `instances.ccs_term` shares them."""
+def _ccs_context(table, ast, shared):
+    """Term of an agent AST, a prefix a `Guard`; a sum of guards is one
+    guard, and a guard with no moves (`0`) below any other operator is
+    `nil`, which the `par` law drops.  Leaves and symbols are shared through
+    ``shared``, as `instances.ccs_term` shares them."""
     tag = ast[0]
     if tag == "pref":
         return Guard(process_step(
             ((ast[1], instances.ccs_term(table, ast[2], shared)),)))
     if tag == "ref":
-        raise Unguarded(ast[1], path)
+        return instances.ccs_term(table, ast, shared)
     op, subs = instances.ccs_op(table, ast, shared)
-    kids = tuple(_ccs_context(table, s, shared, path + (i,))
-                 for i, s in enumerate(subs))
+    kids = tuple(_ccs_context(table, s, shared) for s in subs)
     if tag == "sum" and all(isinstance(k, Guard) for k in kids):
         return Guard(process_step(
             tuple(m for k in kids for m in k.step.children)))
@@ -883,6 +880,8 @@ def parse_ccs(text: str) -> System:
     kind = process_actions(*bases)
     table, shared = instances.ccs_table(kind), {}
     rhs = {v: _ccs_context(table, ast, shared) for v, ast in asts.items()}
+    for t in rhs.values():
+        Guard.above(t)
     return System(kind, table, tuple(asts), rhs)
 
 

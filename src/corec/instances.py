@@ -44,7 +44,8 @@ from .rules import (
     register_srps,
 )
 from .solver import Engine, SolutionHandle, System
-from .terms import App, Guard, Signature, Term, Var, mk_app, sig_sum, signature
+from .terms import (App, Guard, Signature, Term, Var, build_term, mk_app,
+                    sig_sum, signature)
 
 # ---------------------------------------------------------------------------
 # Streams (componentwise givens, shuffle and convolution staged on top)
@@ -486,29 +487,6 @@ def language_member(h: SolutionHandle, word: str) -> bool:
 # Shared tuple ASTs compiled for the engine (oracles consume them directly)
 
 
-def _build_term(root, split) -> Term:
-    """The term of the AST ``root``, built in post-order on an explicit
-    stack: ``split(ast)`` is a node's symbol and its argument ASTs, or its
-    leaf term and None.  A None on the stack marks that the arguments of
-    the symbol below it are built."""
-    stack, built = [root], []
-    while stack:
-        ast = stack.pop()
-        if ast is None:
-            op = stack.pop()
-            cut = len(built) - op.arity
-            args = tuple(built[cut:])
-            del built[cut:]
-            built.append(mk_app(op, args))
-            continue
-        op, subs = split(ast)
-        if subs is None:
-            built.append(op)
-        else:
-            stack += (op, None, *reversed(subs))
-    return built[0]
-
-
 def language_term(table: RuleTable, expr) -> Term:
     """Compile a language expression AST into a term over the table."""
     def split(e):
@@ -527,7 +505,7 @@ def language_term(table: RuleTable, expr) -> Term:
             return table.op("cons", bool(e[1])), e[2]
         raise UnknownOracle(f"unknown language expression {e!r}")
 
-    return _build_term(expr, split)
+    return build_term(expr, split)
 
 
 def ccs_op(table: RuleTable, ast, shared=None):
@@ -570,7 +548,7 @@ def ccs_term(table: RuleTable, ast, shared=None) -> Term:
             leaf = shared[a[1]] = Var(a[1])
         return leaf, None
 
-    return _build_term(ast, split)
+    return build_term(ast, split)
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,17 @@ def resolver(sig: Signature) -> Callable:
     return resolve
 
 
+def state_node(kind, state, check_handle=None) -> int:
+    """The node of ``state``, a `Param`'s or a variable's, checked to be of
+    ``kind`` and live in the engine of ``check_handle`` if one is given."""
+    if check_handle is not None:
+        check_handle(state)
+    have = getattr(state, "kind", None)
+    if have is not kind and have != kind:
+        raise KindMismatch(f"{state!r} is not a {kind.name} state")
+    return state.node
+
+
 def compile_code(kind, resolve, root, binding, check_handle=None) -> list:
     """Post-order code building the term, or step, ``root`` of ``kind``,
     names resolved and arities, labels and ports checked: a hole number
@@ -313,7 +324,8 @@ def compile_code(kind, resolve, root, binding, check_handle=None) -> list:
     ``(tag, n, ...)`` for ``app``, ``guard`` and ``step`` pops ``n``
     operands.  ``binding`` maps variables to nodes; None marks a rule
     conclusion, whose `Slot`s are holes and which has no variables.
-    ``check_handle``, where an engine is at hand, vets each `Param`."""
+    ``check_handle``, where an engine is at hand, vets each `Param`
+    (`state_node`)."""
     code = []
     todo = [root]
     while todo:
@@ -344,11 +356,7 @@ def compile_code(kind, resolve, root, binding, check_handle=None) -> list:
                 raise ForeignSymbol(f"{t!r} is not a premise of the rule")
             code.append(t.node)
         elif cls is Param:
-            if check_handle is not None:
-                check_handle(t.ref)
-            if getattr(t.ref, "kind", None) != kind:
-                raise KindMismatch(f"{t.ref!r} is not a {kind.name} state")
-            code.append(~t.ref.node)
+            code.append(~state_node(kind, t.ref, check_handle))
         else:
             raise KindMismatch(f"not a {kind.name} term: {t!r}")
     # The walk is pre-order, children pushed in order: reversed, post-order.

@@ -16,7 +16,9 @@ them: `rules.plan_symbolic`) or, for processes, actions.  Its plan, made by
 `rules.plan_rule` as the table probe's is, is filled with the premises'
 node ids at every application of that shape, as natural rules allow
 (`rules.GsosRule`), and dies with its engine.  A sum adds its operands'
-labels as integers over a common denominator.
+labels as integers over a common denominator.  A solved state enters a
+term, as a `Param`, a variable's value or an argument of `interpret_op`,
+through one check (`rules.state_node`).
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ from .errors import (
     ValidationFailed,
     VariableClash,
 )
-from .rules import RuleTable, compile_code, plan_rule, plan_symbolic
-from .terms import Guard, OpSym, Param, Term, is_reserved_name
+from .rules import (RuleTable, compile_code, plan_rule, plan_symbolic,
+                    state_node)
+from .terms import Guard, OpSym, Param, Term, free_vars, is_reserved_name
 
 
 @dataclass
@@ -412,42 +415,32 @@ class Engine:
         return self._observe(h.node, depth)
 
     def interpret_op(self, table: RuleTable, op, args) -> SolutionHandle:
-        """The state denoting ``op`` applied to already-solved states."""
-        args = tuple(args)
+        """The state denoting ``op`` applied to already-solved states, each
+        vetted as a `Param` is (`rules.state_node`)."""
         name = table.resolve(op)
-        if len(args) != op.arity:
-            raise ArityMismatch(f"{op!r} applied to {len(args)} states")
-        for h in args:
-            self.check_handle(h)
-            if h.kind != table.kind:
-                raise KindMismatch(
-                    f"argument of kind {h.kind.name} for a "
-                    f"{table.kind.name} operation")
-        return self._handle(self._fill(table, [~h.node for h in args] + [
-            ("app", len(args), name, op)], ()))
+        code = [~state_node(table.kind, h, self.check_handle) for h in args]
+        if len(code) != op.arity:
+            raise ArityMismatch(f"{op!r} applied to {len(code)} states")
+        code.append(("app", op.arity, name, op))
+        return self._handle(self._fill(table, code, ()))
 
     def interpret_term(self, table: RuleTable, t: Term,
                        env: Optional[Mapping[str, SolutionHandle]] = None
                        ) -> SolutionHandle:
-        """State for a closed term over parameters and ``env`` variables."""
+        """State for a closed term over parameters and ``env`` variables,
+        each state vetted as a `Param` is (`rules.state_node`)."""
         if not isinstance(t, Term):
             raise KindMismatch(f"not a term: {t!r}")
-        binding = {v: h.node for v, h in (env or {}).items()}
+        binding = {v: state_node(table.kind, h, self.check_handle)
+                   for v, h in (env or {}).items()}
         self._work = 0
         return self._handle(self._instantiate(table, t, binding))
 
     def elaborate_guards(self, table: RuleTable, ctx,
                          binding: Mapping[str, SolutionHandle]) -> Step:
         """One step of a guarded term over already-solved states."""
-        node_binding = {}
-        for v, h in binding.items():
-            self.check_handle(h)
-            node_binding[v] = h.node
-        self._work = 0
         Guard.above(ctx)
-        step = self._unfold(self._instantiate(table, ctx, node_binding))
-        return Step(step.label,
-                    tuple((p, self._handle(c)) for p, c in step.children))
+        return self.unfold(self.interpret_term(table, ctx, binding))
 
     def solve(self, system: System) -> dict:
         """Solutions of a flat or sandwiched equation system.
@@ -515,17 +508,14 @@ class Engine:
 
     def materialize_rhs(self, system: System, var: str,
                         sol: Mapping[str, SolutionHandle]) -> SolutionHandle:
-        """State obtained by applying ``var``'s rhs to the solved states,
-        built with `solve`'s builder into hash-consed nodes, so that
-        repeating it adds no node."""
+        """State obtained by applying ``var``'s rhs to the solved states of
+        its variables (`interpret_term`), its part above the guards checked
+        as `solve` checks it; hash-consed, so repeating it adds no node."""
         rhs = system.rhs[var]
-        if isinstance(rhs, Param):
-            return rhs.ref
-        if not isinstance(rhs, Term):
-            raise ValidationFailed(f"unsolvable right-hand side {rhs!r}")
-        Guard.above(rhs)
-        binding = {v: sol[v].node for v in system.vars}
-        return self._handle(self._instantiate(system.table, rhs, binding))
+        if isinstance(rhs, Term) and not isinstance(rhs, Param):
+            Guard.above(rhs)
+        return self.interpret_term(system.table, rhs, {
+            v: sol[v] for v in free_vars(rhs) if v in sol})
 
     # -- composition of systems ----------------------------------------------
 

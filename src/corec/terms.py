@@ -6,8 +6,10 @@ states (parameters), the engine's premise slots, or guards (one full
 observation over continuation terms), shared by reference and compared
 structurally.  A guarded term, such as the right-hand side of an equation
 or a sandwiched rule's conclusion, has only `Guard` leaves above its
-guards.  Sums of signatures rename colliding symbols and record the
-embedding, so terms built over a summand can be injected into the sum.
+guards, which `Guard.above`, the one guardedness walker, checks.  Sums of
+signatures rename colliding symbols and record the embedding, so terms
+built over a summand can be injected into the sum.  `build_term` builds a
+term from a tree of any depth.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import (
     ArityMismatch,
     ForeignSymbol,
     NotASummand,
+    Unguarded,
     UnguardedPath,
     UnknownSymbol,
 )
@@ -239,14 +242,20 @@ class Guard(Term):
     @staticmethod
     def above(t: Term) -> list:
         """The `App` nodes and `Guard` leaves of ``t`` above its guards,
-        parents first.  Above the guards of a guarded term every leaf is a
-        `Guard`: any other leaf there raises UnguardedPath."""
+        parents first, arguments left to right.  Above the guards of a
+        guarded term every leaf is a `Guard`: the first other leaf, at its
+        path of argument indices, raises Unguarded if it is a variable and
+        UnguardedPath if not."""
         out, todo = [], [(t, ())]
         while todo:
             node, path = todo.pop()
-            if isinstance(node, App):
-                todo.extend((a, path + (i,)) for i, a in enumerate(node.args))
-            elif not isinstance(node, Guard):
+            cls = node.__class__
+            if cls is App:
+                todo += [(node.args[i], path + (i,))
+                         for i in range(len(node.args) - 1, -1, -1)]
+            elif cls is Var:
+                raise Unguarded(node.name, path)
+            elif cls is not Guard:
                 raise UnguardedPath(
                     f"path {path} ends in {node!r} with no guard")
             out.append(node)
@@ -280,40 +289,53 @@ def mk_app(op: OpSym, args) -> App:
     return App(op, args)
 
 
+def build_term(root, split) -> Term:
+    """The term of the tree ``root``, built with `App` in post-order on a
+    stack: ``split(node)`` is its symbol and child nodes, or its leaf term
+    and None.  A None on the stack follows a symbol and its child count."""
+    stack, built = [root], []
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            head, subs = split(node)
+            if subs is None:
+                built.append(head)
+            else:
+                stack += (head, len(subs), None, *reversed(subs))
+            continue
+        cut = len(built) - stack.pop()
+        built[cut:] = [App(stack.pop(), tuple(built[cut:]))]
+    return built[0]
+
+
 def substitute(t: Term, env: Mapping[str, Term]) -> Term:
     """Simultaneous replacement of variables; missing entries stay in place."""
-    if isinstance(t, Var):
-        return env.get(t.name, t)
-    if not isinstance(t, App):
-        return t
-    changed = False
-    new_args = []
-    for a in t.args:
-        n = substitute(a, env)
-        changed = changed or n is not a
-        new_args.append(n)
-    return App(t.op, tuple(new_args)) if changed else t
+    def split(node):
+        if isinstance(node, App):
+            return node.op, node.args
+        return (env.get(node.name, node) if isinstance(node, Var)
+                else node), None
+
+    return build_term(t, split)
 
 
 def embed_signature(t: Term, into: Signature) -> Term:
     """Rename the symbols of ``t`` into the sum signature ``into``."""
     embeddings = into.embeddings()
 
-    def emb_op(op: OpSym) -> OpSym:
-        if op.sig_id == into.sig_id:
-            return op
-        renames = embeddings.get(op.sig_id)
-        if renames is None:
-            raise NotASummand(
-                f"signature of {op!r} is not a summand of {into!r}")
-        return OpSym(renames[op.name], op.arity, into.sig_id, op.param)
-
-    def walk(node: Term) -> Term:
+    def split(node):
         if not isinstance(node, App):
-            return node
-        return App(emb_op(node.op), tuple(walk(a) for a in node.args))
+            return node, None
+        op = node.op
+        if op.sig_id != into.sig_id:
+            renames = embeddings.get(op.sig_id)
+            if renames is None:
+                raise NotASummand(
+                    f"signature of {op!r} is not a summand of {into!r}")
+            op = OpSym(renames[op.name], op.arity, into.sig_id, op.param)
+        return op, node.args
 
-    return walk(t)
+    return build_term(t, split)
 
 
 def subterms(t: Term):

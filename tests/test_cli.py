@@ -151,6 +151,33 @@ def test_circuit_run(files, capsys):
     assert capsys.readouterr().out.strip() == "out: 2 3 4 5 6 7 8 9 10 11"
 
 
+def test_circuit_builds_only_the_inputs_its_outputs_read(
+        tmp_path, capsys, monkeypatch):
+    n = 300
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({
+        "nodes": [{"id": f"i{k}", "kind": "input"} for k in range(n)]
+        + [{"id": f"o{k}", "kind": "output"} for k in range(n)],
+        "edges": [[f"i{k}", f"o{k}"] for k in range(n)]}))
+    built = []
+
+    def counting(engine, prefix, cycle=(0,)):
+        built.append((tuple(prefix), tuple(cycle)))
+        return periodic_stream(engine, prefix, cycle)
+
+    monkeypatch.setattr(cli.instances, "periodic_stream", counting)
+    assert cli_main(["circuit", str(path), "--output", "o0",
+                     "--input", "i7=1;2|3", "--prefix", "3"]) == 0
+    assert capsys.readouterr().out == "o0: 0 0 0\n"
+    assert built == [((), (Fraction(0),))]
+    # every spec is still parsed, and every name still checked
+    for bad in ("nope=ones", "i5=1/0", "i5"):
+        assert cli_main(["circuit", str(path), "--output", "o0",
+                         "--input", bad]) == 2
+        assert capsys.readouterr().out == ""
+    assert len(built) == 1
+
+
 def test_bde_apply(files, capsys):
     rc = cli_main(["bde", files["shuffle.bde"], "--apply", "sh:ones,ones",
                    "--prefix", "5"])

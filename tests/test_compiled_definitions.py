@@ -12,7 +12,8 @@ import pytest
 
 from corec import Engine
 from corec.errors import InvalidCircuit
-from corec.frontends import compile_circuit, load_circuit, parse_bde
+from corec.frontends import (compile_circuit, load_circuit, parse_bde,
+                             parse_system)
 from corec.instances import periodic_stream, periodic_values, stream_take
 from corec.rules import validate_table
 
@@ -226,3 +227,64 @@ def test_an_initial_value_of_5000_terms_runs_under_the_default_limit():
     h = engine.interpret_op(table, table.op("f"),
                             [periodic_stream(engine, (3,), (1,))])
     assert stream_take(h, 2) == [3 + 4999 + 2 * 3, 3]
+
+
+def test_a_numeral_and_a_head_read_in_a_clause_are_constants():
+    # `2` and `head(x)` in a clause are `const`: [c] = c, 0, 0, ...
+    program = parse_bde("kind stream\nf(x): head = 0; "
+                        "tail = plus(head(x), plus(2, tail(x)))\n")
+    table = program.extended_table()
+    engine = Engine()
+
+    def run(pre, cyc, n):
+        x = periodic_stream(engine, pre, cyc)
+        return stream_take(engine.interpret_op(table, table.op("f"), [x]), n)
+
+    assert run((5, 7, 11, 13), (0,), 6) == [0, 14, 11, 13, 0, 0]
+    rng = random.Random(23)
+    for _ in range(30):
+        pre = [_value(rng) for _ in range(rng.randint(0, 3))]
+        cyc = [_value(rng) for _ in range(rng.randint(1, 3))]
+        n = rng.randint(1, 12)
+        x = periodic_values(pre, cyc, n)
+        want = [Fraction(0)] + [x[k + 1] + (x[0] + 2 if k == 0 else 0)
+                                for k in range(n - 1)]
+        assert run(pre, cyc, n) == want, (pre, cyc)
+
+
+def _tree_observation(tree):
+    """An observation tree as nested ``(label, left, right)``; None a cut."""
+    if tree.cut:
+        return None
+    kids = dict(tree.children)
+    return (tree.label, _tree_observation(kids["L"]),
+            _tree_observation(kids["R"]))
+
+
+def test_a_root_read_in_a_tree_clause_is_a_constant():
+    # f(x) keeps x's root and right subtree and adds const(root(x)) to its
+    # left subtree, which raises only the left child's label
+    program = parse_bde("kind tree\nf(x): root = root(x); "
+                        "left = plus(root(x), left(x)); right = right(x)\n")
+    table = program.extended_table()
+    rng = random.Random(29)
+    for _ in range(20):
+        names = [f"n{i}" for i in range(rng.randint(1, 4))]
+        graph = {n: (_value(rng), rng.choice(names), rng.choice(names))
+                 for n in names}
+
+        def observe(name, depth, add=Fraction(0)):
+            if depth == 0:
+                return None
+            label, left, right = graph[name]
+            return (label + add, observe(left, depth - 1),
+                    observe(right, depth - 1))
+
+        engine = Engine()
+        sol = engine.solve(parse_system("kind tree\n" + "".join(
+            f"{n} = {label} . ({left}, {right})\n"
+            for n, (label, left, right) in graph.items())))
+        h = engine.interpret_op(table, table.op("f"), [sol[names[0]]])
+        label, left, right = graph[names[0]]
+        want = (label, observe(left, 3, label), observe(right, 3))
+        assert _tree_observation(engine.observe(h, 4)) == want, graph

@@ -1,8 +1,13 @@
+import sys
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from corec.errors import ArityMismatch, ForeignSymbol, NotASummand
+from corec.instances import stream_base_table, stream_table
 from corec.terms import (
+    App,
     Param,
     Slot,
     Var,
@@ -151,6 +156,29 @@ def test_embed_injective_on_symbols():
     emb_b = AB.embedding_from(B)
     assert emb_a["f"] != emb_b["f"]
     assert AB.decl(emb_b["f"]).arity == 2
+
+
+def _chain(t):
+    """The symbols of a chain of unary applications, root first, and the
+    leaf below them, read without recursion."""
+    ops = []
+    while isinstance(t, App):
+        ops.append(t.op)
+        (t,) = t.args
+    return ops, t
+
+
+def test_substitute_and_embed_take_a_mult_chain_10000_deep():
+    assert sys.getrecursionlimit() <= 1000
+    mult = stream_base_table().op("mult", Fraction(2))
+    t = Var("x")
+    for _ in range(10_000):
+        t = App(mult, (t,))
+    ops, leaf = _chain(substitute(t, {"x": Var("y")}))
+    assert ops == [mult] * 10_000 and leaf == Var("y")
+    full = stream_table().sig
+    ops, leaf = _chain(embed_signature(t, full))
+    assert ops == [full.op("mult", Fraction(2))] * 10_000 and leaf == Var("x")
 
 
 def test_free_vars_examples():
