@@ -11,6 +11,7 @@ first labels (`instances.stream_take`), all else from `Engine.observe`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -206,7 +207,11 @@ def _cmd_check(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; its ``append`` options copy
+    their lists, so no call leaves state for the next.  A subcommand runs
+    `_cmd_<name>`, looked up at each call."""
     parser = argparse.ArgumentParser(
         prog="corec",
         description="corecursion engine: unique solutions of guarded "
@@ -219,38 +224,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--kind", help="kind when the file has no header")
     p.add_argument("--observe", action="append", metavar="VAR:DEPTH")
-    p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("bde", help="apply an operation defined by "
                                    "behavioral differential equations")
     p.add_argument("file")
     p.add_argument("--apply", required=True, metavar="F:ARG,ARG")
     p.add_argument("--prefix", type=int, default=8)
-    p.set_defaults(fn=_cmd_bde)
 
     p = sub.add_parser("circuit", help="run a compiled stream circuit")
     p.add_argument("file")
     p.add_argument("--input", action="append", metavar="NAME=SPEC")
     p.add_argument("--prefix", type=int, default=8)
     p.add_argument("--output", help="restrict to one output")
-    p.set_defaults(fn=_cmd_circuit)
 
     p = sub.add_parser("member", help="grammar membership via derivatives")
     p.add_argument("grammar")
     p.add_argument("word")
-    p.set_defaults(fn=_cmd_member)
 
     p = sub.add_parser("ccs", help="solve a process definition file")
     p.add_argument("file")
     p.add_argument("--agent")
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--bisim", nargs=2, metavar=("P", "Q"))
-    p.set_defaults(fn=_cmd_ccs)
 
     p = sub.add_parser("check", help="run property suites")
     p.add_argument("--suite", choices=checking.suite_names())
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_check)
 
     return parser
 
@@ -262,7 +261,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.fn(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except (CorecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,23 +2,24 @@
 
 The engine owns an arena of nodes: operation symbols applied to child
 nodes, sums of an additive symbol as multisets of their operands, guard
-states holding a precomputed step, and the variables of sandwiched
-systems, each stepping as the node of its context.  Every node's step is
-computed at most once and memoized; terms over the same states that are
-equal modulo the laws their rules declare (`rules.Law`) share a node.
-Solving a system allocates a node per variable, then builds and checks
-each right-hand side once; `unfold`/`observe` step on demand.  Terms,
-right-hand sides and rule conclusions compile to post-order code
-(`rules.compile_code`).  A rule runs once per premise shape: symbol,
-parameter and the premises' labels (numbers keyed as integer ratios, and
-labels left to the plan to compute where the rule only does arithmetic on
-them: `rules.plan_symbolic`) or, for processes, actions.  Its plan, made by
-`rules.plan_rule` as the table probe's is, is filled with the premises'
-node ids at every application of that shape, as natural rules allow
-(`rules.GsosRule`), and dies with its engine.  A sum adds its operands'
-labels as integers over a common denominator.  A solved state enters a
-term, as a `Param`, a variable's value or an argument of `interpret_op`,
-through one check (`rules.state_node`).
+states holding a precomputed step, and the variables of systems.  Every
+node's step is computed at most once and memoized; terms over the same
+states that are equal modulo the laws their rules declare (`rules.Law`)
+share a node.  Solving a system allocates a node per variable and checks
+and compiles every right-hand side, so a malformed one is rejected there; a
+variable's right-hand side is built at its first step, and
+`unfold`/`observe` step on demand.  Terms, right-hand sides and rule
+conclusions compile to post-order code (`rules.compile_code`).  A rule runs
+once per premise shape: symbol, parameter and the premises' labels (numbers
+keyed as integer ratios, and labels left to the plan to compute where the
+rule only does arithmetic on them: `rules.plan_symbolic`) or, for
+processes, actions.  Its plan, made by `rules.plan_rule` as the table
+probe's is, is filled with the premises' node ids at every application of
+that shape, as natural rules allow (`rules.GsosRule`), and dies with its
+engine.  A sum adds its operands' labels as integers over a common
+denominator.  A solved state enters a term, as a `Param`, a variable's
+value or an argument of `interpret_op`, through one check
+(`rules.state_node`).
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ class System:
 
     A right-hand side is a term over the variables, guarded: a `Guard` at
     the root makes a flat equation, given symbols of ``table`` above
-    `Guard` leaves a sandwiched one, and a `Param` a constant."""
+    `Guard` leaves and `Param` arguments a sandwiched one, and a `Param` a
+    constant."""
 
     kind: object
     table: RuleTable
@@ -100,8 +102,8 @@ class _Node:
     # Term nodes: ``name`` is the symbol's name in ``table``, ``op`` the
     # symbol as the author of that name's rule knew it.  Sum nodes of an
     # additive ``name``: ``children`` are ``(node, multiplicity)`` pairs,
-    # ascending by node.  A sandwiched variable (tag ``var``) has one
-    # child, the node of its context.
+    # ascending by node.  A variable (tag ``var``) holds its right-hand
+    # side's checked code in ``children`` until its first step builds it.
     __slots__ = ("tag", "kind", "table", "name", "op", "children", "step")
 
     def __init__(self, tag, kind, table=None, name=None, op=None, children=(),
@@ -288,7 +290,9 @@ class Engine:
         elif tag == "sum":
             step = self._sum_step(node)
         else:
-            step = self._unfold(node.children[0])
+            out = self._fill(node.table, node.children, ())
+            node.children = ()
+            step = out if out.__class__ is Step else self._unfold(out)
         self._memo[nid] = step
         return step
 
@@ -445,11 +449,13 @@ class Engine:
     def solve(self, system: System) -> dict:
         """Solutions of a flat or sandwiched equation system.
 
-        Allocates one node per variable, then builds each right-hand side
-        over them once; the builders reject what is ill-formed, and a
-        rejected system leaves the arena as it was.  Returns one
-        handle per variable; unfolding the handles satisfies the defining
-        equations (see `checking.diagram_check`).
+        Allocates one node per variable, then checks and compiles each
+        right-hand side over them (`Guard.above`, `rules.compile_code`),
+        which rejects what is ill-formed; a rejected system leaves the
+        arena as it was.  A variable's nodes are built from its code at
+        its first step.  Returns one handle per variable; unfolding the
+        handles satisfies the defining equations (see
+        `checking.diagram_check`).
         """
         report = system.table.validation()
         if not report.ok:
@@ -458,31 +464,28 @@ class Engine:
             raise KindMismatch("system kind differs from its table's kind")
         if len(set(system.vars)) != len(system.vars):
             raise VariableClash("duplicate variable names")
-        n0 = len(self._nodes)
+        table, n0 = system.table, len(self._nodes)
         try:
             binding = self._var_nodes(system)
             for v in system.vars:
-                node = self._nodes[binding[v]]
                 rhs = system.rhs[v]
+                if isinstance(rhs, Param):
+                    continue
                 if isinstance(rhs, Guard):
-                    node.step = self._instantiate(system.table, rhs.step,
-                                                  binding)
-                elif not isinstance(rhs, Param):
+                    rhs = rhs.step
+                else:
                     Guard.above(rhs)
-                    node.children = (
-                        self._instantiate(system.table, rhs, binding),)
+                self._nodes[binding[v]].children = compile_code(
+                    table.kind, table.resolve, rhs, binding, self.check_handle)
         except Exception:
-            # Nodes below n0 never point at later ones, so dropping the
-            # later ones and their hash-cons keys leaves the arena as it was.
+            # Solving adds only the variables' nodes, later than any other.
             del self._nodes[n0:]
-            self._cons = {k: i for k, i in self._cons.items() if i < n0}
             raise
         return {v: self._handle(binding[v]) for v in system.vars}
 
     def _var_nodes(self, system: System) -> dict:
-        """One node per variable, still empty: a guard node for a flat rhs,
-        a ``var`` node for any other term, and the given state for a
-        constant."""
+        """One ``var`` node per variable, still empty, and the given state
+        for a constant."""
         binding = {}
         for v in system.vars:
             if is_reserved_name(v):
@@ -491,15 +494,15 @@ class Engine:
                 raise ValidationFailed(f"no right-hand side for {v!r}")
             rhs = system.rhs[v]
             if isinstance(rhs, Param):
-                binding[v] = self._instantiate(system.table, rhs, None)
+                binding[v] = state_node(system.kind, rhs.ref,
+                                        self.check_handle)
             elif isinstance(rhs, ExternalRhs):
                 raise ValidationFailed(
                     "external variable references are only solvable through "
                     "compose_systems")
             elif isinstance(rhs, Term):
                 binding[v] = len(self._nodes)
-                self._nodes.append(_Node(
-                    "guard" if isinstance(rhs, Guard) else "var", system.kind))
+                self._nodes.append(_Node("var", system.kind, system.table))
             else:
                 raise ValidationFailed(f"unrecognized right-hand side {rhs!r}")
         return binding

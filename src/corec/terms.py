@@ -5,11 +5,11 @@ immutable trees whose leaves are variables, references to already-solved
 states (parameters), the engine's premise slots, or guards (one full
 observation over continuation terms), shared by reference and compared
 structurally.  A guarded term, such as the right-hand side of an equation
-or a sandwiched rule's conclusion, has only `Guard` leaves above its
-guards, which `Guard.above`, the one guardedness walker, checks.  Sums of
-signatures rename colliding symbols and record the embedding, so terms
-built over a summand can be injected into the sum.  `build_term` builds a
-term from a tree of any depth.
+or a sandwiched rule's conclusion, has only `Guard` leaves and `Param`
+arguments above its guards, which `Guard.above`, the one guardedness
+walker, checks.  Sums of signatures rename colliding symbols and record
+the embedding, so terms built over a summand can be injected into the
+sum.  `build_term` builds a term from a tree of any depth.
 """
 
 from __future__ import annotations
@@ -243,9 +243,10 @@ class Guard(Term):
     def above(t: Term) -> list:
         """The `App` nodes and `Guard` leaves of ``t`` above its guards,
         parents first, arguments left to right.  Above the guards of a
-        guarded term every leaf is a `Guard`: the first other leaf, at its
-        path of argument indices, raises Unguarded if it is a variable and
-        UnguardedPath if not."""
+        guarded term every leaf is a `Guard` or, as an argument, a `Param`,
+        a solved constant: the first other leaf, at its path of argument
+        indices, raises Unguarded if it is a variable and UnguardedPath if
+        not."""
         out, todo = [], [(t, ())]
         while todo:
             node, path = todo.pop()
@@ -253,6 +254,8 @@ class Guard(Term):
             if cls is App:
                 todo += [(node.args[i], path + (i,))
                          for i in range(len(node.args) - 1, -1, -1)]
+            elif cls is Param and path:
+                continue
             elif cls is Var:
                 raise Unguarded(node.name, path)
             elif cls is not Guard:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from corec.behavior import STREAM, stream_step
-from corec.checking import bounded_equal, find_divergence
+from corec.checking import bounded_equal, diagram_check, find_divergence
 from corec.errors import (
     CorecError,
     InvalidHandle,
@@ -30,7 +30,7 @@ from corec.instances import (
     stream_take,
 )
 from corec.solver import Engine, System
-from corec.terms import App, Guard, Param, Var, mk_app
+from corec.terms import App, Guard, Param, Slot, Var, mk_app
 
 NOT_STATES = [None, 3, "x", Fraction(1), Var("x")]
 
@@ -172,3 +172,62 @@ def test_the_agent_parser_and_solve_agree_on_the_witness(engine):
         parse_ccs("P = a.0 | P\n")
     assert (solved.value.var, solved.value.path) == \
         (parsed.value.var, parsed.value.path) == ("P", (1,))
+
+
+# -- a `Param` argument above the guards is a solved constant -----------------
+
+
+def _plus_param(table, s, right):
+    return mk_app(table.op("plus"), (Param(s), right))
+
+
+def test_a_param_above_the_guards_is_a_constant(engine):
+    table = stream_table()
+    ones = periodic_stream(engine, (), (1,))
+    system = System(STREAM, table, ("x",), {"x": _plus_param(
+        table, ones, Guard(stream_step(1, Var("x"))))})
+    sol = engine.solve(system)
+    assert stream_take(sol["x"], 5) == [2, 3, 4, 5, 6]
+    assert diagram_check(system, sol, 8).passed
+    # a numeral above the guards is a nullary `const`, accepted alike
+    one = periodic_stream(engine, (1,), (0,))
+    system = System(STREAM, table, ("x",), {"x": _plus_param(
+        table, one, Guard(stream_step(1, Var("x"))))})
+    parsed = engine.solve(parse_system("kind stream\nx = plus(1, 1 . x)\n"))
+    assert bounded_equal(parsed["x"], engine.solve(system)["x"], 8)
+
+
+def test_other_leaves_above_the_guards_keep_their_witness(engine):
+    table = stream_table()
+    ones = periodic_stream(engine, (), (1,))
+    plus = table.op("plus")
+    with pytest.raises(Unguarded) as err:
+        Guard.above(mk_app(plus, (Var("x"), Param(ones))))
+    assert (err.value.var, err.value.path) == ("x", (0,))
+    with pytest.raises(Unguarded) as err:
+        Guard.above(_plus_param(table, ones, Var("x")))
+    assert (err.value.var, err.value.path) == ("x", (1,))
+    with pytest.raises(UnguardedPath) as err:
+        Guard.above(_plus_param(table, ones, Slot(0)))
+    assert type(err.value) is UnguardedPath
+    assert str(err.value) == "path (1,) ends in <node 0> with no guard"
+    # the parser names the variable after a numeral at the same path
+    with pytest.raises(Unguarded) as parsed:
+        parse_system("kind stream\nx = plus(1, x)\n")
+    assert (parsed.value.var, parsed.value.path) == ("x", (1,))
+
+
+def test_a_param_above_the_guards_is_still_vetted_at_solve(engine):
+    table = stream_table()
+    lang = language_table("ab")
+    guard = Guard(stream_step(1, Var("x")))
+    for state, error in (
+            (periodic_stream(Engine(), (), (1,)), InvalidHandle),
+            (engine.interpret_term(lang, language_term(lang, ("eps",))),
+             KindMismatch)):
+        system = System(STREAM, table, ("x",), {
+            "x": _plus_param(table, state, guard)})
+        nodes, cons = len(engine._nodes), dict(engine._cons)
+        with pytest.raises(error):
+            engine.solve(system)
+        assert len(engine._nodes) == nodes and engine._cons == cons
