@@ -8,13 +8,18 @@ and their kinds off their first characters; the readers index those two
 lists, and a parse node holds the index of its first token, whose line and
 column are found only when an error is raised.  Each text format is read
 in one pass over its tokens, so parsing takes time linear in the file
-size, and the system and agent compilers keep one `Var` per variable
-name and one symbol per name and parameter.  One reader, `_read_kind`,
-maps a `kind …` header or a kind argument to a built-in table; the term
-grammar, which BDE clauses share, and the printers then read the syntax
-the kind states.  A BDE definition, parsed or made from a circuit, is
-compiled once into its conclusion on symbolic premises, with no closure
-and no recursion, and one `_conclude` fills it in at the premises.
+size, and the term and agent compilers keep one `Var` per variable name
+and one symbol per name and parameter.  One reader, `_read_kind`, maps a
+`kind …` header or a kind argument to a built-in table; the term grammar
+and the printers then read the syntax the kind states.  System
+right-hand sides and BDE clauses are one term grammar: one reader,
+`_parse_expr`, and one compiler, `_Compiler`, serve both, each on an
+explicit stack, so a term of any depth reads and compiles.  A BDE
+definition, parsed or made from a circuit, is compiled once into its
+conclusion on symbolic premises, with no closure and no recursion, and
+one `_conclude` fills it in at the premises.  Agent expressions and
+initial values still recurse, once per nesting level, in `_infix`,
+`_parse_ccs_expr` and `_ccs_context`.
 """
 
 from __future__ import annotations
@@ -199,7 +204,7 @@ class TokenStream:
 
 
 # ---------------------------------------------------------------------------
-# Expressions for the deterministic kinds
+# Terms of systems and BDE clauses: one reader and one compiler
 #
 # Parse nodes: ("num", r, i)  ("var", name, i)  ("call", name, args, i)
 # ("guard", label, payload-list, i), its label a "num" or "var" node; ``i``
@@ -207,148 +212,184 @@ class TokenStream:
 
 
 def _parse_expr(ts: TokenStream, i):
-    """The parse node of the term at token ``i``, and the index after it."""
-    values = ts.values
-    kind = ts.kinds[i]
-    if kind == "ident":
-        if values[i + 1] == "(":
-            args, j = _parse_args(ts, i + 2)
-            return ("call", values[i], args, i), j
-        node = ("var", values[i], i)
-    elif kind == "num":
-        node = ("num", ts.rational(i), i)
-    else:
-        raise ts.error(i, f"expected a term, got {values[i]!r}")
-    if values[i + 1] != ".":
-        return node, i + 1
-    if values[i + 2] == "(":
-        payload, j = _parse_args(ts, i + 3, False)
-    else:
-        payload, j = _parse_expr(ts, i + 2)
-        payload = [payload]
-    return ("guard", node, payload, i), j
-
-
-def _parse_args(ts: TokenStream, j, empty=True):
-    """The nodes of the terms from token ``j`` to a `)`, comma-separated and
-    none only if ``empty``, and the index after the `)`."""
-    values, args = ts.values, []
-    if not (empty and values[j] == ")"):
-        node, j = _parse_expr(ts, j)
-        args.append(node)
-        while values[j] == ",":
-            node, j = _parse_expr(ts, j + 1)
+    """The parse node of the term at token ``i``, and the index after it,
+    read in one loop over a stack of the calls and guards still open: a
+    call, or a guard's parenthesized payload, closes at its `)`, and a
+    guard's bare payload after one term."""
+    values, kinds, opened = ts.values, ts.kinds, []
+    while True:
+        if kinds[i] == "ident" and values[i + 1] == "(":
+            if values[i + 2] != ")":
+                opened.append(("call", values[i], [], i, True))
+                i += 2
+                continue
+            node, i = ("call", values[i], [], i), i + 3
+        else:
+            if kinds[i] == "ident":
+                node = ("var", values[i], i)
+            elif kinds[i] == "num":
+                node = ("num", ts.rational(i), i)
+            else:
+                raise ts.error(i, f"expected a term, got {values[i]!r}")
+            if values[i + 1] == ".":
+                paren = values[i + 2] == "("
+                opened.append(("guard", node, [], i, paren))
+                i += 3 if paren else 2
+                continue
+            i += 1
+        while opened:  # close what ``node`` completes
+            tag, head, args, at, closes = opened[-1]
             args.append(node)
-        if values[j] != ")":
-            raise ts.error(j, f"expected ')', got {values[j]!r}")
-    return args, j + 1
+            if closes:
+                if values[i] == ",":
+                    i += 1
+                    break
+                if values[i] != ")":
+                    raise ts.error(i, f"expected ')', got {values[i]!r}")
+                i += 1
+            opened.pop()
+            node = (tag, head, args, at)
+        else:
+            return node, i
 
 
-def _param(ptype, node):
-    """A parameter or label node read as ``ptype``; None if it is not one."""
-    if ptype == "rat" and node[0] == "num":
-        return node[1]
-    if ptype == "letter" and node[0] == "var":
-        return node[1]
-    if ptype == "bit" and node[0] == "num" and node[1] in (0, 1):
-        return bool(node[1])
-    return None
-
-
-def _letter_step(table: RuleTable, letter, term) -> Step:
+def _letter_step(sig, ports, letter, term) -> Step:
     """The language step that accepts nothing now and continues with
     ``term`` after ``letter`` and with the empty language after the rest."""
-    empty = mk_app(table.op("empty"), ())
+    empty = mk_app(sig.op("empty"), ())
     return Step(False, tuple((a, term if a == letter else empty)
-                             for a in table.kind.ports))
+                             for a in ports))
 
 
-class _DetCompiler:
-    """Turns parse nodes into terms and guarded contexts over a table, with
-    one `Var` per variable name and one symbol per name and parameter;
-    ``error`` places an error at a node's token."""
+_PARAM_TYPES = {"rat": "rational", "letter": "letter", "bit": "0/1"}
 
-    def __init__(self, table: RuleTable, variables, error):
-        self.table, self.kind, self.sig = table, table.kind, table.sig
-        self.vars = {v: Var(v) for v in variables}
-        self.syms = {}
-        self.error = error
 
-    def _op(self, name, args, i):
-        if name not in self.sig:
-            raise self.error(i, f"unknown operation {name!r}")
-        param = None
-        if self.sig.decl(name).parametric:
-            if not args:
-                raise self.error(i, f"{name!r} needs a leading parameter")
-            param = _param(self.kind.params.get(name), args[0])
-            if param is None:
-                raise self.error(i, f"bad parameter for {name!r}")
-            args = args[1:]
-        op = self.syms.get((name, param))
-        if op is None:
-            op = self.syms[name, param] = self.sig.op(name, param)
-        return op, args
+class _Compiler:
+    """The one compiler of parse nodes into terms over ``sig``, for system
+    right-hand sides and BDE clauses, on the stack of `build_term`, with one
+    symbol per name and parameter.  A name in ``leaves`` is its leaf, a
+    system's `Var` or a definition's argument `Slot`, and another name a
+    nullary symbol; a numeral is `const`, and `r . t` the ``kind``'s prefix
+    symbol.  ``reads``, a BDE's clause names and none in systems, read an
+    argument: of P ports argument i is `Slot` i·(P+1), ``reads[k](x_i)``
+    its k-th continuation `Slot` i·(P+1)+k, as `rules.plan_rule` numbers
+    holes, and ``reads[0](x_i)`` `SymbolicLabel(i)`, in `const` or a
+    parameter.  ``error`` places an error at a node's token."""
 
-    def _call(self, node):
-        """The symbol of a call node and its argument nodes."""
-        _, name, args, i = node
-        if name in self.vars:
-            raise self.error(i, f"variable {name!r} applied to arguments")
-        op, rest = self._op(name, args, i)
-        if len(rest) != op.arity:
-            raise self.error(i, f"{name!r} expects {op.arity} arguments")
-        return op, rest
+    def __init__(self, sig, kind, leaves, reads, error):
+        self.sig, self.kind, self.leaves, self.reads = sig, kind, leaves, reads
+        self.error, self.syms = error, {}
 
     def term(self, node) -> Term:
-        tag = node[0]
-        if tag == "var":
-            leaf = self.vars.get(node[1])
-            if leaf is not None:
-                return leaf
-            if node[1] not in self.sig:
-                raise self.error(node[2], f"unknown name {node[1]!r}")
-            return mk_app(self._op(node[1], [], node[2])[0], ())
-        if tag == "call":
-            op, rest = self._call(node)
-            return mk_app(op, tuple(map(self.term, rest)))
-        if tag == "num":  # a numeral in term position is `const`
-            return self.term(("call", "const", [node], node[2]))
-        # `r . t` in term position is the kind's prefix symbol
-        _, label, payload, i = node
-        if self.kind.prefix is None:
-            raise self.error(i, f"no term-level guard for {self.kind.name}")
-        return self.term(("call", self.kind.prefix, [label, *payload], i))
+        leaf = self.leaves.get(node[1]) if node[0] == "var" else None
+        return leaf if leaf is not None else build_term(node, self._split)
 
-    def guard_step(self, node) -> Step:
+    def rhs(self, node):
+        """The term of a system's right-hand side above its guards, where
+        `r . t` is a `Guard`; `Guard.above` checks it guarded."""
+        if node[0] == "guard":
+            return Guard(self._step(node))
+        return build_term(node, self._split_rhs)
+
+    def _split_rhs(self, node):
+        tag = node[0]
+        if tag == "guard":
+            return Guard(self._step(node)), None
+        return self._call(node) if tag == "call" else (self.term(node), None)
+
+    def _step(self, node) -> Step:
         """A label and one term per port, or a language's letter guard."""
-        _, label, payload, i = node
+        _, label, payload, at = node
         kind = self.kind
         if label[0] == "var" and not kind.rational:
             if label[1] not in kind.ports or len(payload) != 1:
-                raise self.error(i, "letter guard is "
+                raise self.error(at, "letter guard is "
                                  f"`letter . term`, a letter of {kind.ports}")
-            return _letter_step(self.table, label[1], self.term(payload[0]))
+            return _letter_step(self.sig, kind.ports, label[1],
+                                self.term(payload[0]))
         n = len(kind.ports)
-        value = _param("rat" if kind.rational else "bit", label)
-        if value is None or len(payload) != n:
-            raise self.error(i, f"{kind.name} guard is `"
+        if label[0] != "num" or len(payload) != n or not (
+                kind.rational or label[1] in (0, 1)):
+            raise self.error(at, f"{kind.name} guard is `"
                              f"{'rational' if kind.rational else '0/1'} . "
                              f"{'term' if n == 1 else f'({n} terms)'}`")
+        value = label[1] if kind.rational else bool(label[1])
         return Step(value, tuple(zip(kind.ports, map(self.term, payload))))
 
-    def rhs(self, node):
-        """The term of a right-hand side, or of its part above the guards,
-        where `r . t` is a `Guard`; `Guard.above` checks it guarded."""
+    def _split(self, node):
+        """A term node's symbol and argument nodes, or its leaf and None."""
         tag = node[0]
-        if tag == "guard":
-            return Guard(self.guard_step(node))
-        if tag == "call":
-            op, rest = self._call(node)
-            return App(op, tuple(map(self.rhs, rest)))
-        # a variable, which `Guard.above` rejects, or a bare constant, a
-        # closed given term and vacuously guarded
-        return self.term(node)
+        if tag == "var":
+            leaf = self.leaves.get(node[1])
+            if leaf is not None:
+                return leaf, None
+            if node[1] not in self.sig:
+                raise self.error(node[2], f"unknown name {node[1]!r}")
+            node = ("call", node[1], [], node[2])
+        elif tag == "num":
+            node = ("call", "const", [node], node[2])
+        elif tag == "guard":
+            if self.kind.prefix is None:
+                raise self.error(node[3], "prefix terms are stream-only")
+            node = ("call", self.kind.prefix, [node[1], *node[2]], node[3])
+        return self._call(node)
+
+    def _call(self, node):
+        _, name, args, at = node
+        if name in self.reads:
+            i, k = self._argument(node), self.reads.index(name)
+            if k:
+                return _slot(i * len(self.reads) + k), None
+            return self._op("const", _premise_label(i)), ()
+        if name not in self.sig:
+            raise self.error(at, f"variable {name!r} applied to arguments"
+                             if name in self.leaves
+                             else f"unknown operation {name!r}")
+        param = None
+        if self.sig.decl(name).parametric:
+            param = self._param(name, args[0] if args else ("", None), at)
+            args = args[1:]
+        op = self._op(name, param)
+        if len(args) != op.arity:
+            raise self.error(at, f"{name!r} expects {op.arity} arguments")
+        return op, args
+
+    def _param(self, name, node, at):
+        """The parameter ``node`` leading the arguments of ``name`` at
+        ``at``: a numeral, a letter, or the head read of an argument."""
+        ptype, (tag, value) = self.kind.params.get(name), node[:2]
+        if tag == "num" and ptype == "rat":
+            return value
+        if tag == "num" and ptype == "bit" and value in (0, 1):
+            return bool(value)
+        if tag == "var" and ptype == "letter":
+            return value
+        if tag == "var" and value not in self.leaves and value not in self.sig:
+            raise self.error(node[2], f"unknown name {value!r}")
+        if tag == "call" and value in self.reads[:1]:
+            return _premise_label(self._argument(node))
+        raise self.error(
+            at, f"{name!r} needs a {_PARAM_TYPES[ptype]} parameter")
+
+    def _argument(self, node):
+        """The number of the argument ``x`` that ``read(x)`` reads."""
+        _, name, args, at = node
+        if len(args) != 1 or args[0][0] != "var":
+            raise self.error(at, f"{name!r} takes one argument name")
+        _, var, at = args[0]
+        if var not in self.leaves:
+            raise self.error(at, f"unknown argument {var!r}")
+        return self.leaves[var].node // len(self.reads)
+
+    def _op(self, name, param=None):
+        """The symbol ``name`` with ``param``, one object per pair; a
+        `SymbolicLabel`, which has no hash, gets a new one."""
+        if param.__class__ is SymbolicLabel:
+            return self.sig.op(name, param)
+        op = self.syms.get((name, param))
+        if op is None:
+            op = self.syms[name, param] = self.sig.op(name, param)
+        return op
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +444,8 @@ def parse_system(text: str, kind=None) -> System:
     # read.  The first error of the compiler waits, so that errors come in
     # the order: syntax, then names, then right-hand sides.
     values = ts.values
-    comp = _DetCompiler(table, compress(values, map(
-        "=".__eq__, islice(values, 1, None))), ts.error)
+    comp = _Compiler(table.sig, table.kind, {v: Var(v) for v in compress(
+        values, map("=".__eq__, islice(values, 1, None)))}, (), ts.error)
     names, rhs, late = [], {}, None
     ts.skip_newlines()
     while ts.kinds[ts.i] != "eof":
@@ -561,78 +602,8 @@ def _parse_head_expr(ts: TokenStream, head_kw, params):
     return _infix(ts, _VALUE_LEVELS, atom)
 
 
-class _ClauseCompiler:
-    """Definitions compiled, one compiler per program, into conclusions on
-    symbolic premises: a `Step` of the initial value and a clause term over
-    ``sig`` per port, built from parse nodes (`_parse_expr`) on the stack of
-    `build_term`.  Of P ports, argument i is `Slot` i·(P+1) and
-    its k-th continuation `Slot` i·(P+1)+1+k, as `rules.plan_rule` numbers
-    holes; ``head(x_i)`` is `SymbolicLabel(i)`, in `const` or a parameter.
-    A node's token index places an error by ``error``, or is None."""
-
-    def __init__(self, sig, kind, error=None):
-        self.sig, self.kind, self.head_kw = sig, kind, kind.clauses[0]
-        self.ports = {c: k + 1 for k, c in enumerate(kind.clauses[1:])}
-        self.width, self.error, self.pos = len(kind.ports) + 1, error, {}
-
-    def conclusion(self, params, head, clauses) -> Step:
-        """The conclusion of ``head`` and ``clauses`` over ``params``."""
-        self.pos = {p: i for i, p in enumerate(params)}
-        return Step(head, tuple(zip(self.kind.ports, [
-            build_term(node, self._split) for node in clauses])))
-
-    def _argument(self, node):
-        """The index of the `x` of head(x), tail(x), left(x) or right(x)."""
-        _, name, args, at = node
-        if len(args) != 1 or args[0][0] != "var":
-            raise self.error(at, f"{name!r} takes one argument name")
-        _, var, at = args[0]
-        if var not in self.pos:
-            raise self.error(at, f"unknown argument {var!r}")
-        return self.pos[var]
-
-    def _split(self, node):
-        """A clause node's symbol and argument nodes, or its leaf and None."""
-        sig, head_kw = self.sig, self.head_kw
-        tag, at = node[0], node[-1]
-        if tag == "num":
-            return sig.op("const", node[1]), ()
-        if tag == "var":
-            if node[1] not in self.pos:
-                raise self.error(at, f"unknown name {node[1]!r}")
-            return _slot(self.pos[node[1]] * self.width), None
-        if tag == "guard":
-            _, label, payload, _ = node
-            if label[0] == "var":
-                raise self.error(at, f"unknown name {label[1]!r}")
-            if self.kind.prefix is None:
-                raise self.error(at, "prefix terms are stream-only")
-            node = ("call", self.kind.prefix, [label, *payload], at)
-        _, name, args, _ = node
-        if name == head_kw:
-            return sig.op("const", _premise_label(self._argument(node))), ()
-        if name in self.ports:
-            return _slot(self._argument(node) * self.width
-                         + self.ports[name]), None
-        if name not in sig:
-            raise self.error(at, f"unknown operation {name!r}")
-        decl = sig.decl(name)
-        if not decl.parametric:
-            op = sig.op(name)
-        elif args and args[0][0] == "num":
-            op, args = sig.op(name, args[0][1]), args[1:]
-        elif args and args[0][0] == "call" and args[0][1] == head_kw:
-            op = sig.op(name, _premise_label(self._argument(args[0])))
-            args = args[1:]
-        else:
-            raise self.error(at, f"{name!r} needs a rational parameter")
-        if len(args) != decl.arity:
-            raise self.error(at, f"{name!r} expects {decl.arity} arguments")
-        return op, args
-
-
 def _conclude(step: Step, op, args) -> Step:
-    """A compiled conclusion ``step`` (`_ClauseCompiler`) at the premises
+    """A compiled conclusion ``step`` (`_bde_program`) at the premises
     ``args``: each `Slot` the premise so numbered, each `SymbolicLabel` its
     value at their labels; at `rules.plan_symbolic`'s, ``step`` itself."""
     if not args or args[0].head.__class__ is SymbolicLabel:
@@ -726,11 +697,14 @@ def _bde_program(given: RuleTable, defs, error=None) -> BdeProgram:
     a clause a parse node per port; ``error`` places an error at a node's
     token.  Each rule concludes its compiled step through `_conclude`."""
     new_sig = signature(*((n, len(d[0])) for n, d in defs.items()))
-    sum_sig = sig_sum(given.sig, new_sig)
-    comp = _ClauseCompiler(sum_sig, given.kind, error)
-    rules = {name: GsosRule(sum_sig.template(name),
-                            partial(_conclude, comp.conclusion(*d)))
-             for name, d in defs.items()}
+    sum_sig, kind = sig_sum(given.sig, new_sig), given.kind
+    comp, rules = _Compiler(sum_sig, kind, {}, kind.clauses, error), {}
+    for name, (params, head, clauses) in defs.items():
+        comp.leaves = {p: _slot(i * len(kind.clauses))
+                       for i, p in enumerate(params)}
+        step = Step(head, tuple(zip(kind.ports, map(comp.term, clauses))))
+        rules[name] = GsosRule(sum_sig.template(name),
+                               partial(_conclude, step))
     return BdeProgram(given.kind, given, RpsDef(new_sig, rules), tuple(defs))
 
 
@@ -1041,7 +1015,8 @@ def compile_gnf(g: GnfFile) -> System:
                 term = mk_app(table.op("concat"), (term, Var(n)))
         else:
             term = mk_app(table.op("eps"), ())
-        return Guard(_letter_step(table, terminal, term))
+        return Guard(_letter_step(table.sig, table.kind.ports,
+                                  terminal, term))
 
     rhs = {}
     for n in g.nonterminals:

@@ -247,20 +247,25 @@ class Guard(Term):
         a solved constant: the first other leaf, at its path of argument
         indices, raises Unguarded if it is a variable and UnguardedPath if
         not."""
-        out, todo = [], [(t, ())]
+        out, todo = [], [(t, None, None)]  # a node, its index, its parent's
         while todo:
-            node, path = todo.pop()
+            entry = todo.pop()
+            node = entry[0]
             cls = node.__class__
             if cls is App:
-                todo += [(node.args[i], path + (i,))
+                todo += [(node.args[i], i, entry)
                          for i in range(len(node.args) - 1, -1, -1)]
-            elif cls is Param and path:
+            elif cls is Param and entry[2]:
                 continue
-            elif cls is Var:
-                raise Unguarded(node.name, path)
             elif cls is not Guard:
-                raise UnguardedPath(
-                    f"path {path} ends in {node!r} with no guard")
+                path = []
+                while entry[2]:
+                    path.append(entry[1])
+                    entry = entry[2]
+                path = tuple(reversed(path))
+                raise Unguarded(node.name, path) if cls is Var else \
+                    UnguardedPath(f"path {path} ends in {node!r} "
+                                  "with no guard")
             out.append(node)
         return out
 

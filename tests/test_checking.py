@@ -15,6 +15,7 @@ from helpers import (
 
 from corec.behavior import TREE, stream_step
 from corec.checking import (
+    CheckReport,
     Witness,
     _Simulation,
     bounded_equal,
@@ -387,3 +388,15 @@ def test_process_witness_is_pinned(engine):
     w = find_divergence(agent_handle(engine, table, agent),
                         agent_handle(engine, table, mutant), 5)
     assert w == Witness(0, (("c", 0),), "left move 'c' has no depth-3 match")
+
+
+def test_a_failing_report_prints_its_witness(engine):
+    sol = engine.solve(parse_system(
+        "kind tree\nu = 1 . (v, u)\nv = 1 . (u, w)\nw = 2 . (w, w)\n"))
+    report = CheckReport("trees", False, find_divergence(sol["u"], sol["v"], 5),
+                         "u against v")
+    assert report.to_text() == \
+        "FAIL trees [depth 1, path ['R']: label 1 != 2] (u against v)"
+    assert report.to_json() == {
+        "name": "trees", "passed": False, "detail": "u against v",
+        "witness": {"depth": 1, "path": ["R"], "detail": "label 1 != 2"}}

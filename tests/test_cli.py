@@ -384,3 +384,10 @@ def test_a_file_name_holding_a_nul_byte_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: 'sh\\x00.bde': embedded null byte\n"
+
+
+def test_circuit_output_that_the_circuit_lacks_exits_2(files, capsys):
+    assert cli_main(["circuit", files["circ.json"], "--output", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no output 'nope'\n"

@@ -345,3 +345,55 @@ def test_ccs_sos_oracle_dedupes():
 def test_unknown_oracle():
     with pytest.raises(UnknownOracle):
         oracle_eval("nope")
+
+
+def _prefix_cons_expr(rng, letters, depth):
+    """A random language expression whose inner nodes are mostly `prefix`
+    and `cons`, the extras of the language table."""
+    if depth <= 0:
+        return random_language_expr(rng, letters, 0)
+    tag = rng.choice(["prefix", "cons", "prefix", "cons", "union", "concat",
+                      "star"])
+    if tag == "prefix":
+        return ("prefix", rng.choice(letters),
+                _prefix_cons_expr(rng, letters, depth - 1))
+    if tag == "cons":
+        return ("cons", rng.randint(0, 1), tuple(
+            _prefix_cons_expr(rng, letters, depth - 1) for _ in letters))
+    if tag == "star":
+        return ("star", _prefix_cons_expr(rng, letters, depth - 1))
+    return (tag, _prefix_cons_expr(rng, letters, depth - 1),
+            _prefix_cons_expr(rng, letters, depth - 1))
+
+
+def test_prefix_and_cons_against_the_word_oracle(engine):
+    t, letters = language_table("ab"), "ab"
+    words = ["".join(w) for n in range(5)
+             for w in itertools.product(letters, repeat=n)]
+    rng = random.Random(31)
+    for _ in range(150):
+        expr = _prefix_cons_expr(rng, letters, 3)
+        h = engine.interpret_term(t, language_term(t, expr))
+        want = oracle_eval("language_words", expr, 4, letters)
+        assert [language_member(h, w) for w in words] == \
+            [w in want for w in words], expr
+
+
+def _relabelling(rng, kind):
+    """One or two pairs renaming distinct visible base actions."""
+    bases = [a for a in kind.actions if a != kind.tau and "'" not in a]
+    return tuple((a, rng.choice(bases + [f"{b}'" for b in bases]))
+                 for a in sorted(rng.sample(bases, rng.randint(1, 2))))
+
+
+def test_relabelling_against_the_sos_oracle(engine):
+    t = ccs_table(DEFAULT_ACTIONS)
+    kind = t.kind
+    rng = random.Random(37)
+    for _ in range(200):
+        inner = ("relabel", _relabelling(rng, kind),
+                 random_agent(rng, kind, 2))
+        agent = ("relabel", _relabelling(rng, kind),
+                 ("par", inner, random_agent(rng, kind, 2)))
+        assert sos_agree(kind, engine, agent, agent_handle(engine, t, agent),
+                         3), agent
