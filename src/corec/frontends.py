@@ -363,7 +363,9 @@ class _Compiler:
         if tag == "num" and ptype == "bit" and value in (0, 1):
             return bool(value)
         if tag == "var" and ptype == "letter":
-            return value
+            if value in self.kind.ports:
+                return value
+            raise self.error(node[2], f"{value!r} is not in the alphabet")
         if tag == "var" and value not in self.leaves and value not in self.sig:
             raise self.error(node[2], f"unknown name {value!r}")
         if tag == "call" and value in self.reads[:1]:

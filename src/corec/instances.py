@@ -668,7 +668,8 @@ def _gnf_words(productions, start, maxlen):
 
 
 def ccs_sos(kind: ProcessKind, ast, env=None):
-    """Direct one-step SOS transitions of a process AST (set semantics)."""
+    """Direct one-step SOS transitions of a process AST (set semantics),
+    without repeats, stably sorted by action: first seen first."""
     env = env or {}
     tag = ast[0]
     if tag == "ref":
@@ -720,14 +721,8 @@ def ccs_sos(kind: ProcessKind, ast, env=None):
             moves = []
     else:
         raise UnknownOracle(f"unknown process expression {ast!r}")
-    out = []
-    seen = set()
-    for m in moves:
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-    out.sort(key=lambda m: (kind.action_index(m[0]), repr(m[1])))
-    return tuple(out)
+    return tuple(sorted(dict.fromkeys(moves),
+                        key=lambda m: kind.action_index(m[0])))
 
 
 ORACLES = {

@@ -277,6 +277,9 @@ class RuleTable:
             raise MissingRule(f"no rule for symbol {name!r}") from None
 
     def op(self, name: str, param=None) -> OpSym:
+        if self.kind.params.get(name) == "letter" and \
+                param not in (None, *self.kind.ports):
+            raise UnknownSymbol(f"{param!r} is not in the alphabet")
         return self.sig.op(name, param)
 
     def validation(self) -> TableReport:
@@ -317,7 +320,8 @@ def state_node(kind, state, check_handle=None) -> int:
     return state.node
 
 
-def compile_code(kind, resolve, root, binding, check_handle=None) -> list:
+def compile_code(kind, resolve, root, binding, check_handle=None,
+                 intern=None) -> list:
     """Post-order code building the term, or step, ``root`` of ``kind``,
     names resolved and arities, labels and ports checked: a hole number
     pushes that premise, ``~n`` the node ``n`` of a variable or `Param`, and
@@ -325,7 +329,7 @@ def compile_code(kind, resolve, root, binding, check_handle=None) -> list:
     operands.  ``binding`` maps variables to nodes; None marks a rule
     conclusion, whose `Slot`s are holes and which has no variables.
     ``check_handle``, where an engine is at hand, vets each `Param`
-    (`state_node`)."""
+    (`state_node`), and ``intern(name, op)`` stands for a symbol's name."""
     code = []
     todo = [root]
     while todo:
@@ -343,7 +347,8 @@ def compile_code(kind, resolve, root, binding, check_handle=None) -> list:
                 raise ArityMismatch(
                     f"{t.op!r} applied to {len(t.args)} arguments")
             code.append(("param" if t.op.param.__class__ is SymbolicLabel
-                         else "app", len(t.args), name, t.op))
+                         else "app", len(t.args),
+                         name if intern is None else intern(name, t.op), t.op))
             todo.extend(t.args)
         elif cls is Guard or t is root and cls is Step:
             step = t.step if cls is Guard else t
@@ -365,12 +370,13 @@ def compile_code(kind, resolve, root, binding, check_handle=None) -> list:
 
 
 def plan_rule(kind, resolve, rule: GsosRule, op: OpSym, steps, holes,
-              check_handle=None) -> list:
+              check_handle=None, intern=None) -> list:
     """The code (`compile_code`) of ``rule``'s conclusion for ``op`` on
     premises observed as ``steps``, their `Slot`s numbered by ``holes`` in
     the order the engine lists premise ids: each argument, then its
     continuations.  The conclusion must be a step, or for a sandwiched rule
-    a guarded term with only ``outer`` symbols above its guards."""
+    a guarded term with only ``outer`` symbols above its guards.  An
+    engine passes its ``check_handle`` and ``intern``."""
     args = tuple([arg_obs(kind, next(holes), Step(s.label, tuple(
         [(p, next(holes)) for p, _ in s.children]))) for s in steps])
     out = rule.conclude(op, args)
@@ -382,17 +388,17 @@ def plan_rule(kind, resolve, rule: GsosRule, op: OpSym, steps, holes,
             if node.__class__ is App and resolve(node.op) not in rule.outer:
                 raise ForeignSymbol(f"sandwiched conclusion uses {node.op!r}"
                                     " above its guards, not a given symbol")
-    return compile_code(kind, resolve, out, None, check_handle)
+    return compile_code(kind, resolve, out, None, check_handle, intern)
 
 
-def plan_symbolic(kind, resolve, rule, op, check_handle=None):
+def plan_symbolic(kind, resolve, rule, op, check_handle=None, intern=None):
     """`plan_rule` on `SymbolicLabel` premise labels of a rational ``kind``,
     a plan for every label; None when the run raises anything."""
     steps = [Step(SymbolicLabel(i), tuple([(p, None) for p in kind.ports]))
              for i in range(op.arity)]
     try:
         return plan_rule(kind, resolve, rule, op, steps, itertools.count(),
-                         check_handle)
+                         check_handle, intern)
     except (Exception, behavior._LabelRead):
         return None
 

@@ -16,9 +16,10 @@ rule only does arithmetic on them: `rules.plan_symbolic`) or, for
 processes, actions.  Its plan, made by `rules.plan_rule` as the table
 probe's is, is filled with the premises' node ids at every application of
 that shape, as natural rules allow (`rules.GsosRule`), and dies with its
-engine.  A sum adds its operands' labels as integers over a common
-denominator.  A solved state enters a term, as a `Param`, a variable's
-value or an argument of `interpret_op`, through one check
+engine, as do its symbol records (`_Sym`), which term and sum nodes and
+filled code name.  A sum adds its operands' labels as integers over a
+common denominator.  A solved state enters a term, as a `Param`, a
+variable's value or an argument of `interpret_op`, through one check
 (`rules.state_node`).
 """
 
@@ -89,32 +90,37 @@ class SolutionHandle:
         return f"<state {self.node} of engine {id(self.engine):#x}>"
 
 
-def _param_key(param):
-    """A symbol parameter as plan and hash-cons keys hold it: a number as its
-    integer ratio, equal for equal values and cheap to hash, where
-    `Fraction.__hash__` is not; any other as itself."""
-    if param.__class__ in (Fraction, int, bool):
-        return param.as_integer_ratio()
-    return param
+class _Sym:
+    # One symbol of one table at one parameter, as an engine resolves it
+    # once: ``key`` is ``(table, name, parameter key)``, the `Engine._plans`
+    # key prefix, ``op`` the symbol as the author of its rule knew it,
+    # ``law`` its law or None, and ``plan`` its symbolic plan, False when it
+    # has none, or None until its first application; a symbol of a kind
+    # without rational labels has none.
+    __slots__ = ("table", "name", "op", "law", "key", "plan")
+
+    def __init__(self, key, op):
+        table, name, _ = self.key = key
+        self.table, self.name, self.op, self.law = table, name, \
+            table.author_op(name, op), table.laws.get(name)
+        self.plan = None if table.kind.rational else False
 
 
 class _Node:
-    # Term nodes: ``name`` is the symbol's name in ``table``, ``op`` the
-    # symbol as the author of that name's rule knew it.  Sum nodes of an
-    # additive ``name``: ``children`` are ``(node, multiplicity)`` pairs,
-    # ascending by node.  A variable (tag ``var``) holds its right-hand
-    # side's checked code in ``children`` until its first step builds it.
-    __slots__ = ("tag", "kind", "table", "name", "op", "children", "step")
+    # Term nodes apply the symbol record ``sym`` to ``children``.  Sum
+    # nodes of an additive symbol ``sym``: ``children`` are ``(node,
+    # multiplicity)`` pairs, ascending by node.  A variable (tag ``var``)
+    # holds its right-hand side's checked, interned code in ``children``
+    # until its first step builds it.
+    __slots__ = ("tag", "kind", "sym", "children", "step")
 
-    def __init__(self, tag, kind, table=None, name=None, op=None, children=(),
-                 step=None):
-        self.tag = tag
-        self.kind = kind
-        self.table = table
-        self.name = name
-        self.op = op
-        self.children = children
-        self.step = step
+    def __init__(self, tag, kind, sym=None, children=(), step=None):
+        self.tag, self.kind, self.sym = tag, kind, sym
+        self.children, self.step = children, step
+
+    @property
+    def name(self):  # a term's or sum's symbol, by its name in its table
+        return self.sym and self.sym.name
 
 
 class Engine:
@@ -126,6 +132,7 @@ class Engine:
         self._memo = {}
         self._cons = {}
         self._plans = {}
+        self._syms = {}
         self._work = 0
 
     # -- bookkeeping --------------------------------------------------------
@@ -135,19 +142,32 @@ class Engine:
             f"more than {self.config.unfold_fuse} rule applications in "
             "one step; the input table is ill-formed")
 
-    def _cons_term(self, table: RuleTable, name: str, op, children) -> int:
-        """The node of ``op``, ``name`` in ``table``, on ``children``."""
+    def _sym(self, table: RuleTable, name: str, op) -> _Sym:
+        """The record of ``op``, named ``name`` in ``table``."""
+        # A number parameter keys as its integer ratio, equal for equal
+        # values and cheap to hash, where `Fraction.__hash__` is not.
+        p = op.param
+        key = (table, name, p.as_integer_ratio()
+               if p.__class__ in (Fraction, int, bool) else p)
+        return self._syms.get(key) or self._syms.setdefault(key, _Sym(key, op))
+
+    def _intern(self, table: RuleTable):
+        """``intern`` for `rules.compile_code`: a symbol's record in ``table``,
+        or if its parameter is symbolic, table and name for `_fill`."""
+        return lambda name, op: (
+            (table, name) if op.param.__class__ is SymbolicLabel
+            else self._sym(table, name, op))
+
+    def _cons_term(self, sym: _Sym, children) -> int:
+        """The node of ``sym`` on ``children``."""
         nodes = self._nodes
-        nid = self._cons.setdefault(
-            ("t", id(table), name, _param_key(op.param), children), len(nodes))
+        nid = self._cons.setdefault((sym, children), len(nodes))
         if nid == len(nodes):
-            nodes.append(_Node("term", table.kind, table, name,
-                               table.author_op(name, op), children))
+            nodes.append(_Node("term", sym.table.kind, sym, children))
         return nid
 
-    def _law_node(self, table: RuleTable, name: str, op, law, child_ids
-                  ) -> int:
-        """``name(l, r)`` modulo ``law``.  Only term nodes of ``table`` can
+    def _law_node(self, sym: _Sym, law, child_ids) -> int:
+        """``sym(l, r)`` modulo ``law``.  Only term nodes of its table can
         be units, zeros or same-symbol operands; every such node is already
         normal: right-nested, with no unit, zero or same-symbol left
         operand, and for a commutative law operands ascending by id
@@ -156,26 +176,29 @@ class Engine:
         duplicates, and a semilattice also de-duplicates them; otherwise
         the left side's operands fold onto the right side, which is normal
         already.  An additive law gives a sum node (`_sum_node`)."""
+        table = sym.table
         if law.additive:
-            return self._sum_node(table, name, [(c, 1) for c in child_ids])
+            return self._sum_node(table, sym.name,
+                                  [(c, 1) for c in child_ids], sym)
         nodes = self._nodes
         kept = []
         for c in child_ids:
-            n = nodes[c]
-            if n.tag == "term" and n.table is table:
-                if n.name == law.zero:
+            s = nodes[c].sym
+            if s is not None and s.table is table:
+                if s.name == law.zero:
                     return c
-                if n.name == law.unit:
+                if s.name == law.unit:
                     continue
             kept.append(c)
         if not kept:
-            return self._cons_term(table, law.unit, table.op(law.unit), ())
+            return self._cons_term(
+                self._sym(table, law.unit, table.op(law.unit)), ())
         unordered = law.semilattice or law.commutative
         acc = None if unordered else kept.pop()
         operands = []
         for c in kept:
             n = nodes[c]
-            while n.tag == "term" and n.table is table and n.name == name:
+            while n.sym is sym:
                 operands.append(n.children[0])
                 c = n.children[1]
                 n = nodes[c]
@@ -184,34 +207,34 @@ class Engine:
             operands = sorted(set(operands) if law.semilattice else operands)
             acc = operands.pop()
         for c in reversed(operands):
-            acc = self._cons_term(table, name, op, (c, acc))
+            acc = self._cons_term(sym, (c, acc))
         return acc
 
-    def _sum_node(self, table: RuleTable, name: str, weighted) -> int:
-        """The sum of the additive symbol ``name`` over ``(node,
-        multiplicity)`` pairs: operands that are sums of the same table and
-        symbol are flattened, their multiplicities multiplied, and the
-        multiset is hash-consed as one node."""
+    def _sum_node(self, table, name, weighted, sym=None) -> int:
+        """The sum of the additive ``name``, or ``sym``, over ``(node,
+        multiplicity)`` pairs: operands that are sums of the same symbol are
+        flattened, their multiplicities multiplied, and the multiset is
+        hash-consed as one node."""
+        sym = sym or self._sym(table, name, table.op(name))
         nodes = self._nodes
         acc = {}
         for c, m in weighted:
             n = nodes[c]
-            if n.tag == "sum" and n.table is table and n.name == name:
+            if n.sym is sym:
                 for d, k in n.children:
                     acc[d] = acc.get(d, 0) + m * k
             else:
                 acc[c] = acc.get(c, 0) + m
-        return self._cons_sum(table, name, acc)
+        return self._cons_sum(sym, acc)
 
-    def _cons_sum(self, table: RuleTable, name: str, acc: dict) -> int:
+    def _cons_sum(self, sym: _Sym, acc: dict) -> int:
         """The sum node of the multiset ``acc``, flat already, from node to
-        multiplicity; hash-consed with one probe."""
+        multiplicity, hash-consed on ``(children, sym)``: no term's key."""
         nodes = self._nodes
         children = tuple(sorted(acc.items()))
-        nid = self._cons.setdefault(("s", id(table), name, children),
-                                    len(nodes))
+        nid = self._cons.setdefault((children, sym), len(nodes))
         if nid == len(nodes):
-            nodes.append(_Node("sum", table.kind, table, name, None, children))
+            nodes.append(_Node("sum", sym.table.kind, sym, children))
         return nid
 
     def _guard_node(self, kind, step: Step) -> int:
@@ -240,15 +263,16 @@ class Engine:
         continuations built, checked and canonical; variables are looked up
         in ``binding``.  The callers check a guarded term's part above the
         guards first, by `Guard.above`."""
-        return self._fill(table, compile_code(
-            table.kind, table.resolve, root, binding, self.check_handle), ())
+        return self._fill(table.kind, compile_code(
+            table.kind, table.resolve, root, binding, self.check_handle,
+            self._intern(table)), ())
 
-    def _fill(self, table: RuleTable, code, holes, labels=()):
-        """The root's node, or its canonical step: ``code`` run on a value
-        stack, a symbol's node built by `_cons_term`, or by `_law_node` if
-        it has a law, guards by `_guard_node`, symbolic labels and
-        parameters valued at the premises' ``labels``."""
-        stack, kind, laws = [], table.kind, table.laws
+    def _fill(self, kind, code, holes, labels=()):
+        """The root's node, or its canonical step: `_intern`ed ``code`` run
+        on a value stack, a symbol's node built by `_cons_term`, or by
+        `_law_node` if it has a law, guards by `_guard_node`, symbolic
+        labels and parameters valued at the premises' ``labels``."""
+        stack = []
         for ins in code:
             if ins.__class__ is int:
                 stack.append(holes[ins] if ins >= 0 else ~ins)
@@ -258,11 +282,12 @@ class Engine:
             kids = tuple(stack[k:])
             del stack[k:]
             if tag == "param":
-                b = OpSym(b.name, b.arity, b.sig_id, b.param.at(kind, labels))
+                a = self._sym(*a, OpSym(b.name, b.arity, b.sig_id,
+                                        b.param.at(kind, labels)))
             if tag == "app" or tag == "param":
-                law = laws.get(a)
-                stack.append(self._cons_term(table, a, b, kids) if law is None
-                             else self._law_node(table, a, b, law, kids))
+                law = a.law
+                stack.append(self._cons_term(a, kids) if law is None
+                             else self._law_node(a, law, kids))
             else:
                 if a.__class__ is SymbolicLabel:
                     a = labels[a.index] if a.index >= 0 else a.at(kind, labels)
@@ -290,7 +315,7 @@ class Engine:
         elif tag == "sum":
             step = self._sum_step(node)
         else:
-            out = self._fill(node.table, node.children, ())
+            out = self._fill(node.kind, node.children, ())
             node.children = ()
             step = out if out.__class__ is Step else self._unfold(out)
         self._memo[nid] = step
@@ -298,8 +323,9 @@ class Engine:
 
     def _apply_rule(self, node: _Node) -> Step:
         """The rule's conclusion (for a sandwiched rule, its guarded term's
-        step): the plan for the premises' shape, filled with their ids,
-        each argument followed by its continuations, and their labels."""
+        step): the symbol's plan, or the plan for the premises' shape,
+        filled with their ids, each followed by its continuations, and
+        their labels."""
         holes, shape, memo = [], [], self._memo
         for cid in node.children:
             step = memo.get(cid)
@@ -311,46 +337,43 @@ class Engine:
             label = step.label
             shape.append(tuple([p for p, _ in step.children])
                          if label is None else label)
-        table = node.table
-        if table.kind.rational:
-            key = (table, node.name, _param_key(node.op.param))
-            plan = self._plans.get(key)
-            if plan is None:
-                plan = self._plans[key] = plan_symbolic(
-                    table.kind, table.resolve, table.rule_for(node.name),
-                    node.op, self.check_handle) or False
-            if plan is False:
-                key += (tuple([x.as_integer_ratio() for x in shape]),)
-        else:
-            key, plan = (table, node.name, _param_key(node.op.param),
-                         tuple(shape)), False
+        sym, kind = node.sym, node.kind
+        plan = sym.plan
+        if plan is None:
+            plan = sym.plan = self._plans[sym.key] = self._plan(sym, None)
         if plan is False:
+            key = sym.key + (tuple([x.as_integer_ratio() for x in shape])
+                             if kind.rational else tuple(shape),)
             plan = self._plans.get(key)
             if plan is None:
-                plan = self._plans[key] = self._plan(node)
-        out = self._fill(table, plan, holes, shape)
+                plan = self._plans[key] = self._plan(
+                    sym, [memo[c] for c in node.children])
+        out = self._fill(kind, plan, holes, shape)
         return out if out.__class__ is Step else self._unfold(out)
 
-    def _plan(self, node: _Node) -> list:
-        """The rule's conclusion planned once (`rules.plan_rule`), on
-        premises whose `Slot`s hold hole numbers in the order
-        `_apply_rule` lists their ids."""
-        table = node.table
-        return plan_rule(table.kind, table.resolve, table.rule_for(node.name),
-                         node.op, [self._memo[c] for c in node.children],
-                         itertools.count(), self.check_handle)
+    def _plan(self, sym: _Sym, steps):
+        """The rule's conclusion planned once: on premises observed as
+        ``steps`` (`rules.plan_rule`), or for ``steps`` None on symbolic
+        ones, False if that fails (`rules.plan_symbolic`)."""
+        table = sym.table
+        args = (table.kind, table.resolve, table.rule_for(sym.name), sym.op)
+        hooks = (self.check_handle, self._intern(table))
+        return (plan_symbolic(*args, *hooks) or False) if steps is None else \
+            plan_rule(*args, steps, itertools.count(), *hooks)
 
     def _sum_step(self, node: _Node) -> Step:
         """``Σ m·g`` steps to ``Σ m·label(g)`` and, at each port, the sum
         of ``m·child(g)``, flattened as `_sum_node` does but in one pass; no
         rule runs.  The label is summed as an integer numerator over the lcm
         of the operands' denominators."""
-        nodes, table, name, ports = self._nodes, node.table, node.name, \
+        nodes, memo, sym, ports = self._nodes, self._memo, node.sym, \
             node.kind.ports
         num, den = 0, 1
         kids = [{} for _ in ports]
         for c, m in node.children:
-            step = self._unfold(c)
+            step = memo.get(c)
+            if step is None:
+                step = self._unfold(c)
             n, d = step.label.as_integer_ratio()
             if den % d:
                 grow = d // gcd(den, d)
@@ -358,14 +381,13 @@ class Engine:
             num += m * n * (den // d)
             for acc, (_, child) in zip(kids, step.children):
                 g = nodes[child]
-                if g.tag == "sum" and g.table is table and g.name == name:
+                if g.sym is sym:
                     for e, k in g.children:
                         acc[e] = acc.get(e, 0) + m * k
                 else:
                     acc[child] = acc.get(child, 0) + m
         step = Step(Fraction(num, den), tuple([
-            (p, self._cons_sum(table, name, acc))
-            for p, acc in zip(ports, kids)]))
+            (p, self._cons_sum(sym, acc)) for p, acc in zip(ports, kids)]))
         check_step(node.kind, step)
         return step
 
@@ -425,8 +447,8 @@ class Engine:
         code = [~state_node(table.kind, h, self.check_handle) for h in args]
         if len(code) != op.arity:
             raise ArityMismatch(f"{op!r} applied to {len(code)} states")
-        code.append(("app", op.arity, name, op))
-        return self._handle(self._fill(table, code, ()))
+        code.append(("app", op.arity, self._sym(table, name, op), op))
+        return self._handle(self._fill(table.kind, code, ()))
 
     def interpret_term(self, table: RuleTable, t: Term,
                        env: Optional[Mapping[str, SolutionHandle]] = None
@@ -476,7 +498,8 @@ class Engine:
                 else:
                     Guard.above(rhs)
                 self._nodes[binding[v]].children = compile_code(
-                    table.kind, table.resolve, rhs, binding, self.check_handle)
+                    table.kind, table.resolve, rhs, binding, self.check_handle,
+                    self._intern(table))
         except Exception:
             # Solving adds only the variables' nodes, later than any other.
             del self._nodes[n0:]
@@ -502,7 +525,7 @@ class Engine:
                     "compose_systems")
             elif isinstance(rhs, Term):
                 binding[v] = len(self._nodes)
-                self._nodes.append(_Node("var", system.kind, system.table))
+                self._nodes.append(_Node("var", system.kind))
             else:
                 raise ValidationFailed(f"unrecognized right-hand side {rhs!r}")
         return binding

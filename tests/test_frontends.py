@@ -603,6 +603,12 @@ PARSE_ERRORS = [
     ("bde-zero-denominator-mult", _bde_table,
      _S + "f(x): head = 1; tail = mult(1/0, x)\n",
      ParseError, "line 2, col 29: zero denominator in '1/0'"),
+    ("system-char-letter", parse_system,
+     "kind language ab\nx = 1 . (char(z), prefix(b, x))\n",
+     ParseError, "line 2, col 15: 'z' is not in the alphabet"),
+    ("system-prefix-letter", parse_system,
+     "kind language ab\nx = 1 . (char(a), prefix(q, x))\n",
+     ParseError, "line 2, col 26: 'q' is not in the alphabet"),
     ("circuit-list", load_circuit, "[]",
      InvalidCircuit, "circuit is list, not object"),
     ("circuit-node-number", load_circuit, '{"nodes": [1]}',

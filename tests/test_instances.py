@@ -13,6 +13,7 @@ from corec.errors import (
     EmptyAlphabet,
     KindMismatch,
     UnknownOracle,
+    UnknownSymbol,
 )
 from corec.instances import (
     DEFAULT_ACTIONS,
@@ -146,6 +147,20 @@ def test_language_membership_star_concat(engine):
                                       ("char", "b")))))
     assert language_member(h, "abab")
     assert not language_member(h, "aab")
+
+
+@pytest.mark.parametrize("name", ["char", "prefix"])
+def test_letter_parameters_are_letters_of_the_alphabet(engine, name):
+    t = language_table("ab")
+    with pytest.raises(UnknownSymbol, match="'z' is not in the alphabet"):
+        t.op(name, "z")
+    expr = ("char", "z") if name == "char" else ("prefix", "z", ("eps",))
+    with pytest.raises(UnknownSymbol):
+        language_term(t, expr)
+    expr = ("char", "b") if name == "char" else ("prefix", "b", ("eps",))
+    h = engine.interpret_term(t, language_term(t, expr))
+    assert [language_member(h, w) for w in ("", "a", "b", "bb")] == \
+        [False, False, True, False]
 
 
 def test_complement_of_empty_is_everything(engine):
