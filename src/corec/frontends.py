@@ -1106,17 +1106,6 @@ def load_circuit(text: str) -> CircuitFile:
     return CircuitFile(tuple(nodes), tuple(edges))
 
 
-def format_circuit(cf: CircuitFile) -> str:
-    nodes = []
-    for n in cf.nodes:
-        item = {"id": n.id, "kind": n.kind}
-        if n.value is not None:
-            item["value"] = format_rat(n.value)
-        nodes.append(item)
-    return json.dumps({"nodes": nodes, "edges": [list(e) for e in cf.edges]},
-                      indent=2)
-
-
 @dataclass(frozen=True)
 class CompiledCircuit:
     """One BDE definition per output (`f_<id>`) and per register (`g_<id>`),
@@ -1132,11 +1121,11 @@ class CompiledCircuit:
 
 
 def compile_circuit(cf: CircuitFile) -> CompiledCircuit:
-    """The circuit's BDE program over the reachable inputs: register ``r``
-    is ``g_r: head = <value>; tail = <its input's wire>``, and output ``o``
-    is ``f_o: head = <its wire's head>; tail = <its wire's tail>``.  Wires,
-    tail wires and heads, linear forms ``{input id: coefficient, None:
-    constant}``, are built in Kahn's order of the non-registers."""
+    """The circuit's BDE program over the reachable inputs.  One walk in
+    Kahn's order of the non-registers gives each wire its linear form
+    ``{input or register id: coefficient}``.  Register ``r`` is ``g_r``,
+    head its value and tail its input's form; output ``o`` is ``f_o``, its
+    form read at the heads, then at the tails, of inputs and registers."""
     by_id = {n.id: n for n in cf.nodes}
     incoming = {n.id: [] for n in cf.nodes}
     outgoing = {n.id: [] for n in cf.nodes}
@@ -1188,31 +1177,25 @@ def compile_circuit(cf: CircuitFile) -> CompiledCircuit:
     outputs = tuple(n for n in cf.nodes if n.kind == "output")
     params = {n.id: reachable_inputs(n.id) for n in registers + outputs}
 
-    def walk(leaves, mult, plus):
-        """The values of the inputs and registers, ``leaves``, and in order
-        each other node's, by ``mult`` and ``plus`` of its inputs'."""
-        out = dict(leaves)
-        for nid in order:
-            if nid not in out:
-                node, kids = by_id[nid], [out[s] for s in incoming[nid]]
-                out[nid] = mult(node.value, kids[0]) if node.kind == "mult" \
-                    else plus(*kids) if node.kind == "adder" else kids[0]
-        return out
-
-    var = {i: ("var", i, None) for i in inputs}
-    calls = {r.id: ("call", f"g_{r.id}", [var[i] for i in params[r.id]], None)
-             for r in registers}
-    wire = walk(var | calls, _mult_node, _plus_node)
-    tail = walk({i: ("call", "tail", [v], None) for i, v in var.items()}
-                | {r.id: wire[incoming[r.id][0]] for r in registers},
-                _mult_node, _plus_node)
-    head = walk({i: {i: 1} for i in inputs}
-                | {r.id: {None: r.value} for r in registers},
-                lambda c, f: {i: c * v for i, v in f.items()},
-                lambda f, g: f | {i: f.get(i, 0) + v for i, v in g.items()})
-    defs = {f"g_{r.id}": (params[r.id], r.value, [tail[r.id]])
+    form = {r.id: {r.id: Fraction(1)} for r in registers}
+    for nid in order:  # a mult scales its input's form, an adder adds two
+        node, kids = by_id[nid], [form[s] for s in incoming[nid]]
+        form[nid] = {nid: Fraction(1)} if node.kind == "input" \
+            else _compose({0: node.value}, kids) if node.kind == "mult" \
+            else _compose({0: 1, 1: 1}, kids) if node.kind == "adder" \
+            else kids[0]
+    leaf = {i: ("var", i, None) for i in inputs}
+    leaf |= {("tail", i): ("call", "tail", [leaf[i]], None) for i in inputs}
+    leaf |= {r.id: ("call", f"g_{r.id}", [leaf[i] for i in params[r.id]],
+                    None) for r in registers}
+    heads = {i: {i: 1} for i in inputs} \
+        | {r.id: {None: r.value} for r in registers}
+    tails = {i: {("tail", i): 1} for i in inputs} \
+        | {r.id: form[incoming[r.id][0]] for r in registers}
+    defs = {f"g_{r.id}": (params[r.id], r.value, [_clause(tails[r.id], leaf)])
             for r in registers} | {f"f_{o.id}": (params[o.id], _form_label(
-                head[o.id], params[o.id]), [tail[o.id]]) for o in outputs}
+                _compose(form[o.id], heads), params[o.id]), [_clause(
+                    _compose(form[o.id], tails), leaf)]) for o in outputs}
     return CompiledCircuit(
         _bde_program(instances.stream_table(), defs),
         inputs,
@@ -1221,12 +1204,24 @@ def compile_circuit(cf: CircuitFile) -> CompiledCircuit:
     )
 
 
-def _mult_node(value, node):
-    return ("call", "mult", [("num", value, None), node], None)
+def _compose(form, forms):
+    """The linear ``form`` with each id ``k`` read as the form ``forms[k]``."""
+    out = {}
+    for k, c in form.items():
+        for j, d in forms[k].items():
+            out[j] = out.get(j, 0) + c * d
+    return out
 
 
-def _plus_node(a, b):
-    return ("call", "plus", [a, b], None)
+def _clause(form, leaf):
+    """The linear ``form`` as a parse node over ``leaf``, a sum of the
+    leaves of coefficient 1 and of one ``mult(c, ·)`` per other c."""
+    groups = {}
+    for k, c in form.items():
+        groups.setdefault(c, []).append(leaf[k])
+    plus = partial(_pairwise, lambda a, b: ("call", "plus", [a, b], None))
+    return plus([x for c, xs in groups.items() for x in (xs if c == 1 else [
+        ("call", "mult", [("num", c, None), plus(xs)], None)])])
 
 
 def _form_label(form, names):

@@ -149,6 +149,39 @@ def test_random_circuits_agree_with_a_synchronous_simulator(seed):
             assert stream_take(h, 40) == want[node_id], (circuit, node_id)
 
 
+def _circuit(nodes, edges):
+    return {"nodes": [dict(zip(("id", "kind", "value"), n)) for n in nodes],
+            "edges": [list(e) for e in edges]}
+
+
+@pytest.mark.parametrize("circuit, want", [
+    # x - x: a wire whose coefficient cancels to 0
+    (_circuit([("x", "input"), ("c", "copier"), ("m", "mult", "-1"),
+               ("a", "adder"), ("o", "output")],
+              [("x", "c"), ("c", "a"), ("c", "m"), ("m", "a"), ("a", "o")]),
+     [0] * 5),
+    # an output read straight off a register
+    (_circuit([("x", "input"), ("r", "register", "7"), ("o", "output")],
+              [("x", "r"), ("r", "o")]),
+     [7, 1, 2, -3, 2]),
+    # no inputs: a register doubling its own value
+    (_circuit([("r", "register", "3"), ("c", "copier"), ("m", "mult", "2"),
+               ("o", "output")],
+              [("r", "c"), ("c", "m"), ("m", "r"), ("c", "o")]),
+     [3, 6, 12, 24, 48]),
+], ids=["cancelling-copier", "register-output", "no-inputs"])
+def test_linear_form_edge_cases_agree_with_the_simulator(circuit, want):
+    compiled = compile_circuit(load_circuit(json.dumps(circuit)))
+    spec = ((1,), (2, -3))
+    assert simulate(circuit, {i: periodic_values(*spec, 5)
+                              for i in compiled.inputs}, 5) == {"o": want}
+    engine, table = Engine(), compiled.table()
+    (symbol, _, input_ids), = compiled.outputs
+    h = engine.interpret_op(table, table.op(symbol), [
+        periodic_stream(engine, *spec) for _ in input_ids])
+    assert stream_take(h, 5) == want
+
+
 def test_random_register_free_loops_are_reported_along_their_edges():
     rng = random.Random(7)
     for _ in range(100):

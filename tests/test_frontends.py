@@ -19,7 +19,6 @@ from corec.frontends import (
     BdeProgram,
     compile_circuit,
     compile_gnf,
-    format_circuit,
     format_ccs_system,
     format_gnf,
     format_system,
@@ -816,11 +815,6 @@ def test_circuit_symbols_mention_only_reachable_inputs():
     assert compiled.registers == (("g_reg", "reg", ("sigma",)),)
 
 
-def test_circuit_round_trip():
-    cf = load_circuit(json.dumps(CIRCUIT))
-    assert load_circuit(format_circuit(cf)) == cf
-
-
 def test_register_free_loop_is_rejected_with_witness():
     bad = {
         "nodes": [
@@ -970,9 +964,10 @@ def test_circuit_ids_may_be_bde_keywords_and_symbols(engine):
     assert stream_take(out, 40) == want
 
 
-def test_a_chain_of_400_multipliers_runs_under_the_default_limit(engine):
+@pytest.mark.parametrize("n", [400, 10_000])
+def test_a_chain_of_multipliers_runs_under_the_default_limit(engine, n):
     assert sys.getrecursionlimit() <= 1000
-    ids = ["x", *(f"m{k}" for k in range(400)), "o"]
+    ids = ["x", *(f"m{k}" for k in range(n)), "o"]
     chain = {
         "nodes": [{"id": "x", "kind": "input"}, {"id": "o", "kind": "output"}]
         + [{"id": m, "kind": "mult", "value": "2" if k % 2 else "1/2"}
@@ -983,6 +978,25 @@ def test_a_chain_of_400_multipliers_runs_under_the_default_limit(engine):
     out = engine.interpret_op(table, table.op("f_o"),
                               [periodic_stream(engine, (1,), (2, -3))])
     assert stream_take(out, 5) == [1, 2, -3, 2, -3]
+
+
+def test_a_chain_of_1000_copier_diamonds_doubles_1000_times(engine):
+    # x -> c0 => a0 -> c1 => a1 -> ... -> o: each copier's two outputs meet
+    # again in the next adder, so each wire is read once, not 2^k times
+    assert sys.getrecursionlimit() <= 1000
+    n = 1_000
+    chain = {
+        "nodes": [{"id": "x", "kind": "input"}, {"id": "o", "kind": "output"}]
+        + [{"id": f"{kind[0]}{k}", "kind": kind}
+           for k in range(n) for kind in ("copier", "adder")],
+        "edges": [["x", "c0"], [f"a{n - 1}", "o"]]
+        + [[f"c{k}", f"a{k}"] for k in range(n) for _ in range(2)]
+        + [[f"a{k}", f"c{k + 1}"] for k in range(n - 1)],
+    }
+    table = compile_circuit(load_circuit(json.dumps(chain))).table()
+    out = engine.interpret_op(table, table.op("f_o"),
+                              [periodic_stream(engine, (1,), (2, -3))])
+    assert stream_take(out, 3) == [2 ** n * v for v in (1, 2, -3)]
 
 
 # -- stream specs -----------------------------------------------------------------
