@@ -17,9 +17,11 @@ right-hand sides and BDE clauses are one term grammar: one reader,
 explicit stack, so a term of any depth reads and compiles.  A BDE
 definition, parsed or made from a circuit, is compiled once into its
 conclusion on symbolic premises, with no closure and no recursion, and
-one `_conclude` fills it in at the premises.  Agent expressions and
-initial values still recurse, once per nesting level, in `_infix`,
-`_parse_ccs_expr` and `_ccs_context`.
+one `_conclude` fills it in at the premises; such a rule is natural and
+concludes on the kind's ports by construction, so a program's table is
+built without probing it (`BdeProgram.extended_table`).  Agent
+expressions and initial values still recurse, once per nesting level, in
+`_infix`, `_parse_ccs_expr` and `_ccs_context`.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .errors import (
     NotGnf,
     ParseError,
 )
-from .rules import GsosRule, RpsDef, RuleTable, extend_with_rps
+from .rules import GsosRule, RpsDef, RuleTable, _adjoin
 from .solver import System
 from .terms import (App, Guard, OpSym, Slot, Term, Var, build_term, mk_app,
                     sig_sum, signature)
@@ -532,7 +534,8 @@ def format_system(system: System) -> str:
 
 @dataclass(frozen=True)
 class BdeProgram:
-    """Parsed operation definitions plus the table of given operations."""
+    """Compiled operation definitions plus the table of given operations
+    (`parse_bde`, `compile_circuit`)."""
 
     kind: object
     given: RuleTable
@@ -540,7 +543,13 @@ class BdeProgram:
     names: tuple
 
     def extended_table(self) -> RuleTable:
-        return extend_with_rps(self.given, self.rps)
+        """``given`` extended by the definitions, which are not probed: each
+        rule fills in a step that `_Compiler` built from `Slot`s and label
+        arithmetic, so it is natural and concludes on the kind's ports, and
+        the table takes ``given``'s report.  `rules.validate_table` still
+        probes every rule."""
+        return _adjoin(self.given, self.rps.new_sig, self.rps.rules,
+                       "bde definition", compiled=True)
 
 
 def _infix(ts: TokenStream, levels, operand, k=0):
@@ -1125,7 +1134,9 @@ def compile_circuit(cf: CircuitFile) -> CompiledCircuit:
     Kahn's order of the non-registers gives each wire its linear form
     ``{input or register id: coefficient}``.  Register ``r`` is ``g_r``,
     head its value and tail its input's form; output ``o`` is ``f_o``, its
-    form read at the heads, then at the tails, of inputs and registers."""
+    form read at the heads, then at the tails, of inputs and registers.
+    Each takes the inputs that reach it, in input order, which one pass
+    over the registers' forms finds (`_reachable_inputs`)."""
     by_id = {n.id: n for n in cf.nodes}
     incoming = {n.id: [] for n in cf.nodes}
     outgoing = {n.id: [] for n in cf.nodes}
@@ -1161,22 +1172,8 @@ def compile_circuit(cf: CircuitFile) -> CompiledCircuit:
             "register-free loop through " + " -> ".join(loop), loop=loop)
 
     inputs = tuple(n.id for n in cf.nodes if n.kind == "input")
-    input_pos = {nid: i for i, nid in enumerate(inputs)}
-
-    def reachable_inputs(start):
-        seen, stack = set(), [start]
-        while stack:
-            cur = stack.pop()
-            if cur not in seen:
-                seen.add(cur)
-                stack.extend(incoming[cur])
-        return tuple(sorted(seen & input_pos.keys(),
-                            key=input_pos.__getitem__))
-
     registers = tuple(n for n in cf.nodes if n.kind == "register")
     outputs = tuple(n for n in cf.nodes if n.kind == "output")
-    params = {n.id: reachable_inputs(n.id) for n in registers + outputs}
-
     form = {r.id: {r.id: Fraction(1)} for r in registers}
     for nid in order:  # a mult scales its input's form, an adder adds two
         node, kids = by_id[nid], [form[s] for s in incoming[nid]]
@@ -1184,6 +1181,14 @@ def compile_circuit(cf: CircuitFile) -> CompiledCircuit:
             else _compose({0: node.value}, kids) if node.kind == "mult" \
             else _compose({0: 1, 1: 1}, kids) if node.kind == "adder" \
             else kids[0]
+    # a form keeps the ids whose coefficients cancel, so it names every
+    # input and register with a register-free path to its wire
+    reach = _reachable_inputs(
+        {r.id: form[incoming[r.id][0]] for r in registers}, inputs)
+    for o in outputs:
+        reach[o.id] = _union([reach[i] for i in form[o.id]])
+    params = {n.id: tuple([inputs[k] for k in reach[n.id]])
+              for n in registers + outputs}
     leaf = {i: ("var", i, None) for i in inputs}
     leaf |= {("tail", i): ("call", "tail", [leaf[i]], None) for i in inputs}
     leaf |= {r.id: ("call", f"g_{r.id}", [leaf[i] for i in params[r.id]],
@@ -1202,6 +1207,56 @@ def compile_circuit(cf: CircuitFile) -> CompiledCircuit:
         tuple((f"f_{o.id}", o.id, params[o.id]) for o in outputs),
         tuple((f"g_{r.id}", r.id, params[r.id]) for r in registers),
     )
+
+
+def _reachable_inputs(reads, inputs) -> dict:
+    """Each input's and register's backward-reachable ``inputs``, as the
+    ascending tuple of their positions there, from ``reads``, the inputs
+    and registers each register's input wire reads: one pass of Tarjan's
+    algorithm over the registers, on an explicit stack, which closes each
+    strongly connected component after every component it reads.  The
+    component's tuple joins its reads' (`_union`), so a chain shares one."""
+    reach = {i: (k,) for k, i in enumerate(inputs)}
+    index, low, stack = {}, {}, []
+    for root in reads:
+        if root in reach:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(reads[root]))]
+        while work:
+            v, ids = work[-1]
+            for w in ids:
+                if w in reach:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(reads[w])))
+                    break
+                low[v] = min(low[v], index[w])  # on the stack
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    k = len(stack) - 1
+                    while stack[k] != v:
+                        k -= 1
+                    members, stack[k:] = stack[k:], []
+                    reach.update(dict.fromkeys(members, _union([
+                        reach[w] for m in members for w in reads[m]
+                        if w in reach])))
+    return reach
+
+
+def _union(parts) -> tuple:
+    """The ascending union of the ascending tuples ``parts``: if they are
+    all one tuple, that tuple itself."""
+    if all(p is parts[0] for p in parts[1:]):
+        return parts[0] if parts else ()
+    return tuple(sorted(set().union(*parts)))
 
 
 def _compose(form, forms):

@@ -16,7 +16,7 @@ operations above `Guard` leaves; both kinds are adjoined to a table the
 same way.  A rule may also declare the algebraic law of its symbol
 (`Law`), which the engine applies when it builds nodes of that symbol.
 Every table holds its `TableReport` from construction: an extension
-probes only the rules it adds.
+probes only the rules it adds, and a compiled BDE program's none.
 """
 
 from __future__ import annotations
@@ -490,13 +490,15 @@ def build_table(kind, sig: Signature, rules) -> RuleTable:
     return RuleTable(kind, sig, by_name, report=TableReport(()))
 
 
-def _adjoin(table: RuleTable, new_sig: Signature, new_rules, what: str
-            ) -> RuleTable:
+def _adjoin(table: RuleTable, new_sig: Signature, new_rules, what: str,
+            compiled: bool = False) -> RuleTable:
     """``table`` extended by the symbols of ``new_sig`` and ``new_rules``,
     keyed by their names there; each new rule is stored with its symbol in
     the sum.  The old rules, origins and report carry over as they are
-    (`sig_sum` keeps the left summand's names), and only the new rules are
-    probed."""
+    (`sig_sum` keeps the left summand's names).  Only the new rules are
+    probed, and not even those if they are ``compiled``: made by a compiler
+    whose rules are natural and conclude on the kind's ports by construction
+    (`frontends.BdeProgram`), so that its report, ok, stands for theirs."""
     sum_sig = sig_sum(table.sig, new_sig)
     emb_new = sum_sig.embedding_from(new_sig)
     rules, origin = dict(table.rules), dict(table.origin)
@@ -506,7 +508,8 @@ def _adjoin(table: RuleTable, new_sig: Signature, new_rules, what: str
             raise ForeignSymbol(f"{what} for undeclared symbol {name!r}")
         new_name = emb_new[name]
         rule = replace(rule, op=sum_sig.template(new_name))
-        _probe(table.kind, sum_sig, new_name, rule, rng)
+        if not compiled:
+            _probe(table.kind, sum_sig, new_name, rule, rng)
         rules[new_name] = rule
         origin[new_name] = (sum_sig, new_name)
     missing = [n for n in new_sig.names if n not in new_rules]

@@ -18,9 +18,10 @@ probe's is, is filled with the premises' node ids at every application of
 that shape, as natural rules allow (`rules.GsosRule`), and dies with its
 engine, as do its symbol records (`_Sym`), which term and sum nodes and
 filled code name.  A sum adds its operands' labels as integers over a
-common denominator.  A solved state enters a term, as a `Param`, a
-variable's value or an argument of `interpret_op`, through one check
-(`rules.state_node`).
+common denominator, and its step, on the kind's ports with a `Fraction`
+label by construction, is not checked again.  A solved state enters a
+term, as a `Param`, a variable's value or an argument of `interpret_op`,
+through one check (`rules.state_node`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import gcd
 from typing import Mapping, Optional
 
 from .behavior import (CUT, ObservationTree, Step, SymbolicLabel,
-                       canonicalize_step, check_step)
+                       canonicalize_step)
 from .errors import (
     ArityMismatch,
     InvalidHandle,
@@ -365,7 +366,10 @@ class Engine:
         """``Σ m·g`` steps to ``Σ m·label(g)`` and, at each port, the sum
         of ``m·child(g)``, flattened as `_sum_node` does but in one pass; no
         rule runs.  The label is summed as an integer numerator over the lcm
-        of the operands' denominators."""
+        of the operands' denominators, and reduced only if that is not 1.
+        The step is not checked again: its ports are the kind's, and its
+        label a `Fraction`, which `rules._check_law` confines additive laws
+        to."""
         nodes, memo, sym, ports = self._nodes, self._memo, node.sym, \
             node.kind.ports
         num, den = 0, 1
@@ -386,10 +390,8 @@ class Engine:
                         acc[e] = acc.get(e, 0) + m * k
                 else:
                     acc[child] = acc.get(child, 0) + m
-        step = Step(Fraction(num, den), tuple([
+        return Step(Fraction(num) if den == 1 else Fraction(num, den), tuple([
             (p, self._cons_sum(sym, acc)) for p, acc in zip(ports, kids)]))
-        check_step(node.kind, step)
-        return step
 
     def _observe(self, nid: int, depth: int) -> ObservationTree:
         """Depth-bounded unfolding in pre-order, port order, without Python
