@@ -4,7 +4,7 @@ A behavior kind is one functor: it fixes the label domain and the ports of
 one-step observations.  Four kinds are built in: streams and infinite binary
 trees over exact rationals, formal languages over a finite alphabet, and
 finitely branching processes over an action set with involutive complement.
-A kind also states the syntax that parsers and printers read: its file
+A kind also states the syntax that the parsers read: its file
 ``header``, the parameter type (``rat``, ``letter``, ``bit``) of each
 parametric symbol (``params``), the unary symbol ``r . t`` denotes in term
 position (``prefix``), and the head and port clause names of its behavioral

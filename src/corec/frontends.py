@@ -1,4 +1,4 @@
-"""Parsers, printers, and compilers for the input file formats.
+"""Parsers and compilers for the input file formats.
 
 Equation systems, behavioral differential equations, CCS agent files, and
 grammars are line-oriented text with `#` comments; circuits are JSON.
@@ -11,17 +11,19 @@ in one pass over its tokens, so parsing takes time linear in the file
 size, and the term and agent compilers keep one `Var` per variable name
 and one symbol per name and parameter.  One reader, `_read_kind`, maps a
 `kind …` header or a kind argument to a built-in table; the term grammar
-and the printers then read the syntax the kind states.  System
-right-hand sides and BDE clauses are one term grammar: one reader,
-`_parse_expr`, and one compiler, `_Compiler`, serve both, each on an
-explicit stack, so a term of any depth reads and compiles.  A BDE
-definition, parsed or made from a circuit, is compiled once into its
-conclusion on symbolic premises, with no closure and no recursion, and
-one `_conclude` fills it in at the premises; such a rule is natural and
-concludes on the kind's ports by construction, so a program's table is
-built without probing it (`BdeProgram.extended_table`).  Agent
-expressions and initial values still recurse, once per nesting level, in
-`_infix`, `_parse_ccs_expr` and `_ccs_context`.
+then reads the syntax the kind states.  System right-hand sides and BDE
+clauses are one term grammar: one reader, `_parse_expr`, and one
+compiler, `_Compiler`, serve both, each on an explicit stack, so a term
+of any depth reads and compiles.  A BDE definition, parsed or made from a
+circuit, is compiled once into its conclusion on symbolic premises, with
+no closure and no recursion, and one `_conclude` fills it in at the
+premises; such a rule is natural and concludes on the kind's ports by
+construction, so a program's table is built without probing it
+(`BdeProgram.extended_table`).  A chain of agent prefixes `a.b.….P` is
+read in one loop; parentheses, `alt`/`seq` and the infix operators of
+agents and initial values still recurse, once per nesting level, in
+`_parse_ccs_expr` and `_infix`, and so does `_ccs_context`.
+`format_rat` and `format_label` print labels for the CLI.
 """
 
 from __future__ import annotations
@@ -35,15 +37,9 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import compress, islice
 from operator import itemgetter
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .behavior import (
-    Step,
-    SymbolicLabel,
-    move_action,
-    process_actions,
-    process_step,
-)
+from .behavior import Step, SymbolicLabel, process_actions, process_step
 from .errors import (
     CorecError,
     DanglingPort,
@@ -92,21 +88,6 @@ _FIRST = dict.fromkeys(string.ascii_letters + "_", "ident") \
     | dict.fromkeys("().,;:=+*|\\{}[]", "sym") | {"\n": "nl"}
 
 
-class Tok(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    col: int
-
-
-def tokenize(text: str):
-    """All tokens of ``text``, ending with one `eof` token; a character no
-    token starts with raises ParseError before anything is parsed."""
-    ts = TokenStream(text)
-    return [Tok(k, v, *p) for k, v, p in zip(ts.kinds, ts.values,
-                                             ts.positions())]
-
-
 _INT_RATIO = re.compile(r"(-?\d+)(?:/(\d+))?")
 
 
@@ -128,8 +109,8 @@ def parse_rational(text: str) -> Fraction:
 class TokenStream:
     """A text's token values, the empty `eof` value last, and their kinds:
     two lists that readers index, at the cursor ``i`` or at an index they
-    hold.  A token's line and column are found only for an error or for
-    `tokenize`, by lexing the text again."""
+    hold.  A token's line and column are found only for an error, by
+    lexing the text again (`positions`)."""
 
     def __init__(self, text: str):
         self.text = text
@@ -479,55 +460,6 @@ def parse_system(text: str, kind=None) -> System:
     return System(table.kind, table, tuple(rhs), rhs)
 
 
-def format_term(table: RuleTable, t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if not isinstance(t, App):
-        raise ValueError(f"term {t!r} has no textual form")
-    name, param = t.op.name, t.op.param
-    if name == "const":
-        return format_rat(param)
-    if name == table.kind.prefix:
-        return f"{format_label(param)} . {format_term(table, t.args[0])}"
-    return _format_call(t.op, [format_term(table, a) for a in t.args])
-
-
-def _format_call(op, args) -> str:
-    """``op`` applied to formatted ``args``, its parameter leading."""
-    if op.param is None:
-        return f"{op.name}({', '.join(args)})"
-    return f"{op.name}({', '.join([format_label(op.param), *args])})"
-
-
-def _format_step(table: RuleTable, step: Step) -> str:
-    terms = [format_term(table, c) for _, c in step.children]
-    inner = terms[0] if len(terms) == 1 else f"({', '.join(terms)})"
-    return f"{format_label(step.label)} . {inner}"
-
-
-def _format_ctx(table: RuleTable, ctx) -> str:
-    """A guarded term above its guards, where ``r . t`` is a `Guard`, not
-    the `register` or `prefix` it is below them."""
-    if isinstance(ctx, Guard):
-        return _format_step(table, ctx.step)
-    if not ctx.args:
-        return format_term(table, ctx)
-    return _format_call(ctx.op, [_format_ctx(table, a) for a in ctx.args])
-
-
-def format_system(system: System) -> str:
-    """Textual form of a system over a built-in table; parses back equal."""
-    if not system.kind.deterministic:
-        return format_ccs_system(system)
-    lines = [f"kind {system.kind.header}"]
-    for v in system.vars:
-        rhs = system.rhs[v]
-        if not isinstance(rhs, (Guard, App)):
-            raise ValueError(f"rhs of {v!r} has no textual form")
-        lines.append(f"{v} = {_format_ctx(system.table, rhs)}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Behavioral differential equations
 
@@ -753,8 +685,7 @@ def _parse_ccs_expr(ts: TokenStream, actions, names):
             return e
         if kinds[i] != "ident":
             raise ts.error(i, f"expected an agent, got {value!r}")
-        after = values[i + 1]
-        if after == "(" and value in ("alt", "seq"):
+        if values[i + 1] == "(" and value in ("alt", "seq"):
             ts.i = i + 2
             a = expr()
             ts.expect(",")
@@ -762,10 +693,6 @@ def _parse_ccs_expr(ts: TokenStream, actions, names):
             ts.expect(")")
             return (value, a, b)
         names.append(i)
-        if after == ".":
-            ts.i = i + 2
-            actions.add(value)
-            return ("pref", value, postfix())
         ts.i = i + 1
         return ("ref", value)
 
@@ -775,6 +702,14 @@ def _parse_ccs_expr(ts: TokenStream, actions, names):
         return a
 
     def postfix():
+        """The prefixes `a.` at the cursor, then an atom and its postfixes,
+        read in one loop each: a chain of prefixes does not recurse."""
+        prefixes = []
+        while kinds[ts.i] == "ident" and values[ts.i + 1] == ".":
+            names.append(ts.i)
+            prefixes.append(values[ts.i])
+            ts.i += 2
+        actions.update(prefixes)
         e = atom()
         while True:
             after = values[ts.i]
@@ -800,7 +735,10 @@ def _parse_ccs_expr(ts: TokenStream, actions, names):
                 ts.expect("}")
                 e = ("restrict", tuple(sorted(restricted)), e)
             else:
-                return e
+                break
+        for a in reversed(prefixes):
+            e = ("pref", a, e)
+        return e
 
     expr = partial(_infix, ts, _AGENT_LEVELS, postfix)
     return expr()
@@ -870,67 +808,6 @@ def parse_ccs(text: str) -> System:
     return System(kind, table, tuple(asts), rhs)
 
 
-def _is_ccs_atom(t) -> bool:
-    """Whether ``t`` needs no parentheses after a prefix."""
-    return isinstance(t, Var) or (isinstance(t, App) and (
-        t.op.name in ("nil", "pref") or t.op.name == "sum" and not t.args))
-
-
-def _format_ccs_term(kind, t) -> str:
-    """Agent text of a term, `Guard` leaves included."""
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Guard):
-        moves = t.step.children
-        if not moves:
-            return "0"
-        parts = []
-        for port, term in moves:
-            action = move_action(port)
-            sub = _format_ccs_term(kind, term)
-            parts.append(f"{action}.{sub}" if _is_ccs_atom(term)
-                         else f"{action}.({sub})")
-        return "(" + " + ".join(parts) + ")" if len(parts) > 1 else parts[0]
-    name, param = t.op.name, t.op.param
-    if name == "nil":
-        return "0"
-    if name == "pref":
-        sub = _format_ccs_term(kind, t.args[0])
-        return f"{param}.{sub}" if _is_ccs_atom(t.args[0]) \
-            else f"{param}.({sub})"
-    if name == "sum":
-        if not t.args:
-            return "0"
-        if len(t.args) == 1:
-            raise ValueError("one-armed sums have no textual form")
-        return "(" + " + ".join(_format_ccs_term(kind, a)
-                                for a in t.args) + ")"
-    if name == "par":
-        return (f"({_format_ccs_term(kind, t.args[0])} | "
-                f"{_format_ccs_term(kind, t.args[1])})")
-    if name in ("seq", "alt"):
-        return (f"{name}({_format_ccs_term(kind, t.args[0])}, "
-                f"{_format_ccs_term(kind, t.args[1])})")
-    if name == "relabel":
-        pairs = [f"{a}->{b}" for a, b in param
-                 if a != b and not a.endswith("'") and a != kind.tau]
-        return f"({_format_ccs_term(kind, t.args[0])})[{', '.join(pairs)}]"
-    if name == "restrict":
-        return (f"({_format_ccs_term(kind, t.args[0])})"
-                "\\{" + ", ".join(param) + "}")
-    raise ValueError(f"no textual form for {t!r}")
-
-
-def format_ccs_system(system: System) -> str:
-    lines = []
-    for v in system.vars:
-        rhs = system.rhs[v]
-        if not isinstance(rhs, (Guard, App)):
-            raise ValueError(f"rhs of {v!r} has no textual form")
-        lines.append(f"{v} = {_format_ccs_term(system.kind, rhs)}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Grammars in Greibach normal form
 
@@ -994,17 +871,6 @@ def parse_gnf(text: str) -> GnfFile:
         raise ParseError(1, 1, f"start symbol {g.start!r} is not declared")
     _check_gnf_shape(g)
     return g
-
-
-def format_gnf(g: GnfFile) -> str:
-    lines = [
-        "terminals: " + " ".join(g.terminals),
-        "nonterminals: " + " ".join(g.nonterminals),
-        "start: " + g.start,
-    ]
-    for lhs, rhs in g.productions:
-        lines.append(f"{lhs} -> {' '.join(rhs)}")
-    return "\n".join(lines) + "\n"
 
 
 def compile_gnf(g: GnfFile) -> System:

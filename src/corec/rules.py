@@ -507,7 +507,9 @@ def _adjoin(table: RuleTable, new_sig: Signature, new_rules, what: str,
         if name not in new_sig:
             raise ForeignSymbol(f"{what} for undeclared symbol {name!r}")
         new_name = emb_new[name]
-        rule = replace(rule, op=sum_sig.template(new_name))
+        op = sum_sig.template(new_name)
+        if rule.op != op:  # `frontends._bde_program`'s rules hold it already
+            rule = replace(rule, op=op)
         if not compiled:
             _probe(table.kind, sum_sig, new_name, rule, rng)
         rules[new_name] = rule

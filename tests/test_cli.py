@@ -276,6 +276,14 @@ def test_text_observations_print_at_any_depth(tmp_path, capsys, body, argv,
     assert capsys.readouterr().out == line + "\n"
 
 
+def test_a_chain_of_10000_agent_prefixes_observes_to_depth_1(tmp_path,
+                                                             capsys):
+    path = tmp_path / "prefixes.ccs"
+    path.write_text("P = " + "a." * 10_000 + "0\n")
+    assert cli_main(["ccs", str(path), "--depth", "1"]) == 0
+    assert capsys.readouterr().out == "P: {a.#}\n"
+
+
 def test_check_suite(capsys):
     rc = cli_main(["check", "--suite", "modularity"])
     out = capsys.readouterr().out

@@ -1,12 +1,13 @@
 """Tables of compiled BDE programs and circuits are valid by construction:
-building one probes no rule, `validate_table` still probes every rule and
-finds them all valid, seeded random programs included; a circuit's
-definitions take their reachable inputs in input order, and a long
-register chain compiles and runs."""
+building one probes no rule and keeps the program's rules as built,
+`validate_table` still probes every rule and finds them all valid, seeded
+random programs included; a circuit's definitions take their reachable
+inputs in input order, and a long register chain compiles and runs."""
 
 import json
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,18 @@ def test_a_compiled_table_carries_the_given_report_and_probes_python_rules(
     assert table.validation() is program.given.validation()
     rules.extend_with_rps(program.given, program.rps)
     assert probed == ["f"]
+
+
+def test_adjoining_keeps_a_rule_that_holds_its_symbol_and_sets_others():
+    program = parse_bde(SHUFFLE)
+    built = program.rps.rules["f"]
+    assert program.extended_table().rules["f"] is built
+    # a rule whose symbol differs only in its parameter is stored with the
+    # symbol of the sum
+    odd = replace(built, op=replace(built.op, param=Fraction(1)))
+    table = rules.extend_with_rps(program.given,
+                                  rules.RpsDef(program.rps.new_sig, {"f": odd}))
+    assert table.rules["f"].op == built.op and built.op.param is None
 
 
 def _head(rng, reads, depth):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from corec.behavior import LanguageKind
+from corec.behavior import LanguageKind, Step, process_step
 from corec.checking import bounded_equal
 from corec.errors import (
     DanglingPort,
@@ -17,11 +17,10 @@ from corec.errors import (
 )
 from corec.frontends import (
     BdeProgram,
+    GnfFile,
+    TokenStream,
     compile_circuit,
     compile_gnf,
-    format_ccs_system,
-    format_gnf,
-    format_system,
     load_circuit,
     parse_bde,
     parse_ccs,
@@ -29,7 +28,6 @@ from corec.frontends import (
     parse_rational,
     parse_stream_spec,
     parse_system,
-    tokenize,
 )
 from corec.instances import (
     DEFAULT_ACTIONS,
@@ -39,6 +37,8 @@ from corec.instances import (
     oracle_eval,
     periodic_stream,
     periodic_values,
+    relabel_param,
+    restrict_param,
     stream_table,
     stream_take,
     tree_table,
@@ -91,8 +91,9 @@ TOKENS = [
 
 
 def test_tokens_kind_value_and_position():
-    assert [(t.kind, t.value, t.line, t.col)
-            for t in tokenize(TOKEN_TEXT)] == TOKENS
+    ts = TokenStream(TOKEN_TEXT)
+    assert [(k, v, *p) for k, v, p in zip(ts.kinds, ts.values,
+                                          ts.positions())] == TOKENS
 
 
 def _offset(text, line, col):
@@ -114,7 +115,7 @@ def test_mutated_tokens_point_at_their_values(seed):
     rng = random.Random(seed)
     fixtures = (TOKEN_TEXT, FLAT_TM, SANDWICHED, GRAMMAR, HALF_BDE,
                 "P = a.(P | c.0) + b.0\n")
-    values = [t.value for t in tokenize(rng.choice(fixtures))][:-1]
+    values = TokenStream(rng.choice(fixtures)).values[:-1]
     for _ in range(rng.randint(1, 12)):
         i = rng.randrange(len(values) + 1)
         mutation = rng.choice(("insert", "delete", "replace"))
@@ -129,21 +130,23 @@ def test_mutated_tokens_point_at_their_values(seed):
         values.insert(rng.randrange(len(values) + 1), rng.choice("@~%$?!"))
     text = "".join(v + rng.choice(_GAPS) for v in values)
     try:
-        toks = tokenize(text)
+        ts = TokenStream(text)
     except ParseError as err:
         assert bad
         at = _offset(text, err.line, err.col)
         assert text[at] in "@~%$?!"
         assert err.message == f"unexpected character {text[at]!r}"
         return
+    toks = list(zip(ts.kinds, ts.values, ts.positions()))
     end = 0
     for t in toks:
-        at = _offset(text, t.line, t.col)
-        assert text[at:at + len(t.value)] == t.value
+        _, value, (line, col) = t
+        at = _offset(text, line, col)
+        assert text[at:at + len(value)] == value
         # only blanks and a comment lie between two tokens
         assert _BETWEEN.fullmatch(text, end, at), (t, text[end:at])
-        end = at + len(t.value)
-    assert toks[-1].kind == "eof" and end == len(text)
+        end = at + len(value)
+    assert toks[-1][0] == "eof" and end == len(text)
 
 
 @pytest.mark.parametrize("text, line, col, char", [
@@ -155,7 +158,7 @@ def test_mutated_tokens_point_at_their_values(seed):
 ], ids=["tab", "crlf", "comment-crlf", "comment-tabs", "comment"])
 def test_unexpected_character_position(text, line, col, char):
     with pytest.raises(ParseError) as err:
-        tokenize(text)
+        TokenStream(text)
     assert (err.value.line, err.value.col) == (line, col)
     assert err.value.message == f"unexpected character {char!r}"
 
@@ -270,21 +273,61 @@ def test_duplicate_variable():
         parse_system("kind stream\nx = 1 . x\nx = 2 . x\n")
 
 
+def _guard(table, label, *terms):
+    """The guard of ``label`` and one term per port of ``table``'s kind."""
+    return Guard(Step(label, tuple(zip(table.kind.ports, terms))))
+
+
+def _app(table, name, *args, param=None):
+    return App(table.op(name, param), args)
+
+
+def _parses_to(text, rhs):
+    """``text`` parses to the system of the right-hand sides ``rhs``."""
+    system = parse_system(text)
+    assert system.vars == tuple(rhs)
+    assert system.rhs == rhs
+
+
 def test_system_round_trips():
-    # the last three apply a parametric given inside a guarded context
-    for text in (FLAT_TM, SANDWICHED,
-                 "kind stream\nx = mult(2, 1 . x)\n",
-                 "kind stream\nx = register(3, 1 . x)\n",
-                 "kind language ab\nx = prefix(a, 1 . (x, x))\n",
-                 # letter guards, one-letter alphabets, tree guards, and
-                 # `r . t` in term position
-                 "kind language ab\nx = a . x\ny = 1 . (b . y, a . x)\n",
-                 "kind language a\nx = 1 . x\ny = union(a . y, 0 . a . x)\n",
-                 "kind tree\nx = 1/2 . (plus(x, y), 3)\n"
-                 "y = plus(1 . (y, x), 2 . (x, pi))\n",
-                 "kind stream\nx = 1 . 2 . x\ny = zip(1 . -1/2 . y, 0 . x)\n"):
-        system = parse_system(text)
-        assert parse_system(format_system(system)) == system
+    s, lab, la, tr = stream_table(), language_table("ab"), \
+        language_table("a"), tree_table()
+    t, u, x, y = Var("t"), Var("u"), Var("x"), Var("y")
+    one, zero = Fraction(1), Fraction(0)
+    _parses_to(FLAT_TM, {"t": _guard(s, one, _app(s, "zip", u, t)),
+                         "u": _guard(s, zero, _app(s, "zip", t, u))})
+    _parses_to(SANDWICHED, {
+        "t": _app(s, "zip", _guard(s, one, u), _guard(s, zero, t)),
+        "u": _app(s, "zip", _guard(s, zero, t), _guard(s, one, u))})
+    # a parametric given applied inside a guarded context
+    _parses_to("kind stream\nx = mult(2, 1 . x)\n", {"x": _app(
+        s, "mult", _guard(s, one, x), param=Fraction(2))})
+    _parses_to("kind stream\nx = register(3, 1 . x)\n", {"x": _app(
+        s, "register", _guard(s, one, x), param=Fraction(3))})
+    _parses_to("kind language ab\nx = prefix(a, 1 . (x, x))\n", {"x": _app(
+        lab, "prefix", _guard(lab, True, x, x), param="a")})
+    # a letter guard is a guard of 0 with the empty language after the
+    # other letters, and `r . t` in term position is the kind's prefix
+    # symbol: each text against the same system spelled with those
+    for text, other in (
+            ("kind language ab\nx = a . x\ny = 1 . (b . y, a . x)\n",
+             "kind language ab\nx = 0 . (x, empty)\n"
+             "y = 1 . (prefix(b, y), prefix(a, x))\n"),
+            ("kind stream\nx = 1 . 2 . x\ny = zip(1 . -1/2 . y, 0 . x)\n",
+             "kind stream\nx = 1 . register(2, x)\n"
+             "y = zip(1 . register(-1/2, y), 0 . x)\n")):
+        assert parse_system(text) == parse_system(other)
+    _parses_to("kind language a\nx = 1 . x\ny = union(a . y, 0 . a . x)\n",
+               {"x": _guard(la, True, x), "y": _app(
+                   la, "union", _guard(la, False, y), _guard(
+                       la, False, _app(la, "prefix", x, param="a")))})
+    # tree guards, and a numeral in term position is `const`
+    _parses_to("kind tree\nx = 1/2 . (plus(x, y), 3)\n"
+               "y = plus(1 . (y, x), 2 . (x, pi))\n", {
+                   "x": _guard(tr, Fraction(1, 2), _app(tr, "plus", x, y),
+                               _app(tr, "const", param=Fraction(3))),
+                   "y": _app(tr, "plus", _guard(tr, one, y, x),
+                             _guard(tr, Fraction(2), x, _app(tr, "pi")))})
 
 
 def test_tree_system(engine):
@@ -297,7 +340,11 @@ y = 2 . (plus(x, y), y)
     tree = engine.observe(sol["x"], 2)
     assert tree.label == 1
     assert [c.label for _, c in tree.children] == [1, 2]
-    assert parse_system(format_system(system)) == system
+    table = tree_table()
+    assert system.rhs == {
+        "x": _guard(table, Fraction(1), Var("x"), Var("y")),
+        "y": _guard(table, Fraction(2),
+                    _app(table, "plus", Var("x"), Var("y")), Var("y"))}
 
 
 def test_language_system(engine):
@@ -309,13 +356,16 @@ y = a . y
     sol = engine.solve(system)
     assert language_member(sol["x"], "")
     assert language_member(sol["y"], "aa") is False
-    assert parse_system(format_system(system)) == system
+    # `a . y` is the guard of 0 that goes on with y after `a`
+    assert system == parse_system("kind language ab\n"
+                                  "x = 1 . (x, y)\ny = 0 . (y, empty)\n")
 
 
 def test_rational_literals_parse_exactly():
     system = parse_system("kind stream\nx = 1/3 . plus(x, 0.25)\n")
     assert system.rhs["x"].step.label == Fraction(1, 3)
-    assert parse_system(format_system(system)) == system
+    assert system == parse_system(
+        "kind stream\nx = 1/3 . plus(x, const(1/4))\n")
 
 
 # -- behavioral differential equations -----------------------------------------
@@ -424,8 +474,9 @@ B -> b
 
 
 def test_gnf_round_trip():
-    g = parse_gnf(GRAMMAR)
-    assert parse_gnf(format_gnf(g)) == g
+    assert parse_gnf(GRAMMAR) == GnfFile(
+        ("a", "b"), ("S", "B"), "S",
+        (("S", ("a", "S", "B")), ("S", ("b",)), ("B", ("b",))))
 
 
 def test_gnf_membership_against_derivation_oracle(engine):
@@ -466,7 +517,12 @@ def test_ccs_parse_and_round_trip(engine):
     assert isinstance(system.rhs["P"], Guard)
     sol = engine.solve(system)
     assert [p[0] for p, _ in engine.unfold(sol["P"]).children] == ["a", "b"]
-    assert parse_ccs(format_ccs_system(system)) == system
+    table = system.table
+    nil = _app(table, "nil")
+    assert system.rhs == {"P": Guard(process_step((
+        ("a", _app(table, "par", Var("P"), _app(table, "pref", nil,
+                                                param="c"))),
+        ("b", nil))))}
 
 
 def test_ccs_sandwiched_rhs(engine):
@@ -474,7 +530,13 @@ def test_ccs_sandwiched_rhs(engine):
     system = parse_ccs(text)
     assert isinstance(system.rhs["Q"], App)
     engine.solve(system)
-    assert parse_ccs(format_ccs_system(system)) == system
+    table, q, r = system.table, Var("Q"), Var("R")
+    assert system.rhs == {
+        "Q": _app(table, "par",
+                  Guard(process_step((("b", _app(table, "sum", q, r,
+                                                 param=2)),))),
+                  Guard(process_step((("a", r),)))),
+        "R": Guard(process_step((("b", _app(table, "nil")),)))}
 
 
 def test_ccs_relabel_restrict_seq_alt(engine):
@@ -486,7 +548,35 @@ def test_ccs_relabel_restrict_seq_alt(engine):
     sol = engine.solve(system)
     assert [p[0] for p, _ in engine.unfold(sol["P"]).children] == ["tau"]
     assert [p[0] for p, _ in engine.unfold(sol["Q"]).children] == ["c"]
-    assert parse_ccs(format_ccs_system(system)) == system
+    table, kind = system.table, system.kind
+    nil = _app(table, "nil")
+
+    def to_nil(*actions):
+        return Guard(process_step(tuple((a, nil) for a in actions)))
+
+    assert system.rhs == {
+        "P": _app(table, "restrict", _app(table, "par", to_nil("a"),
+                                          to_nil("a'")),
+                  param=restrict_param(kind, ("a",))),
+        "Q": _app(table, "relabel", Guard(process_step((("b", Var("P")),))),
+                  param=relabel_param(kind, {"b": "c"})),
+        "R": _app(table, "alt", Guard(process_step((
+            ("a", _app(table, "pref", nil, param="b")),))), to_nil("c")),
+        "S": _app(table, "seq", to_nil("a"), to_nil("b"))}
+
+
+@pytest.mark.parametrize("n", [1_000, 10_000])
+def test_a_chain_of_agent_prefixes_parses_and_solves(engine, n):
+    assert sys.getrecursionlimit() <= 1000
+    system = parse_ccs("P = " + "a." * n + "0\n")
+    (action, t), = system.rhs["P"].step.children
+    prefixes = 1
+    while t.args:
+        assert t.op == system.table.op("pref", "a")
+        t, prefixes = t.args[0], prefixes + 1
+    assert (action, prefixes, t.op.name) == ("a", n, "nil")
+    p = engine.solve(system)["P"]
+    assert [q[0] for q, _ in engine.unfold(p).children] == ["a"]
 
 
 def test_ccs_agent_constant_requires_dot_zero():

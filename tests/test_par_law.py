@@ -9,11 +9,13 @@ import random
 
 from helpers import agent_handle, sos_agree
 
+from corec.behavior import process_step
 from corec.checking import bounded_equal, find_divergence
-from corec.frontends import format_ccs_system, parse_ccs
+from corec.frontends import parse_ccs
 from corec.instances import DEFAULT_ACTIONS, ccs_table, random_agent
 from corec.rules import Law
 from corec.solver import Engine
+from corec.terms import App, Guard
 
 ZERO = ("sum", ())
 P = ("sum", (("pref", "a", ("pref", "b", ZERO)), ("pref", "c", ZERO)))
@@ -35,14 +37,18 @@ def test_ccs_table_declares_the_law_and_zero_is_nil():
 
 
 def test_zero_in_context_position_is_nil():
-    for text in ("P = a.0 | 0\n", "P = (0 + 0) | a.0\n"):
+    for text, nil_at in (("P = a.0 | 0\n", 1), ("P = (0 + 0) | a.0\n", 0)):
         system = parse_ccs(text)
         engine = Engine()
         p = engine.solve(system)["P"]
         assert not any(n.tag == "term" and n.name == "par"
                        for n in engine._nodes)
         assert bounded_equal(p, engine.solve(parse_ccs("Q = a.0\n"))["Q"], 4)
-        assert parse_ccs(format_ccs_system(system)) == system
+        table = system.table
+        nil = App(table.op("nil"), ())
+        a0 = Guard(process_step((("a", nil),)))
+        args = (a0, nil) if nil_at else (nil, a0)
+        assert system.rhs == {"P": App(table.op("par"), args)}
     # in a sum, `0` adds no moves to the sum's one guard
     assert parse_ccs("P = a.0 + 0\n") == parse_ccs("P = a.0\n")
 
