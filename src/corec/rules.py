@@ -239,11 +239,12 @@ class RuleTable:
     ``report`` is the table's `TableReport` when its builder
     probed it; a table given none probes all its rules at construction.
     ``laws`` holds each rule's law, with its unit and zero under their names
-    here, when the report is ok, and is empty otherwise.
+    here, when the report is ok, and is empty otherwise.  ``plans`` holds
+    the rules' plans that every engine shares (`solver.Engine._plan`).
     """
 
     __slots__ = ("kind", "sig", "rules", "origin", "renames", "resolve",
-                 "laws", "_report")
+                 "laws", "plans", "_report")
 
     def __init__(self, kind, sig: Signature, rules, origin=None, report=None):
         self.kind = kind
@@ -254,7 +255,7 @@ class RuleTable:
         self.renames = sig.embeddings()
         self.resolve = resolver(sig)
         self._report = report if report is not None else validate_table(self)
-        self.laws = {}
+        self.laws, self.plans = {}, {}
         for name, r in self.rules.items():
             if r.law is None or not self._report.ok:
                 continue
@@ -277,9 +278,18 @@ class RuleTable:
             raise MissingRule(f"no rule for symbol {name!r}") from None
 
     def op(self, name: str, param=None) -> OpSym:
-        if self.kind.params.get(name) == "letter" and \
-                param not in (None, *self.kind.ports):
+        """``name`` at ``param``, of the type its kind gives it: a letter of
+        the alphabet, a ``rat`` (an int but no bool, or a Fraction) or a
+        ``bit`` (False, True, 0 or 1)."""
+        ptype = self.kind.params.get(name)
+        if ptype == "letter" and param not in (None, *self.kind.ports):
             raise UnknownSymbol(f"{param!r} is not in the alphabet")
+        if param is not None and (ptype == "rat" and (
+                not isinstance(param, (int, Fraction))
+                or isinstance(param, bool)) or ptype == "bit" and not (
+                    isinstance(param, int) and param in (0, 1))):
+            raise UnknownSymbol(f"{param!r} is not a {ptype} parameter of "
+                                f"{name!r}")
         return self.sig.op(name, param)
 
     def validation(self) -> TableReport:

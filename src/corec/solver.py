@@ -15,13 +15,15 @@ keyed as integer ratios, and labels left to the plan to compute where the
 rule only does arithmetic on them: `rules.plan_symbolic`) or, for
 processes, actions.  Its plan, made by `rules.plan_rule` as the table
 probe's is, is filled with the premises' node ids at every application of
-that shape, as natural rules allow (`rules.GsosRule`), and dies with its
-engine, as do its symbol records (`_Sym`), which term and sum nodes and
-filled code name.  A sum adds its operands' labels as integers over a
-common denominator, and its step, on the kind's ports with a `Fraction`
-label by construction, is not checked again.  A solved state enters a
-term, as a `Param`, a variable's value or an argument of `interpret_op`,
-through one check (`rules.state_node`).
+that shape, as natural rules allow (`rules.GsosRule`).  Plans live with
+their table (`RuleTable.plans`), shared by every engine over it, and name
+symbols by name; an engine binds them to its symbol records (`_Sym`),
+which term and sum nodes and filled code name and which die with it.  A
+plan that names a state is its engine's alone.  A sum adds its operands'
+labels as integers over a common denominator, and its step, on the kind's
+ports with a `Fraction` label by construction, is not checked again.  A
+solved state enters a term, as a `Param`, a variable's value or an
+argument of `interpret_op`, through one check (`rules.state_node`).
 """
 
 from __future__ import annotations
@@ -94,10 +96,11 @@ class SolutionHandle:
 class _Sym:
     # One symbol of one table at one parameter, as an engine resolves it
     # once: ``key`` is ``(table, name, parameter key)``, the `Engine._plans`
-    # key prefix, ``op`` the symbol as the author of its rule knew it,
-    # ``law`` its law or None, and ``plan`` its symbolic plan, False when it
-    # has none, or None until its first application; a symbol of a kind
-    # without rational labels has none.
+    # key prefix (and less the table, `RuleTable.plans`'), ``op`` the symbol
+    # as the author of its rule knew it, ``law`` its law or None, and
+    # ``plan`` its symbolic plan, False when it has none, or None until its
+    # first application; a symbol of a kind without rational labels has
+    # none.
     __slots__ = ("table", "name", "op", "law", "key", "plan")
 
     def __init__(self, key, op):
@@ -341,26 +344,43 @@ class Engine:
         sym, kind = node.sym, node.kind
         plan = sym.plan
         if plan is None:
-            plan = sym.plan = self._plans[sym.key] = self._plan(sym, None)
+            plan = sym.plan = self._plans[sym.key] = self._plan(
+                sym, sym.key, None)
         if plan is False:
             key = sym.key + (tuple([x.as_integer_ratio() for x in shape])
                              if kind.rational else tuple(shape),)
             plan = self._plans.get(key)
             if plan is None:
                 plan = self._plans[key] = self._plan(
-                    sym, [memo[c] for c in node.children])
+                    sym, key, [memo[c] for c in node.children])
         out = self._fill(kind, plan, holes, shape)
         return out if out.__class__ is Step else self._unfold(out)
 
-    def _plan(self, sym: _Sym, steps):
-        """The rule's conclusion planned once: on premises observed as
-        ``steps`` (`rules.plan_rule`), or for ``steps`` None on symbolic
-        ones, False if that fails (`rules.plan_symbolic`)."""
+    def _plan(self, sym: _Sym, key, steps):
+        """The rule's conclusion planned once per table: on premises
+        observed as ``steps`` (`rules.plan_rule`), or for ``steps`` None on
+        symbolic ones, False if that fails (`rules.plan_symbolic`).  The
+        table keeps it under ``key`` less the table, naming symbols by
+        name, and this engine binds the names to its records (`_intern`).
+        Code that names a state, from a `Param` in the conclusion, is
+        planned again with this engine's `check_handle` and kept by it
+        alone, so that another engine's state stays `InvalidHandle`."""
         table = sym.table
         args = (table.kind, table.resolve, table.rule_for(sym.name), sym.op)
-        hooks = (self.check_handle, self._intern(table))
-        return (plan_symbolic(*args, *hooks) or False) if steps is None else \
-            plan_rule(*args, steps, itertools.count(), *hooks)
+        intern = self._intern(table)
+
+        def planned(*hooks):
+            return (plan_symbolic(*args, *hooks) or False) if steps is None \
+                else plan_rule(*args, steps, itertools.count(), *hooks)
+        plan = table.plans.get(key[1:])
+        if plan is None:
+            plan = planned()
+            if plan and any(i.__class__ is int and i < 0 for i in plan):
+                return planned(self.check_handle, intern)
+            table.plans[key[1:]] = plan
+        return plan and [
+            i if i.__class__ is int or i[0] == "guard" or i[0] == "step"
+            else (i[0], i[1], intern(i[2], i[3]), i[3]) for i in plan]
 
     def _sum_step(self, node: _Node) -> Step:
         """``Σ m·g`` steps to ``Σ m·label(g)`` and, at each port, the sum

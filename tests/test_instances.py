@@ -163,6 +163,35 @@ def test_letter_parameters_are_letters_of_the_alphabet(engine, name):
         [False, False, True, False]
 
 
+@pytest.mark.parametrize("param", ["abc", "3/2", 2.5, True, False])
+def test_rational_parameters_are_ints_or_fractions(param):
+    with pytest.raises(UnknownSymbol, match="not a rat parameter of 'mult'"):
+        stream_table().op("mult", param)
+
+
+@pytest.mark.parametrize("param", [2, Fraction(3, 2)])
+def test_an_int_or_fraction_parameter_scales(engine, param):
+    t = stream_table()
+    h = engine.interpret_op(t, t.op("mult", param),
+                            [periodic_stream(engine, (1,), (2,))])
+    assert stream_take(h, 3) == [param, 2 * param, 2 * param]
+
+
+@pytest.mark.parametrize("param", [2, -1, "x", 1.0, Fraction(1), None])
+def test_bit_parameters_are_zero_or_one(param):
+    with pytest.raises(UnknownSymbol):
+        language_table("ab").op("cons", param)
+
+
+@pytest.mark.parametrize("param", [False, True, 0, 1])
+def test_a_bit_parameter_says_whether_the_empty_word_is_in(engine, param):
+    t = language_table("ab")
+    eps = engine.interpret_op(t, t.op("eps"), [])
+    h = engine.interpret_op(t, t.op("cons", param), [eps, eps])
+    assert [language_member(h, w) for w in ("", "a", "b", "ab")] == \
+        [bool(param), True, True, False]
+
+
 def test_complement_of_empty_is_everything(engine):
     t = language_table("ab")
     h = engine.interpret_term(t, language_term(t, ("compl", ("empty",))))
