@@ -1,24 +1,24 @@
 """Parsers and compilers for the input file formats.
 
-Equation systems, behavioral differential equations, CCS agent files, and
-grammars are line-oriented text with `#` comments; circuits are JSON.
+Equation systems and behavioral differential equations are one file
+format with one reader, `_read`, and two views: `parse_system` gives a
+file's equations, over its kind's table extended by the file's
+definitions, and `parse_bde` its definitions.  Those files, agent files
+and grammars are line-oriented text with `#` comments; circuits are JSON.
 Rational literals accept `p/q`, decimal, and integer forms and are read
 exactly.  A `TokenStream` reads a text's token values with one `findall`
 and their kinds off their first characters; the readers index those two
 lists, and a parse node holds the index of its first token, whose line and
-column are found only when an error is raised.  Each text format is read
-in one pass over its tokens, so parsing takes time linear in the file
-size, and the term and agent compilers keep one `Var` per variable name
-and one symbol per name and parameter.  One reader, `_read_kind`, maps a
-`kind …` header or a kind argument to a built-in table; the term grammar
-then reads the syntax the kind states.  System right-hand sides and BDE
-clauses are one term grammar: one reader, `_parse_expr`, and one
-compiler, `_Compiler`, serve both, each on an explicit stack, so a term
-of any depth reads and compiles.  A BDE definition, parsed or made from a
-circuit, is compiled once into its conclusion on symbolic premises, with
-no closure and no recursion, and one `_conclude` fills it in at the
-premises; such a rule is natural and concludes on the kind's ports by
-construction, so a program's table is built without probing it
+column are found only for an error.  Each text format is read in one pass
+over its tokens, in time linear in the file size, with one `Var` per
+variable name and one symbol per name and parameter.  `_read_kind` maps a
+`kind …` header or a kind argument to a built-in table.  Equations and
+definition clauses are one term grammar, read by `_parse_expr` and
+compiled by `_Compiler`, each on an explicit stack, so a term of any depth
+reads and compiles.  A definition, parsed or made from a circuit, is
+compiled once into its conclusion on symbolic premises, which one
+`_conclude` fills in; such a rule is natural and concludes on the kind's
+ports by construction, so a program's table is built without probing it
 (`BdeProgram.extended_table`).  A chain of agent prefixes `a.b.….P` is
 read in one loop; parentheses, `alt`/`seq` and the infix operators of
 agents and initial values still recurse, once per nesting level, in
@@ -49,8 +49,8 @@ from .errors import (
 )
 from .rules import GsosRule, RpsDef, RuleTable, _adjoin
 from .solver import System
-from .terms import (App, Guard, OpSym, Slot, Term, Var, build_term, mk_app,
-                    sig_sum, signature)
+from .terms import (App, Guard, OpSym, Signature, Slot, Term, Var,
+                    build_term, mk_app, sig_sum, signature)
 from . import instances
 
 
@@ -378,13 +378,15 @@ class _Compiler:
 
 
 # ---------------------------------------------------------------------------
-# Equation-system files for the deterministic kinds
+# Equation-system and BDE files: one reader, two views
 
 
-def _read_kind(ts: TokenStream, kind=None) -> Optional[RuleTable]:
-    """The table that the `kind …` header, or else ``kind`` ("stream",
-    "tree", "language:<letters>", "process" or a kind object), names; None
-    for processes, whose actions fix their table.  The only reader of kinds."""
+def _read_kind(text: str, kind=None):
+    """The `TokenStream` of ``text`` past its `kind …` header, and the table
+    that the header, or else ``kind`` ("stream", "tree", "language:<letters>",
+    "process" or a kind object), names; None for processes, whose actions
+    fix their table.  The only reader of kinds."""
+    ts = TokenStream(text)
     ts.skip_newlines()
     at = None
     if ts.values[ts.i] == "kind":
@@ -400,41 +402,128 @@ def _read_kind(ts: TokenStream, kind=None) -> Optional[RuleTable]:
     else:
         name, _, letters = kind.header.partition(" ")
     if name == "process":
-        return None
+        return ts, None
     if name == "language":
-        return instances.language_table(letters)
+        return ts, instances.language_table(letters)
     if name == "stream":
-        return instances.stream_table()
+        return ts, instances.stream_table()
     if name == "tree":
-        return instances.tree_table()
+        return ts, instances.tree_table()
     message = f"unknown kind {name!r}"
     raise ParseError(1, 1, message) if at is None else ts.error(at, message)
 
 
 def parse_system(text: str, kind=None) -> System:
-    """Parse a flat or sandwiched equation system over a built-in table.
-
-    The file may declare its kind (`kind stream`, `kind tree`,
+    """The equations of a file read by `_read`, over its kind's table and
+    definitions.  The file may declare its kind (`kind stream`, `kind tree`,
     `kind language ab`, `kind process`); otherwise ``kind`` must name one
     ("stream", "tree", "language:<letters>", "process", or a kind object).
-    A process system is an agent file, as `parse_ccs` reads it.
-    """
-    ts = TokenStream(text)
-    table = _read_kind(ts, kind)
-    if table is None:
+    A process system is an agent file, as `parse_ccs` reads it."""
+    ts, given = _read_kind(text, kind)
+    if given is None:
         return parse_ccs(text)
+    system = _read(ts, given)[1]
+    if not system.vars:
+        raise ParseError(1, 1, "empty system")
+    return system
 
-    # A definition's name is the token before its `=`, the only `=` a
-    # system holds, so each right-hand side is compiled as soon as it is
-    # read.  The first error of the compiler waits, so that errors come in
-    # the order: syntax, then names, then right-hand sides.
-    values = ts.values
-    comp = _Compiler(table.sig, table.kind, {v: Var(v) for v in compress(
-        values, map("=".__eq__, islice(values, 1, None)))}, (), ts.error)
+
+def parse_bde(text: str) -> BdeProgram:
+    """The definitions of a file read by `_read`, a `kind stream` file
+    unless it declares `kind tree`: behavioral differential equations over
+    the kind's built-in table."""
+    ts, given = _read_kind(text, "stream")
+    if given is None or given.kind.clauses is None:
+        raise ParseError(1, 1, "bde files are `kind stream` or `kind tree`")
+    return _read(ts, given)[0] or _bde_program(given, {})
+
+
+@dataclass(frozen=True)
+class BdeProgram:
+    """Compiled operation definitions plus the table of given operations
+    (`parse_bde`, `compile_circuit`).  The rules are compiled over ``sig``,
+    the sum of ``given``'s signature and ``rps.new_sig``."""
+
+    kind: object
+    given: RuleTable
+    rps: RpsDef
+    names: tuple
+    sig: Signature
+
+    def extended_table(self) -> RuleTable:
+        """``given`` extended by the definitions over ``sig``, unprobed: each
+        rule fills in a step built from `Slot`s and label arithmetic, so it
+        is natural and concludes on the kind's ports, and the table takes
+        ``given``'s report (`rules.validate_table` probes every rule)."""
+        return _adjoin(self.given, self.rps.new_sig, self.rps.rules,
+                       "bde definition", self.sig)
+
+
+def _read(ts: TokenStream, given: RuleTable):
+    """The definitions' `BdeProgram`, None if there are none, and the
+    equations' `System` of a file past its kind header, which names
+    ``given``.  One a line come: an optional `given` line, naming operations
+    of ``given``; in a stream or tree file, definitions ``f(x, y): head =
+    <expr>; tail = <term>``, or with clauses ``root``, ``left``, ``right``
+    for trees, where ``x`` is the argument, ``tail(x)`` a continuation,
+    ``head(x)``/``root(x)`` its output as a constant, ``r . t`` a stream
+    register, and ``mult(head(x), t)`` takes a parameter; then equations
+    ``v = <term>`` over the table the definitions extend, or ``given``."""
+    values, kinds, kind = ts.values, ts.kinds, given.kind
+    if ts.eat("given"):
+        while kinds[ts.i] == "ident":
+            if values[ts.i] not in given.sig:
+                raise ts.error(ts.i, f"no given operation {values[ts.i]!r}")
+            ts.i += 1
+        ts.end_line()
+
+    defs = {}
+    while kind.clauses and kinds[ts.i] == "ident" and values[ts.i + 1] == "(":
+        at = ts.ident()
+        name = values[at]
+        if name in defs:
+            raise ts.error(at, f"operation {name!r} defined twice")
+        if name in given.sig:
+            raise ts.error(at, f"operation {name!r} shadows a given")
+        ts.i += 1
+        params = []
+        while values[ts.i] != ")" and (not params or ts.eat(",")):
+            p = ts.ident()
+            if values[p] in params:
+                raise ts.error(p, f"argument {values[p]!r} named twice")
+            params.append(values[p])
+        ts.expect(")")
+        ts.expect(":")
+        exprs = []
+        for k, clause in enumerate(kind.clauses):
+            if k and not ts.eat(";"):
+                raise ts.error(ts.i, f"missing `{clause} =` clause")
+            kw = ts.ident()
+            if values[kw] != clause:
+                raise ts.error(kw, f"expected clause {clause!r}" if k
+                               else f"definition must start with `{clause} =`")
+            ts.expect("=")
+            node, ts.i = _parse_expr(ts, ts.i) if k \
+                else _parse_head_expr(ts, clause, params)
+            exprs.append(node)
+        ts.end_line()
+        defs[name] = (params, exprs[0], exprs[1:])
+    program = _bde_program(given, defs, ts.error) if defs else None
+    table = program.extended_table() if defs and values[ts.i] else given
+
+    # Past the definitions, whose clause names precede an `=` too, a
+    # variable's name is the token before its `=`, the only `=` an equation
+    # holds, so each right-hand side is compiled as soon as it is read.
+    # The first error of the compiler waits, so that errors come in the
+    # order: syntax, then names, then right-hand sides.
+    comp = _Compiler(table.sig, kind, {v: Var(v) for v in compress(
+        values[ts.i:], map("=".__eq__, values[ts.i + 1:]))}, (), ts.error)
     names, rhs, late = [], {}, None
-    ts.skip_newlines()
-    while ts.kinds[ts.i] != "eof":
+    while kinds[ts.i] != "eof":
         names.append(ts.ident())
+        if values[ts.i] == "(":
+            raise ts.error(names[-1], "definitions come before the "
+                           "equations, in stream and tree files")
         ts.expect("=")
         node, ts.i = _parse_expr(ts, ts.i)
         ts.end_line()
@@ -444,44 +533,17 @@ def parse_system(text: str, kind=None) -> System:
                 Guard.above(t)
             except CorecError as exc:
                 late = exc
-    if not names:
-        raise ParseError(1, 1, "empty system")
 
-    seen = set()
+    first = {}
     for at in names:
         name = values[at]
         if name in table.sig:
             raise ts.error(at, f"variable {name!r} shadows an operation")
-        if name in seen:
+        if first.setdefault(name, at) != at:
             raise ts.error(at, f"variable {name!r} defined twice")
-        seen.add(name)
     if late is not None:
         raise late
-    return System(table.kind, table, tuple(rhs), rhs)
-
-
-# ---------------------------------------------------------------------------
-# Behavioral differential equations
-
-
-@dataclass(frozen=True)
-class BdeProgram:
-    """Compiled operation definitions plus the table of given operations
-    (`parse_bde`, `compile_circuit`)."""
-
-    kind: object
-    given: RuleTable
-    rps: RpsDef
-    names: tuple
-
-    def extended_table(self) -> RuleTable:
-        """``given`` extended by the definitions, which are not probed: each
-        rule fills in a step that `_Compiler` built from `Slot`s and label
-        arithmetic, so it is natural and concludes on the kind's ports, and
-        the table takes ``given``'s report.  `rules.validate_table` still
-        probes every rule."""
-        return _adjoin(self.given, self.rps.new_sig, self.rps.rules,
-                       "bde definition", compiled=True)
+    return program, System(kind, table, tuple(rhs), rhs)
 
 
 def _infix(ts: TokenStream, levels, operand, k=0):
@@ -518,9 +580,9 @@ _slot = lru_cache(maxsize=None)(Slot)
 
 
 def _parse_head_expr(ts: TokenStream, head_kw, params):
-    """The initial value at the cursor: a Fraction, or the `SymbolicLabel`
-    that its arithmetic records over ``head(x)``, `SymbolicLabel(k)` for
-    the k-th of the argument names ``params``."""
+    """The initial value at the cursor and the index after it: a Fraction,
+    or the `SymbolicLabel` that its arithmetic records over ``head(x)``,
+    `SymbolicLabel(k)` for the k-th of the argument names ``params``."""
     values = ts.values
 
     def atom():
@@ -542,7 +604,7 @@ def _parse_head_expr(ts: TokenStream, head_kw, params):
             return _premise_label(params.index(values[var]))
         raise ts.error(i, f"bad initial-value expression at {values[i]!r}")
 
-    return _infix(ts, _VALUE_LEVELS, atom)
+    return _infix(ts, _VALUE_LEVELS, atom), ts.i
 
 
 def _conclude(step: Step, op, args) -> Step:
@@ -569,86 +631,20 @@ def _conclude(step: Step, op, args) -> Step:
                               for p, t in step.children]))
 
 
-def parse_bde(text: str) -> BdeProgram:
-    """Behavioral differential equations over the staged given table.
-
-    Stream definitions have the shape
-    ``f(x, y): head = <expr>; tail = <term>``; tree definitions provide
-    ``root``, ``left``, and ``right`` clauses.  Clauses are equation-system
-    terms in which ``x`` is the argument, ``tail(x)`` a continuation,
-    ``head(x)``/``root(x)`` the argument's output as a constant, and
-    ``r . t`` a stream register; ``mult(head(x), t)`` takes a parameter.
-    """
-    ts = TokenStream(text)
-    given = _read_kind(ts, "stream")
-    if given is None or given.kind.clauses is None:
-        raise ParseError(1, 1, "bde files are `kind stream` or `kind tree`")
-    kind, values = given.kind, ts.values
-    head_kw = kind.clauses[0]
-
-    ts.skip_newlines()
-    if ts.eat("given"):
-        while ts.kinds[ts.i] == "ident":
-            if values[ts.i] not in given.sig:
-                raise ts.error(ts.i, f"no given operation {values[ts.i]!r}")
-            ts.i += 1
-        ts.end_line()
-
-    defs = {}
-    while ts.kinds[ts.i] != "eof":
-        at = ts.ident()
-        name = values[at]
-        if name in defs:
-            raise ts.error(at, f"operation {name!r} defined twice")
-        if name in given.sig:
-            raise ts.error(at, f"operation {name!r} shadows a given")
-        ts.expect("(")
-        params = []
-        if values[ts.i] != ")":
-            while True:
-                p = ts.ident()
-                if values[p] in params:
-                    raise ts.error(p, f"argument {values[p]!r} named twice")
-                params.append(values[p])
-                if not ts.eat(","):
-                    break
-        ts.expect(")")
-        ts.expect(":")
-        kw = ts.ident()
-        if values[kw] != head_kw:
-            raise ts.error(kw, f"definition must start with `{head_kw} =`")
-        ts.expect("=")
-        head_expr = _parse_head_expr(ts, head_kw, params)
-        clauses = []
-        for clause in kind.clauses[1:]:
-            if not ts.eat(";"):
-                raise ts.error(ts.i, f"missing `{clause} =` clause")
-            kw = ts.ident()
-            if values[kw] != clause:
-                raise ts.error(kw, f"expected clause {clause!r}")
-            ts.expect("=")
-            node, ts.i = _parse_expr(ts, ts.i)
-            clauses.append(node)
-        ts.end_line()
-        defs[name] = (params, head_expr, clauses)
-    return _bde_program(given, defs, ts.error)
-
-
 def _bde_program(given: RuleTable, defs, error=None) -> BdeProgram:
     """The program of ``defs``, ``{name: (params, head, clauses)}`` over
     ``given``, a head a Fraction or a `SymbolicLabel` over the arguments and
     a clause a parse node per port; ``error`` places an error at a node's
     token.  Each rule concludes its compiled step through `_conclude`."""
     new_sig = signature(*((n, len(d[0])) for n, d in defs.items()))
-    sum_sig, kind = sig_sum(given.sig, new_sig), given.kind
-    comp, rules = _Compiler(sum_sig, kind, {}, kind.clauses, error), {}
+    sig, kind = sig_sum(given.sig, new_sig), given.kind
+    comp, rules = _Compiler(sig, kind, {}, kind.clauses, error), {}
     for name, (params, head, clauses) in defs.items():
         comp.leaves = {p: _slot(i * len(kind.clauses))
                        for i, p in enumerate(params)}
         step = Step(head, tuple(zip(kind.ports, map(comp.term, clauses))))
-        rules[name] = GsosRule(sum_sig.template(name),
-                               partial(_conclude, step))
-    return BdeProgram(given.kind, given, RpsDef(new_sig, rules), tuple(defs))
+        rules[name] = GsosRule(sig.template(name), partial(_conclude, step))
+    return BdeProgram(kind, given, RpsDef(new_sig, rules), tuple(defs), sig)
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +771,8 @@ def parse_ccs(text: str) -> System:
     every agent variable must occur weakly guarded.  Agent constants
     require an explicit `.0` (`c.0`, not `c`).
     """
-    ts = TokenStream(text)
-    if _read_kind(ts, "process") is not None:
+    ts, table = _read_kind(text, "process")
+    if table is not None:
         raise ParseError(1, 1, "agent files are `kind process`")
     asts, actions, names, values = {}, set(), [], ts.values
     while ts.kinds[ts.i] != "eof":

@@ -501,15 +501,15 @@ def build_table(kind, sig: Signature, rules) -> RuleTable:
 
 
 def _adjoin(table: RuleTable, new_sig: Signature, new_rules, what: str,
-            compiled: bool = False) -> RuleTable:
-    """``table`` extended by the symbols of ``new_sig`` and ``new_rules``,
-    keyed by their names there; each new rule is stored with its symbol in
-    the sum.  The old rules, origins and report carry over as they are
-    (`sig_sum` keeps the left summand's names).  Only the new rules are
-    probed, and not even those if they are ``compiled``: made by a compiler
-    whose rules are natural and conclude on the kind's ports by construction
-    (`frontends.BdeProgram`), so that its report, ok, stands for theirs."""
-    sum_sig = sig_sum(table.sig, new_sig)
+            compiled_sum: Signature = None) -> RuleTable:
+    """``table`` extended by the symbols of ``new_sig`` and ``new_rules``
+    keyed by their names there, each stored with its symbol in the sum;
+    the old rules, origins and report carry over (`sig_sum` keeps the left
+    summand's names).  Only the new rules are probed, and not even those if
+    a compiler made them over ``compiled_sum``, the sum of the signatures:
+    they are natural and conclude on the kind's ports by construction
+    (`frontends.BdeProgram`)."""
+    sum_sig = compiled_sum or sig_sum(table.sig, new_sig)
     emb_new = sum_sig.embedding_from(new_sig)
     rules, origin = dict(table.rules), dict(table.origin)
     rng = random.Random(0xC1)
@@ -520,7 +520,7 @@ def _adjoin(table: RuleTable, new_sig: Signature, new_rules, what: str,
         op = sum_sig.template(new_name)
         if rule.op != op:  # `frontends._bde_program`'s rules hold it already
             rule = replace(rule, op=op)
-        if not compiled:
+        if compiled_sum is None:
             _probe(table.kind, sum_sig, new_name, rule, rng)
         rules[new_name] = rule
         origin[new_name] = (sum_sig, new_name)

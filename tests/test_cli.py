@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -183,6 +184,25 @@ def test_bde_apply(files, capsys):
                    "--prefix", "5"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "sh: 1 2 4 8 16"
+
+
+FACTORIALS = SHUFFLE_BDE + "x = 1 . sh(x, x)\n"
+
+
+def test_solve_and_bde_read_one_file_of_definitions_and_equations(
+        tmp_path, capsys):
+    path = tmp_path / "factorials.sys"
+    path.write_text(FACTORIALS)
+    assert cli_main(["solve", str(path), "--observe", "x:200"]) == 0
+    assert capsys.readouterr().out == "x: " + " ".join(
+        str(math.factorial(n)) for n in range(200)) + "\n"
+    assert cli_main(["bde", str(path), "--apply", "sh:ones,ones",
+                     "--prefix", "6"]) == 0
+    assert capsys.readouterr().out == "sh: 1 2 4 8 16 32\n"
+    path.write_text(SHUFFLE_BDE + "x = sh(x, x)\n")
+    assert cli_main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: variable 'x' is unguarded at (0,)\n"
 
 
 def _stream_system(seed, n):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 import sys
@@ -461,6 +462,104 @@ def test_tree_bde(engine):
     assert engine.observe(m, 2) == engine.observe(s, 2)
 
 
+# -- definitions and equations in one file -------------------------------------
+
+
+SH = ("sh(x, y): head = head(x) * head(y); "
+      "tail = plus(sh(x, tail(y)), sh(tail(x), y))\n")
+
+
+def test_equations_use_the_files_definitions(engine):
+    # x' = x ⊗ x makes x the stream of factorials
+    system = parse_system("kind stream\n" + SH + "x = 1 . sh(x, x)\n")
+    assert system.vars == ("x",)
+    assert "sh" in system.table.sig
+    sol = engine.solve(system)
+    assert stream_take(sol["x"], 200) == [math.factorial(n)
+                                          for n in range(200)]
+
+
+def test_a_file_without_definitions_keeps_the_builtin_table():
+    assert parse_system(FLAT_TM).table is stream_table()
+    assert parse_system("kind tree\nx = 1 . (x, x)\n").table is tree_table()
+
+
+def _periodic_equations(name, prefix, cycle):
+    """Flat equations whose variable ``name``0 is prefix·cycle^ω."""
+    labels, lines = prefix + cycle, []
+    for k, value in enumerate(labels):
+        nxt = k + 1 if k + 1 < len(labels) else len(prefix)
+        lines.append(f"{name}{k} = {value.numerator}/{value.denominator} "
+                     f". {name}{nxt}\n")
+    return "".join(lines)
+
+
+def test_a_file_defined_shuffle_is_the_builtin_shuffle(engine):
+    # the modularity suite's shuffle case, written as one file
+    rng = random.Random(32)
+
+    def stream():
+        def rat():
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return ([rat() for _ in range(rng.randint(0, 2))],
+                [rat() for _ in range(rng.randint(1, 3))])
+
+    for _ in range(20):
+        a, b = stream(), stream()
+        text = ("kind stream\n" + SH + _periodic_equations("a", *a)
+                + _periodic_equations("b", *b)
+                + "s = 0 . sh(a0, b0)\nt = 0 . shuffle(a0, b0)\n")
+        sol = Engine().solve(parse_system(text))
+        mine = stream_take(sol["s"], 51)[1:]
+        assert mine == stream_take(sol["t"], 51)[1:]
+        assert mine == oracle_eval("binomial_shuffle",
+                                   periodic_values(*a, 50),
+                                   periodic_values(*b, 50))
+
+
+def test_a_definition_uses_an_earlier_definition(engine):
+    # ex(x)' = x' ⊗ ex(x): ex(X) = 1, 1, 1, … and ex(2X) = 1, 2, 4, …
+    text = ("kind stream\n" + SH
+            + "ex(x): head = 1; tail = sh(tail(x), ex(x))\n")
+    table = parse_bde(text).extended_table()
+    x = periodic_stream(engine, (0, 1), (0,))
+    assert stream_take(engine.interpret_op(table, table.op("ex"), [x]),
+                       30) == [1] * 30
+    sol = engine.solve(parse_system(text + "y = ex(0 . 1)\nz = ex(0 . 2)\n"))
+    assert stream_take(sol["y"], 30) == [1] * 30
+    assert stream_take(sol["z"], 30) == [2 ** n for n in range(30)]
+
+
+def test_a_tree_file_mixes_definitions_and_equations(engine):
+    text = ("kind tree\n"
+            "mirror(x): root = root(x); "
+            "left = mirror(right(x)); right = mirror(left(x))\n"
+            "x = 1 . (x, y)\n"
+            "y = 2 . (mirror(x), plus(x, y))\n")
+    sol = engine.solve(parse_system(text))
+
+    def tree(t):
+        return None if t.cut else (t.label, *[tree(c) for _, c in t.children])
+
+    def mirror(t):
+        return t and (t[0], mirror(t[2]), mirror(t[1]))
+
+    def plus(s, t):
+        return s and (s[0] + t[0], plus(s[1], t[1]), plus(s[2], t[2]))
+
+    def x(d):
+        return d and (1, x(d - 1), y(d - 1)) or None
+
+    def y(d):
+        return d and (2, mirror(x(d - 1)), plus(x(d - 1), y(d - 1))) or None
+
+    for depth in range(6):
+        assert tree(engine.observe(sol["x"], depth)) == x(depth)
+        assert tree(engine.observe(sol["y"], depth)) == y(depth)
+    # the same file read as a BDE program holds the definition alone
+    assert parse_bde(text).names == ("mirror",)
+
+
 # -- grammars -------------------------------------------------------------------
 
 
@@ -603,6 +702,8 @@ def _bde_table(text):
 
 
 _S = "kind stream\n"
+_MISPLACED = ("definitions come before the equations, "
+              "in stream and tree files")
 
 PARSE_ERRORS = [
     ("bde-missing-tail", _bde_table, _S + "f(x): head = head(x)\n",
@@ -698,6 +799,37 @@ PARSE_ERRORS = [
     ("system-prefix-letter", parse_system,
      "kind language ab\nx = 1 . (char(a), prefix(q, x))\n",
      ParseError, "line 2, col 26: 'q' is not in the alphabet"),
+    ("bde-tail-first", _bde_table, _S + "f(x): tail = x; head = 1\n",
+     ParseError, "line 2, col 7: definition must start with `head =`"),
+    ("bde-tree-clause-order", _bde_table,
+     "kind tree\nf(x): root = 1; right = x; left = x\n",
+     ParseError, "line 2, col 17: expected clause 'left'"),
+    ("bde-language-kind", parse_bde,
+     "kind language ab\nf(x): head = 1; tail = x\n",
+     ParseError, "line 1, col 1: bde files are `kind stream` or `kind tree`"),
+    ("system-variable-shadows-op", parse_system, _S + "plus = 1 . plus\n",
+     ParseError, "line 2, col 1: variable 'plus' shadows an operation"),
+    ("system-empty", parse_system, _S + "# nothing\n",
+     ParseError, "line 1, col 1: empty system"),
+    ("system-no-kind", parse_system, "x = 1 . x\n",
+     ParseError, "line 1, col 1: no kind header and no kind argument"),
+    ("system-unknown-kind", parse_system, "kind foo\nx = 1 . x\n",
+     ParseError, "line 1, col 6: unknown kind 'foo'"),
+    ("system-variable-named-as-definition", parse_system,
+     _S + SH + "sh = 1 . sh\n",
+     ParseError, "line 3, col 1: variable 'sh' shadows an operation"),
+    ("system-unguarded-definition-use", parse_system,
+     _S + SH + "x = sh(x, x)\n",
+     Unguarded, "variable 'x' is unguarded at (0,)"),
+    ("system-definition-after-equation", parse_system,
+     _S + SH + "x = 1 . x\nf(x): head = 1; tail = x\n",
+     ParseError, f"line 4, col 1: {_MISPLACED}"),
+    ("system-definition-in-language-file", parse_system,
+     "kind language ab\nf(x): head = 1; tail = x\n",
+     ParseError, f"line 2, col 1: {_MISPLACED}"),
+    ("system-definition-after-language-equation", parse_system,
+     "kind language ab\nx = a . x\nf(x): head = 1; tail = x\n",
+     ParseError, f"line 3, col 1: {_MISPLACED}"),
     ("circuit-list", load_circuit, "[]",
      InvalidCircuit, "circuit is list, not object"),
     ("circuit-node-number", load_circuit, '{"nodes": [1]}',
