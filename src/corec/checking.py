@@ -387,9 +387,9 @@ def _star_derivative_report(rng) -> CheckReport:
         expr = inst.random_language_expr(rng, "ab", 3)
         lang = engine.interpret_term(table, inst.language_term(table, expr))
         star = engine.interpret_op(table, table.op("star"), [lang])
-        for letter in "ab":
-            lhs = engine.node_step(star.node).child(letter)
-            deriv = engine.node_step(lang.node).child(letter)
+        for port, letter in enumerate("ab"):
+            lhs = engine.walk(star.node, (port,))
+            deriv = engine.walk(lang.node, (port,))
             rhs = engine.interpret_op(
                 table, table.op("concat"),
                 [SolutionHandle(engine, deriv, table.kind), star])

@@ -32,7 +32,7 @@ import json
 import operator
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import compress, islice
@@ -449,14 +449,18 @@ class BdeProgram:
     rps: RpsDef
     names: tuple
     sig: Signature
+    _table: object = field(default=None, init=False, repr=False, compare=False)
 
     def extended_table(self) -> RuleTable:
-        """``given`` extended by the definitions over ``sig``, unprobed: each
-        rule fills in a step built from `Slot`s and label arithmetic, so it
-        is natural and concludes on the kind's ports, and the table takes
-        ``given``'s report (`rules.validate_table` probes every rule)."""
-        return _adjoin(self.given, self.rps.new_sig, self.rps.rules,
-                       "bde definition", self.sig)
+        """``given`` extended by the definitions over ``sig``, built once, and
+        unprobed: each rule fills in a step built from `Slot`s and label
+        arithmetic, so it is natural and concludes on the kind's ports, and
+        the table takes ``given``'s report (`rules.validate_table` probes)."""
+        if self._table is None:
+            object.__setattr__(self, "_table", _adjoin(
+                self.given, self.rps.new_sig, self.rps.rules,
+                "bde definition", self.sig))
+        return self._table
 
 
 def _read(ts: TokenStream, given: RuleTable):

@@ -452,35 +452,30 @@ def periodic_values(prefix, cycle, n):
 
 
 def stream_take(h: SolutionHandle, n: int):
-    """First n labels of a stream state, walking its tails on node ids."""
+    """First n labels of a stream state, one engine walk along its tails."""
     if not isinstance(getattr(h, "kind", None), StreamKind):
         raise KindMismatch(f"{h!r} is not a stream state")
-    engine = h.engine
-    engine.check_handle(h)
+    h.engine.check_handle(h)
     out = []
-    nid = h.node
-    for _ in range(n):
-        step = engine.node_step(nid)
-        out.append(step.label)
-        nid = step.children[0][1]
+    h.engine.walk(h.node, itertools.repeat(0, n), out)
     return out
 
 
 def language_member(h: SolutionHandle, word: str) -> bool:
-    """Membership by walking derivatives along the word, on node ids."""
+    """Membership by one engine walk along the word's derivatives; the
+    letters are checked before the handle."""
     kind = getattr(h, "kind", None)
     if not isinstance(kind, LanguageKind):
         raise KindMismatch(f"{h!r} is not a language state")
-    bad = next((x for x in word if x not in kind.alphabet), None)
-    if bad is not None:
-        raise UnknownSymbol(f"letter {bad!r} is not in the alphabet "
-                            f"{kind.alphabet}")
+    index = {a: i for i, a in enumerate(kind.alphabet)}
+    try:
+        ports = [index[x] for x in word]
+    except KeyError as e:
+        raise UnknownSymbol(f"letter {e.args[0]!r} is not in the alphabet "
+                            f"{kind.alphabet}") from None
     engine = h.engine
     engine.check_handle(h)
-    nid = h.node
-    for letter in word:
-        nid = engine.node_step(nid).child(letter)
-    return engine.node_step(nid).label
+    return engine.node_step(engine.walk(h.node, ports)).label
 
 
 # ---------------------------------------------------------------------------

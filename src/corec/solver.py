@@ -457,6 +457,21 @@ class Engine:
         self._work = 0
         return self._unfold(nid)
 
+    def walk(self, nid: int, ports, labels=None) -> int:
+        """The node reached from ``nid`` along port indices: each step is
+        read from the memo, unfolded as by `node_step` only on a miss, and
+        its label appended to ``labels`` if given."""
+        memo = self._memo
+        for i in ports:
+            step = memo.get(nid)
+            if step is None:
+                self._work = 0
+                step = self._unfold(nid)
+            if labels is not None:
+                labels.append(step.label)
+            nid = step.children[i][1]
+        return nid
+
     def observe(self, h: SolutionHandle, depth: int) -> ObservationTree:
         """Depth-bounded unfolding; deeper behavior is cut off."""
         self.check_handle(h)

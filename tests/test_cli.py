@@ -205,6 +205,23 @@ def test_solve_and_bde_read_one_file_of_definitions_and_equations(
         "error: variable 'x' is unguarded at (0,)\n"
 
 
+def test_bde_adjoins_a_files_definitions_once(tmp_path, capsys,
+                                              monkeypatch):
+    path = tmp_path / "factorials.sys"
+    path.write_text(FACTORIALS)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return adjoin(*args)
+    adjoin = frontends._adjoin
+    monkeypatch.setattr(frontends, "_adjoin", counted)
+    assert cli_main(["bde", str(path), "--apply", "sh:ones,ones",
+                     "--prefix", "6"]) == 0
+    assert capsys.readouterr().out == "sh: 1 2 4 8 16 32\n"
+    assert len(calls) == 1
+
+
 def _stream_system(seed, n):
     """A seeded wide stream system over constants, prefixes, sums, zips
     and scalings, with heads of every sign and denominator."""

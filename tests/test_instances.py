@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,10 +12,13 @@ from corec.checking import bounded_equal
 from corec.errors import (
     BadActionStructure,
     EmptyAlphabet,
+    InvalidHandle,
     KindMismatch,
+    RuleDiverged,
     UnknownOracle,
     UnknownSymbol,
 )
+from corec.frontends import compile_gnf, parse_gnf
 from corec.instances import (
     DEFAULT_ACTIONS,
     ccs_sos,
@@ -32,7 +36,7 @@ from corec.instances import (
     stream_take,
     tree_table,
 )
-from corec.solver import Engine
+from corec.solver import Engine, EngineConfig, SolutionHandle
 from corec.terms import App, Var
 
 
@@ -441,3 +445,82 @@ def test_relabelling_against_the_sos_oracle(engine):
                  ("par", inner, random_agent(rng, kind, 2)))
         assert sos_agree(kind, engine, agent, agent_handle(engine, t, agent),
                          3), agent
+
+
+# -- one engine walk per path -----------------------------------------------
+
+
+AB_PLUS = "terminals: a b\nnonterminals: S T\nstart: S\n" \
+    "S -> a T\nT -> b S\nT -> b\n"
+
+
+def _ab_plus(engine):
+    return engine.solve(compile_gnf(parse_gnf(AB_PLUS)))["S"]
+
+
+def test_membership_walks_a_hundred_thousand_letters(engine):
+    s, word = _ab_plus(engine), "ab" * 50_000
+    assert language_member(s, word) is True
+    assert language_member(s, word + "a") is False
+    assert language_member(s, word[:-1]) is False
+
+
+def test_stream_take_walks_a_hundred_thousand_digits(engine):
+    h = periodic_stream(engine, (3, "1/2"), (1, -2, 5))
+    assert stream_take(h, 100_000) == \
+        periodic_values((3, "1/2"), (1, -2, 5), 100_000)
+
+
+def test_a_memoized_walk_adds_no_node(engine):
+    s, word = _ab_plus(engine), "ab" * 500
+    h = periodic_stream(engine, (), (1, 2, 3))
+    assert language_member(s, word) and stream_take(h, 1000)
+    size = len(engine._nodes), len(engine._memo)
+    assert language_member(s, word) and stream_take(h, 1000)
+    assert (len(engine._nodes), len(engine._memo)) == size
+
+
+def test_an_empty_walk_reads_only_the_root(engine):
+    s = _ab_plus(engine)
+    assert stream_take(periodic_stream(engine, (), (1,)), 0) == []
+    before = set(engine._memo)
+    assert language_member(s, "") is False
+    twin = Engine()
+    root = _ab_plus(twin)
+    twin.node_step(root.node)
+    assert set(engine._memo) - before == set(twin._memo)
+    t = language_table("ab")
+    eps = engine.interpret_term(t, language_term(t, ("eps",)))
+    assert language_member(eps, "") is True
+
+
+def test_the_first_unknown_letter_is_named_before_the_handle(engine):
+    s = _ab_plus(engine)
+    with pytest.raises(UnknownSymbol, match="letter 'c'"):
+        language_member(s, "ab" * 10 + "cad")
+    stale = SolutionHandle(Engine(), 10 ** 6, s.kind)
+    with pytest.raises(UnknownSymbol, match="letter 'd'"):
+        language_member(stale, "abdc")
+
+
+def test_a_foreign_or_stale_handle_is_invalid(engine):
+    s = _ab_plus(engine)
+    h = periodic_stream(engine, (), (1,))
+    for x in (s, h):
+        for bad in (SolutionHandle(engine, 10 ** 6, x.kind),
+                    SolutionHandle(Engine(), x.node, x.kind),
+                    SimpleNamespace(engine=engine, node=x.node, kind=x.kind)):
+            with pytest.raises(InvalidHandle):
+                language_member(bad, "ab") if x is s else stream_take(bad, 3)
+
+
+def test_a_walk_resets_the_fuse_per_step():
+    small = Engine(EngineConfig(unfold_fuse=3))
+    table = stream_table()
+    ones = periodic_stream(small, (), (1,))
+    h = ones
+    for _ in range(6):
+        h = small.interpret_op(table, table.op("zip"), [h, ones])
+    with pytest.raises(RuleDiverged):
+        stream_take(h, 1)
+    assert stream_take(ones, 5000) == [1] * 5000
