@@ -19,11 +19,10 @@ reads and compiles.  A definition, parsed or made from a circuit, is
 compiled once into its conclusion on symbolic premises, which one
 `_conclude` fills in; such a rule is natural and concludes on the kind's
 ports by construction, so a program's table is built without probing it
-(`BdeProgram.extended_table`).  A chain of agent prefixes `a.b.….P` is
-read in one loop; parentheses, `alt`/`seq` and the infix operators of
-agents and initial values still recurse, once per nesting level, in
-`_parse_ccs_expr` and `_infix`, and so does `_ccs_context`.
-`format_rat` and `format_label` print labels for the CLI.
+(`BdeProgram.extended_table`).  Agents and initial values are read by
+one loop, `_infix`, on a stack of the groups still open, and an agent's
+term is built on `build_term`'s.  `format_rat` and `format_label` print
+labels for the CLI.
 """
 
 from __future__ import annotations
@@ -421,7 +420,7 @@ def parse_system(text: str, kind=None) -> System:
     A process system is an agent file, as `parse_ccs` reads it."""
     ts, given = _read_kind(text, kind)
     if given is None:
-        return parse_ccs(text)
+        return _read_agents(ts)
     system = _read(ts, given)[1]
     if not system.vars:
         raise ParseError(1, 1, "empty system")
@@ -550,20 +549,34 @@ def _read(ts: TokenStream, given: RuleTable):
     return program, System(kind, table, tuple(rhs), rhs)
 
 
-def _infix(ts: TokenStream, levels, operand, k=0):
-    """The expression at the cursor of operands read by ``operand`` and the
-    infix tokens of ``levels[k:]``, loosest first, each with the function
-    joining the list of operands it separates, left to right."""
-    if k == len(levels):
-        return operand()
-    token, join = levels[k]
-    e = _infix(ts, levels, operand, k + 1)
-    if ts.values[ts.i] != token:
-        return e
-    parts = [e]
-    while ts.eat(token):
-        parts.append(_infix(ts, levels, operand, k + 1))
-    return join(parts)
+def _infix(ts: TokenStream, levels, operand):
+    """The expression at the cursor of operands and the infix tokens of
+    ``levels``, ``{token: (rank, join)}``, loosest rank 0, each joining the
+    operands it separates, left to right, read in one loop: ``operand()``
+    is an operand, or opens a group, ``[k, close]``: ``k`` takes the
+    group's expression, which ``close`` ends, answering as ``operand``."""
+    values, groups, waiting = ts.values, [], []
+    v = operand()
+    while True:
+        while v.__class__ is list:  # a group opens
+            groups.append([*v, waiting])
+            waiting, v = [], operand()
+        rank, join = levels.get(values[ts.i], (-1, None))
+        while waiting and waiting[-1][0] > rank:  # the tighter levels end
+            _, done, parts = waiting.pop()
+            v = done(parts + [v])
+        if join is not None:
+            ts.i += 1
+            if not waiting or waiting[-1][0] < rank:
+                waiting.append((rank, join, []))
+            waiting[-1][2].append(v)
+            v = operand()
+        elif groups:
+            k, close, waiting = groups.pop()
+            ts.expect(close)
+            v = k(v)
+        else:
+            return v
 
 
 def _pairwise(op, parts):
@@ -574,8 +587,8 @@ def _pairwise(op, parts):
     return parts[0]
 
 
-_VALUE_LEVELS = (("+", partial(_pairwise, operator.add)),
-                 ("*", partial(_pairwise, operator.mul)))
+_VALUE_LEVELS = {"+": (0, partial(_pairwise, operator.add)),
+                 "*": (1, partial(_pairwise, operator.mul))}
 
 # Premise labels and slots are immutable, so one object per number serves
 # every program: a wide circuit keeps one, not one per definition.
@@ -589,17 +602,14 @@ def _parse_head_expr(ts: TokenStream, head_kw, params):
     `SymbolicLabel(k)` for the k-th of the argument names ``params``."""
     values = ts.values
 
-    def atom():
+    def operand():
         i = ts.i
+        ts.i = i + 1
         if ts.kinds[i] == "num":
-            ts.i += 1
             return ts.rational(i)
-        if ts.eat("("):
-            e = _infix(ts, _VALUE_LEVELS, atom)
-            ts.expect(")")
-            return e
+        if values[i] == "(":
+            return [lambda e: e, ")"]
         if values[i] == head_kw:
-            ts.i += 1
             ts.expect("(")
             var = ts.ident()
             ts.expect(")")
@@ -608,7 +618,7 @@ def _parse_head_expr(ts: TokenStream, head_kw, params):
             return _premise_label(params.index(values[var]))
         raise ts.error(i, f"bad initial-value expression at {values[i]!r}")
 
-    return _infix(ts, _VALUE_LEVELS, atom), ts.i
+    return _infix(ts, _VALUE_LEVELS, operand), ts.i
 
 
 def _conclude(step: Step, op, args) -> Step:
@@ -660,111 +670,99 @@ def _bde_program(given: RuleTable, defs, error=None) -> BdeProgram:
 
 
 _CCS_RESERVED = {"alt", "seq", "tau", "kind"}
-_AGENT_LEVELS = (("+", lambda parts: ("sum", tuple(parts))),
-                 ("|", partial(reduce, lambda a, b: ("par", a, b))),
-                 (";", partial(reduce, lambda a, b: ("seq", a, b))))
+_AGENT_LEVELS = {"+": (0, lambda parts: ("sum", tuple(parts))),
+                 "|": (1, partial(reduce, lambda a, b: ("par", a, b))),
+                 ";": (2, partial(reduce, lambda a, b: ("seq", a, b)))}
 
 
 def _parse_ccs_expr(ts: TokenStream, actions, names):
-    """One agent expression from the cursor on.  Action names go into
-    ``actions``; the index of each identifier read as an action prefix,
-    which a `.` follows, or as an agent reference goes into ``names``, to
-    be checked once every agent is known."""
+    """One agent expression from the cursor on, read by `_infix`.  Action
+    names go into ``actions``; the index of each identifier read as an
+    action prefix, which a `.` follows, or as an agent reference goes into
+    ``names``, to be checked once every agent is known."""
     values, kinds = ts.values, ts.kinds
 
-    def atom():
-        i = ts.i
-        value = values[i]
-        if value == "0":
-            ts.i = i + 1
-            return ("sum", ())
-        if value == "(":
-            ts.i = i + 1
-            e = expr()
-            ts.expect(")")
-            return e
-        if kinds[i] != "ident":
-            raise ts.error(i, f"expected an agent, got {value!r}")
-        if values[i + 1] == "(" and value in ("alt", "seq"):
-            ts.i = i + 2
-            a = expr()
-            ts.expect(",")
-            b = expr()
-            ts.expect(")")
-            return (value, a, b)
-        names.append(i)
-        ts.i = i + 1
-        return ("ref", value)
-
-    def action():
-        a = values[ts.ident()]
+    def action(i):
+        a = values[i]
+        if a[-2:] == "''" or a == "tau'":
+            raise ts.error(i, f"malformed action {a!r}")
         actions.add(a)
         return a
 
-    def postfix():
-        """The prefixes `a.` at the cursor, then an atom and its postfixes,
-        read in one loop each: a chain of prefixes does not recurse."""
-        prefixes = []
-        while kinds[ts.i] == "ident" and values[ts.i + 1] == ".":
-            names.append(ts.i)
-            prefixes.append(values[ts.i])
-            ts.i += 2
-        actions.update(prefixes)
-        e = atom()
-        while True:
-            after = values[ts.i]
-            if after == "[":
-                ts.i += 1
-                pairs = []
-                while True:
-                    a = action()
-                    ts.expect("->")
-                    pairs.append((a, action()))
-                    if not ts.eat(","):
-                        break
-                ts.expect("]")
-                e = ("relabel", tuple(pairs), e)
-            elif after == "\\":
-                ts.i += 1
-                ts.expect("{")
-                restricted = []
-                if values[ts.i] != "}":
-                    restricted.append(action())
-                    while ts.eat(","):
-                        restricted.append(action())
-                ts.expect("}")
-                e = ("restrict", tuple(sorted(restricted)), e)
+    def operand(prefixes=None, e=None):
+        """The prefixes `a.` at the cursor, read in one loop, then an atom,
+        or a group that `(`, `alt(` or `seq(` opens and a call with
+        ``prefixes`` ends, taking its agent ``e``; ``e`` under its `[…]`/
+        `\\{…}` postfixes, each read in one loop, and under ``prefixes``."""
+        if prefixes is None:
+            prefixes = []
+            while kinds[ts.i] == "ident" and values[ts.i + 1] == ".":
+                names.append(ts.i)
+                prefixes.append(action(ts.i))
+                ts.i += 2
+            i = ts.i
+            value, ts.i = values[i], i + 1
+            if value == "(":
+                return [partial(operand, prefixes), ")"]
+            if value == "0":
+                e = ("sum", ())
+            elif kinds[i] != "ident":
+                raise ts.error(i, f"expected an agent, got {value!r}")
+            elif values[i + 1] == "(" and value in ("alt", "seq"):
+                ts.i = i + 2
+                return [lambda a: [lambda b: operand(
+                    prefixes, (value, a, b)), ")"], ","]
             else:
-                break
+                names.append(i)
+                e = ("ref", value)
+        while values[ts.i] in ("[", "\\"):
+            pairs, items = values[ts.i] == "[", []
+            ts.i += 1
+            if not pairs:
+                ts.expect("{")
+            while ts.eat(",") if items else pairs or values[ts.i] != "}":
+                i = ts.ident()
+                a = action(i)
+                if pairs:
+                    if a.rstrip("'") in {s.rstrip("'") for s, _ in items}:
+                        raise ts.error(i, f"action {a!r} relabeled twice")
+                    ts.expect("->")
+                    a = (a, action(ts.ident()))
+                items.append(a)
+            ts.expect("]" if pairs else "}")
+            e = ("relabel", tuple(items), e) if pairs \
+                else ("restrict", tuple(sorted(items)), e)
         for a in reversed(prefixes):
             e = ("pref", a, e)
         return e
 
-    expr = partial(_infix, ts, _AGENT_LEVELS, postfix)
-    return expr()
+    return _infix(ts, _AGENT_LEVELS, operand)
 
 
 _NO_MOVES = Guard(process_step(()))
 
 
-def _ccs_context(table, ast, shared):
-    """Term of an agent AST, a prefix a `Guard`; a sum of guards is one
-    guard, and a guard with no moves (`0`) below any other operator is
-    `nil`, which the `par` law drops.  Leaves and symbols are shared through
-    ``shared``, as `instances.ccs_term` shares them."""
-    tag = ast[0]
-    if tag == "pref":
-        return Guard(process_step(
-            ((ast[1], instances.ccs_term(table, ast[2], shared)),)))
-    if tag == "ref":
-        return instances.ccs_term(table, ast, shared)
-    op, subs = instances.ccs_op(table, ast, shared)
-    kids = tuple(_ccs_context(table, s, shared) for s in subs)
-    if tag == "sum" and all(isinstance(k, Guard) for k in kids):
-        return Guard(process_step(
-            tuple(m for k in kids for m in k.step.children)))
-    nil = instances.ccs_term(table, ("sum", ()), shared)
-    return App(op, tuple(nil if k == _NO_MOVES else k for k in kids))
+def _ccs_contexts(table, asts, shared):
+    """Each agent AST of ``asts`` as a term, on `build_term`: a prefix is a
+    `Guard`, a sum of guards one guard, and a guard with no moves (`0`)
+    below any other operator `nil`, which the `par` law drops.  Leaves and
+    symbols are shared through ``shared``, as in `instances.ccs_term`."""
+    def split(ast):
+        if ast[0] == "pref":
+            return Guard(process_step(((ast[1], instances.ccs_term(
+                table, ast[2], shared)),))), None
+        if ast[0] == "ref":
+            return instances.ccs_term(table, ast, shared), None
+        return instances.ccs_op(table, ast, shared)
+
+    def join(op, kids):
+        if op.name in ("sum", "nil") and {type(k) for k in kids} <= {Guard}:
+            return Guard(process_step(
+                tuple(m for k in kids for m in k.step.children)))
+        return App(op, tuple([k if k != _NO_MOVES else instances.ccs_term(
+            table, ("sum", ()), shared) for k in kids]))
+
+    return {v: build_term(ast, split, join) for v, ast in asts.items()}
 
 
 def parse_ccs(text: str) -> System:
@@ -775,7 +773,11 @@ def parse_ccs(text: str) -> System:
     every agent variable must occur weakly guarded.  Agent constants
     require an explicit `.0` (`c.0`, not `c`).
     """
-    ts, table = _read_kind(text, "process")
+    return _read_agents(*_read_kind(text, "process"))
+
+
+def _read_agents(ts: TokenStream, table=None) -> System:
+    """The process system of an agent file past a header naming no table."""
     if table is not None:
         raise ParseError(1, 1, "agent files are `kind process`")
     asts, actions, names, values = {}, set(), [], ts.values
@@ -802,7 +804,7 @@ def parse_ccs(text: str) -> System:
     bases = sorted({a.rstrip("'") for a in actions} - {"tau"})
     kind = process_actions(*bases)
     table, shared = instances.ccs_table(kind), {}
-    rhs = {v: _ccs_context(table, ast, shared) for v, ast in asts.items()}
+    rhs = _ccs_contexts(table, asts, shared)
     for t in rhs.values():
         Guard.above(t)
     return System(kind, table, tuple(asts), rhs)

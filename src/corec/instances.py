@@ -302,8 +302,9 @@ def relabel_param(kind: ProcessKind, mapping: Mapping[str, str]):
     """Canonical total relabeling: completes complements and fixes tau."""
     full = {}
     for a, b in mapping.items():
-        full[a] = b
-        full[kind.co(a)] = kind.co(b)
+        if a in full:
+            raise BadActionStructure(f"relabeling maps {a!r} twice")
+        full[a], full[kind.co(a)] = b, kind.co(b)
     full.setdefault(kind.tau, kind.tau)
     for a in kind.actions:
         full.setdefault(a, a)

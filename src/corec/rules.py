@@ -183,7 +183,9 @@ class GsosRule:
     """
 
     op: OpSym
-    conclude: Callable
+    # not shown: a compiled conclusion holds `SymbolicLabel`s, which refuse
+    # to be read, by repr too
+    conclude: Callable = field(repr=False)
     probe_params: tuple = (None,)
     law: Optional[Law] = None
     outer: Optional[frozenset] = None

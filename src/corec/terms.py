@@ -297,11 +297,11 @@ def mk_app(op: OpSym, args) -> App:
     return App(op, args)
 
 
-def build_term(root, split) -> Term:
-    """The term of the tree ``root``, built with `App` in post-order on a
-    stack: ``split(node)`` is its symbol and child nodes, or its leaf term
-    and None.  A None on the stack follows a symbol and its child count."""
-    stack, built = [root], []
+def build_term(root, split, join=App) -> Term:
+    """The term of the tree ``root``, built in post-order on a stack:
+    ``split(node)`` is its symbol and child nodes, or its leaf term and
+    None, and ``join(symbol, terms)`` a symbol's term, `App` by default."""
+    stack, built = [root], []  # a None follows a symbol and its arity
     while stack:
         node = stack.pop()
         if node is not None:
@@ -312,7 +312,7 @@ def build_term(root, split) -> Term:
                 stack += (head, len(subs), None, *reversed(subs))
             continue
         cut = len(built) - stack.pop()
-        built[cut:] = [App(stack.pop(), tuple(built[cut:]))]
+        built[cut:] = [join(stack.pop(), tuple(built[cut:]))]
     return built[0]
 
 

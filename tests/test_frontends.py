@@ -9,7 +9,9 @@ import pytest
 
 from corec.behavior import LanguageKind, Step, process_step
 from corec.checking import bounded_equal
+from corec import frontends
 from corec.errors import (
+    BadActionStructure,
     DanglingPort,
     InvalidCircuit,
     NotGnf,
@@ -239,6 +241,19 @@ def test_one_header_reader_for_every_format():
         parse_bde("kind language ab\nf(x): head = 1; tail = x\n")
 
 
+def test_a_process_file_is_tokenized_once(monkeypatch):
+    made = []
+
+    class Counted(TokenStream):
+        def __init__(self, text):
+            made.append(text)
+            super().__init__(text)
+
+    monkeypatch.setattr(frontends, "TokenStream", Counted)
+    parse_system("kind process\nP = a.P\n")
+    assert len(made) == 1
+
+
 @pytest.mark.parametrize("table", [
     stream_table(), tree_table(), language_table("ab"),
     ccs_table(DEFAULT_ACTIONS)], ids=lambda t: t.kind.name)
@@ -414,6 +429,18 @@ def test_bde_head_expression_with_sums_and_parentheses(engine):
     ys = periodic_values((), (4, 0, Fraction(-2, 3)), 12)
     assert stream_take(h, 12) == [2 * a + (b + 1) * 3
                                   for a, b in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("opening, head", [("(", 2), ("1 + (", 10_002)],
+                         ids=["parentheses", "sums"])
+def test_initial_values_nested_10000_deep_parse(engine, opening, head):
+    assert sys.getrecursionlimit() <= 1000
+    n = 10_000
+    table = parse_bde("kind stream\nf(x): head = " + opening * n + "2"
+                      + ")" * n + " + head(x); tail = x\n").extended_table()
+    h = engine.interpret_op(table, table.op("f"),
+                            [periodic_stream(engine, (1,), (0,))])
+    assert stream_take(h, 3) == [head + 1, 1, 0]
 
 
 def test_bde_clause_prefix_and_head_parameter(engine):
@@ -678,6 +705,39 @@ def test_a_chain_of_agent_prefixes_parses_and_solves(engine, n):
     assert [q[0] for q, _ in engine.unfold(p).children] == ["a"]
 
 
+@pytest.mark.parametrize("opening, closing, op", [
+    ("(", ")", None), ("a.0 + (", ")", "sum"), ("alt(", ", b.0)", "alt"),
+    ("seq(", ", b.0)", "seq"), ("a.0 | (", ")", "par"),
+    ("(", ")[a->b]", "relabel")],
+    ids=["parentheses", "sum", "alt", "seq", "par", "relabel"])
+def test_agents_nested_10000_deep_parse_and_solve(engine, opening, closing,
+                                                  op):
+    assert sys.getrecursionlimit() <= 1000
+    n = 10_000
+    system = parse_ccs("P = " + opening * n + "a.P" + closing * n + "\n")
+    rhs = system.rhs["P"]
+    if op in (None, "sum"):  # a sum of guards is one guard
+        assert rhs.step.children[-1] == Guard(process_step((
+            ("a", Var("P")),))).step.children[0]
+        assert len(rhs.step.children) == (1 if op is None else n + 1)
+    else:
+        assert sum(isinstance(t, App) and t.op.name == op
+                   for t in subterms(rhs)) == n
+    engine.solve(system)
+
+
+def test_a_relabeling_maps_an_action_and_its_complement_once():
+    # a->b relabels a' as b', so a'->c conflicts with it
+    mapping, agent = {"a": "b", "a'": "c"}, ("pref", "a", ("sum", ()))
+    with pytest.raises(BadActionStructure,
+                       match="relabeling maps \"a'\" twice"):
+        relabel_param(DEFAULT_ACTIONS, mapping)
+    with pytest.raises(BadActionStructure):
+        oracle_eval("ccs_sos", DEFAULT_ACTIONS,
+                    ("relabel", tuple(mapping.items()), agent))
+    assert relabel_param(DEFAULT_ACTIONS, {"a": "b", "b": "a"})
+
+
 def test_ccs_agent_constant_requires_dot_zero():
     with pytest.raises(ParseError):
         parse_ccs("P = a.(P | c) + b.0\n")
@@ -759,6 +819,23 @@ PARSE_ERRORS = [
      Unguarded, "variable 'P' is unguarded at (0,)"),
     ("ccs-one-agent-per-line", parse_ccs, "P = (a.0 +\n b.0)\n",
      ParseError, "line 1, col 11: expected an agent, got '\\n'"),
+    ("ccs-relabel-twice", parse_ccs, "P = a.P[a->b, a->c]\n",
+     ParseError, "line 1, col 15: action 'a' relabeled twice"),
+    ("ccs-relabel-complement-twice", parse_ccs,
+     "P = (a.0 | a'.0)[a->b, a'->c]\n",
+     ParseError, "line 1, col 24: action \"a'\" relabeled twice"),
+    ("ccs-prefix-two-primes", parse_ccs, "P = a''.P\n",
+     ParseError, "line 1, col 5: malformed action \"a''\""),
+    ("ccs-prefix-primed-tau", parse_ccs, "P = a.tau'.P\n",
+     ParseError, "line 1, col 7: malformed action \"tau'\""),
+    ("ccs-relabel-source-two-primes", parse_ccs, "P = a.P[a''->b]\n",
+     ParseError, "line 1, col 9: malformed action \"a''\""),
+    ("ccs-relabel-target-two-primes", parse_ccs, "P = a.P[a->b'']\n",
+     ParseError, "line 1, col 12: malformed action \"b''\""),
+    ("ccs-restrict-two-primes", parse_ccs, "P = a.P\\{b''}\n",
+     ParseError, "line 1, col 10: malformed action \"b''\""),
+    ("ccs-restrict-primed-tau", parse_ccs, "P = a.P\\{a, tau'}\n",
+     ParseError, "line 1, col 13: malformed action \"tau'\""),
     ("system-bad-char", parse_system, _S + "x = 1 . x @\n",
      ParseError, "line 2, col 11: unexpected character '@'"),
     ("system-bad-char-after-comment", parse_system,
@@ -1126,6 +1203,16 @@ def test_two_input_circuit_with_shared_register(engine):
     out = engine.interpret_op(table, table.op("f_o"), [ones, twos])
     # running sums of the constant-3 stream
     assert stream_take(out, 5) == [3, 6, 9, 12, 15]
+
+
+def test_compiled_definitions_print():
+    from test_symbolic import HALF_ACCUMULATOR
+
+    program = parse_bde("kind stream\n" + SH + "x = 1 . sh(x, x)\n")
+    circuit = compile_circuit(load_circuit(HALF_ACCUMULATOR))
+    for value, names in ((program, ["sh"]), (program.rps.rules, ["sh"]),
+                         (circuit, ["f_out", "g_reg"])):
+        assert all(name in repr(value) for name in names)
 
 
 # a circuit compiles to one BDE definition per register and output: the
