@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import BadActionStructure, KindMismatch
+from .errors import BadActionStructure, KindMismatch, ValidationFailed
 
 
 class _LabelRead(BaseException):
@@ -319,6 +319,15 @@ class ObservationTree:
 
 
 CUT = ObservationTree(cut=True)
+
+
+def check_depth(value, name="depth") -> int:
+    """``value``, a depth or length that the caller's argument ``name``
+    gave, if it is an `int` and not a `bool`; a negative one observes
+    nothing."""
+    if value.__class__ is bool or not isinstance(value, int):
+        raise ValidationFailed(f"{name} must be an int, got {value!r}")
+    return value
 
 
 def truncate(tree: ObservationTree, depth: int) -> ObservationTree:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .behavior import move_action
+from .behavior import check_depth, move_action
 from .errors import InvalidHandle, KindMismatch, UnknownSuite
 from .solver import Engine, ExternalRhs, SolutionHandle, System
 from .terms import App, Guard, Var, mk_app
@@ -78,6 +78,7 @@ def _check_states(h1, h2):
 def bounded_equal(h1: SolutionHandle, h2: SolutionHandle, depth: int) -> bool:
     """Depth-d behavioral equality; for processes one mutual simulation."""
     _check_states(h1, h2)
+    check_depth(depth)
     if h1.kind.deterministic or h1.kind != h2.kind:
         return find_divergence(h1, h2, depth) is None
     sim = _Simulation(h1.engine, h2.engine)
@@ -89,6 +90,7 @@ def find_divergence(h1: SolutionHandle, h2: SolutionHandle,
                     depth: int) -> Optional[Witness]:
     """Minimal-depth divergence witness, or None when depth-d equal."""
     _check_states(h1, h2)
+    check_depth(depth)
     if h1.kind != h2.kind:
         raise KindMismatch(
             f"cannot compare {h1.kind.name} with {h2.kind.name}")

@@ -728,6 +728,10 @@ def _parse_ccs_expr(ts: TokenStream, actions, names):
                         raise ts.error(i, f"action {a!r} relabeled twice")
                     ts.expect("->")
                     a = (a, action(ts.ident()))
+                if pairs and a[0] == "tau" != a[1]:
+                    raise ts.error(i, "relabeling must fix tau")
+                if a == "tau":
+                    raise ts.error(i, "tau cannot be restricted")
                 items.append(a)
             ts.expect("]" if pairs else "}")
             e = ("relabel", tuple(items), e) if pairs \
@@ -744,21 +748,44 @@ _NO_MOVES = Guard(process_step(()))
 
 def _ccs_contexts(table, asts, shared):
     """Each agent AST of ``asts`` as a term, on `build_term`: a prefix is a
-    `Guard`, a sum of guards one guard, and a guard with no moves (`0`)
-    below any other operator `nil`, which the `par` law drops.  Leaves and
-    symbols are shared through ``shared``, as in `instances.ccs_term`."""
+    `Guard`, a sum of guards, nested or not, one guard, and a guard with no
+    moves (`0`) below any other operator `nil`, which the `par` law drops.
+    Leaves and symbols are shared through ``shared``, as in
+    `instances.ccs_term`."""
+    # The id of each sum AST seen: is it a sum of guards?  ``asts`` keeps
+    # every AST alive, so no id is reused while this runs.
+    guards = {}
+
+    def mark(ast):
+        """Fill ``guards`` for ``ast`` and the sums nested in it, the inner
+        ones first, in one pass."""
+        order, todo = [], [ast]
+        while todo:
+            a = todo.pop()
+            order.append(a)
+            todo += [k for k in a[1] if k[0] == "sum"]
+        for a in reversed(order):
+            guards[id(a)] = all(k[0] == "pref" or k[0] == "sum"
+                                and guards[id(k)] for k in a[1])
+
     def split(ast):
-        if ast[0] == "pref":
-            return Guard(process_step(((ast[1], instances.ccs_term(
-                table, ast[2], shared)),))), None
+        if ast[0] == "sum" and id(ast) not in guards:
+            mark(ast)
+        if ast[0] == "pref" or ast[0] == "sum" and guards[id(ast)]:
+            moves, todo = [], [ast]  # its prefixes, left to right
+            while todo:
+                a = todo.pop()
+                if a[0] == "sum":
+                    todo += reversed(a[1])
+                else:
+                    moves.append((a[1], instances.ccs_term(table, a[2],
+                                                           shared)))
+            return Guard(process_step(tuple(moves))), None
         if ast[0] == "ref":
             return instances.ccs_term(table, ast, shared), None
         return instances.ccs_op(table, ast, shared)
 
     def join(op, kids):
-        if op.name in ("sum", "nil") and {type(k) for k in kids} <= {Guard}:
-            return Guard(process_step(
-                tuple(m for k in kids for m in k.step.children)))
         return App(op, tuple([k if k != _NO_MOVES else instances.ccs_term(
             table, ("sum", ()), shared) for k in kids]))
 

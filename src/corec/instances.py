@@ -19,6 +19,7 @@ from .behavior import (
     STREAM,
     TREE,
     StreamKind,
+    check_depth,
     language_step,
     process_actions,
     process_step,
@@ -458,7 +459,7 @@ def stream_take(h: SolutionHandle, n: int):
         raise KindMismatch(f"{h!r} is not a stream state")
     h.engine.check_handle(h)
     out = []
-    h.engine.walk(h.node, itertools.repeat(0, n), out)
+    h.engine.walk(h.node, itertools.repeat(0, check_depth(n, "n")), out)
     return out
 
 

@@ -15,7 +15,8 @@ keyed as integer ratios, and labels left to the plan to compute where the
 rule only does arithmetic on them: `rules.plan_symbolic`) or, for
 processes, actions.  Its plan, made by `rules.plan_rule` as the table
 probe's is, is filled with the premises' node ids at every application of
-that shape, as natural rules allow (`rules.GsosRule`).  Plans live with
+that shape, as natural rules allow (`rules.GsosRule`), each step's
+`(port, child)` pairs straight from the value stack.  Plans live with
 their table (`RuleTable.plans`), shared by every engine over it, and name
 symbols by name; an engine binds them to its symbol records (`_Sym`),
 which term and sum nodes and filled code name and which die with it.  A
@@ -35,7 +36,7 @@ from math import gcd
 from typing import Mapping, Optional
 
 from .behavior import (CUT, ObservationTree, Step, SymbolicLabel,
-                       canonicalize_step)
+                       canonicalize_step, check_depth)
 from .errors import (
     ArityMismatch,
     InvalidHandle,
@@ -283,22 +284,28 @@ class Engine:
                 continue
             tag, n, a, b = ins
             k = len(stack) - n
-            kids = tuple(stack[k:])
-            del stack[k:]
-            if tag == "param":
-                a = self._sym(*a, OpSym(b.name, b.arity, b.sig_id,
-                                        b.param.at(kind, labels)))
             if tag == "app" or tag == "param":
+                kids = tuple(stack[k:])
+                del stack[k:]
+                if tag == "param":
+                    a = self._sym(*a, OpSym(b.name, b.arity, b.sig_id,
+                                            b.param.at(kind, labels)))
                 law = a.law
                 stack.append(self._cons_term(a, kids) if law is None
                              else self._law_node(a, law, kids))
-            else:
-                if a.__class__ is SymbolicLabel:
-                    a = labels[a.index] if a.index >= 0 else a.at(kind, labels)
-                step = Step(a, tuple(zip(b, kids)))
-                stack.append(self._guard_node(kind, step) if tag == "guard"
-                             else step if kind.deterministic
-                             else canonicalize_step(kind, step))
+                continue
+            if a.__class__ is SymbolicLabel:
+                a = labels[a.index] if a.index >= 0 else a.at(kind, labels)
+            # the (port, child) pairs straight from the stack; a literal is
+            # a fifth of the cost of a built tuple, for a stream's one port
+            # and a two-letter language's two
+            step = Step(a, ((b[0], stack[k]),) if n == 1 else (
+                (b[0], stack[k]), (b[1], stack[k + 1])) if n == 2 else tuple(
+                [(b[i], stack[k + i]) for i in range(n)]))
+            del stack[k:]
+            stack.append(self._guard_node(kind, step) if tag == "guard"
+                         else step if kind.deterministic
+                         else canonicalize_step(kind, step))
         return stack[0]
 
     # -- unfolding -----------------------------------------------------------
@@ -384,34 +391,40 @@ class Engine:
 
     def _sum_step(self, node: _Node) -> Step:
         """``Σ m·g`` steps to ``Σ m·label(g)`` and, at each port, the sum
-        of ``m·child(g)``, flattened as `_sum_node` does but in one pass; no
-        rule runs.  The label is summed as an integer numerator over the lcm
-        of the operands' denominators, and reduced only if that is not 1.
+        of ``m·child(g)``, flattened as `_sum_node` does, one pass over the
+        operands per port; no rule runs.  The label is summed in one pass, an
+        integer numerator over the lcm of the operands' denominators, and
+        reduced only if that is not 1.
         The step is not checked again: its ports are the kind's, and its
         label a `Fraction`, which `rules._check_law` confines additive laws
         to."""
-        nodes, memo, sym, ports = self._nodes, self._memo, node.sym, \
-            node.kind.ports
+        nodes, memo, sym = self._nodes, self._memo, node.sym
         num, den = 0, 1
-        kids = [{} for _ in ports]
+        operands = []
         for c, m in node.children:
             step = memo.get(c)
             if step is None:
                 step = self._unfold(c)
+            operands.append((m, step.children))
             n, d = step.label.as_integer_ratio()
             if den % d:
                 grow = d // gcd(den, d)
                 num, den = num * grow, den * grow
             num += m * n * (den // d)
-            for acc, (_, child) in zip(kids, step.children):
+        pairs = []
+        for i, p in enumerate(node.kind.ports):
+            acc = {}
+            for m, kids in operands:
+                child = kids[i][1]
                 g = nodes[child]
                 if g.sym is sym:
                     for e, k in g.children:
                         acc[e] = acc.get(e, 0) + m * k
                 else:
                     acc[child] = acc.get(child, 0) + m
-        return Step(Fraction(num) if den == 1 else Fraction(num, den), tuple([
-            (p, self._cons_sum(sym, acc)) for p, acc in zip(ports, kids)]))
+            pairs.append((p, self._cons_sum(sym, acc)))
+        return Step(Fraction(num) if den == 1 else Fraction(num, den),
+                    tuple(pairs))
 
     def _observe(self, nid: int, depth: int) -> ObservationTree:
         """Depth-bounded unfolding in pre-order, port order, without Python
@@ -475,7 +488,7 @@ class Engine:
     def observe(self, h: SolutionHandle, depth: int) -> ObservationTree:
         """Depth-bounded unfolding; deeper behavior is cut off."""
         self.check_handle(h)
-        return self._observe(h.node, depth)
+        return self._observe(h.node, check_depth(depth))
 
     def interpret_op(self, table: RuleTable, op, args) -> SolutionHandle:
         """The state denoting ``op`` applied to already-solved states, each

@@ -726,6 +726,31 @@ def test_agents_nested_10000_deep_parse_and_solve(engine, opening, closing,
     engine.solve(system)
 
 
+def test_a_right_nested_sum_of_20000_levels_parses_and_solves(engine,
+                                                               monkeypatch):
+    # the guards of the nest merge once, not once per level: every move is
+    # copied into a guard's step once, where merging per level copies the
+    # moves below each level again, n * n / 2 in all
+    copied = [0]
+
+    def counted(moves):
+        copied[0] += len(moves)
+        return process_step(moves)
+
+    monkeypatch.setattr(frontends, "process_step", counted)
+    assert sys.getrecursionlimit() <= 1000
+    n = 20_000
+    system = parse_ccs("P = " + "a.0 + (" * n + "b.P" + ")" * n + "\n")
+    assert copied[0] <= 2 * (n + 1)
+    moves = system.rhs["P"].step.children
+    assert len(moves) == n + 1 and moves[-1] == ("b", Var("P"))
+    p = engine.solve(system)["P"]
+    step = engine.unfold(p)
+    assert [q for q, _ in step.children] == [("a", 0), ("b", 0)]
+    assert step.child(("b", 0)) == p
+    assert engine.unfold(step.child(("a", 0))).children == ()
+
+
 def test_a_relabeling_maps_an_action_and_its_complement_once():
     # a->b relabels a' as b', so a'->c conflicts with it
     mapping, agent = {"a": "b", "a'": "c"}, ("pref", "a", ("sum", ()))
@@ -836,6 +861,10 @@ PARSE_ERRORS = [
      ParseError, "line 1, col 10: malformed action \"b''\""),
     ("ccs-restrict-primed-tau", parse_ccs, "P = a.P\\{a, tau'}\n",
      ParseError, "line 1, col 13: malformed action \"tau'\""),
+    ("ccs-relabel-tau", parse_ccs, "P = a.P[tau->a]\n",
+     ParseError, "line 1, col 9: relabeling must fix tau"),
+    ("ccs-restrict-tau", parse_ccs, "P = a.P\\{tau}\n",
+     ParseError, "line 1, col 10: tau cannot be restricted"),
     ("system-bad-char", parse_system, _S + "x = 1 . x @\n",
      ParseError, "line 2, col 11: unexpected character '@'"),
     ("system-bad-char-after-comment", parse_system,

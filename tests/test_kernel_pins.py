@@ -15,6 +15,7 @@ import pytest
 from test_frontends import _seeded_stream_system
 from test_on_demand import _agent_file
 
+from corec.behavior import canonicalize_step
 from corec.frontends import parse_bde, parse_ccs, parse_system
 from corec.instances import (language_member, language_table,
                              language_term, periodic_stream,
@@ -147,3 +148,45 @@ def test_seeded_inputs_keep_their_arena(kind):
     seen = build(engine)
     assert (zlib.crc32(repr(seen).encode()), len(engine._nodes),
             len(engine._plans), len(engine._cons)) == want
+
+
+# -- the objects the kernel keeps -------------------------------------------
+
+
+@pytest.mark.parametrize("kind", sorted(PINS))
+def test_memoized_steps_keep_their_representation(kind, monkeypatch):
+    """Every node within six steps of a handle that a `PINS` input made,
+    read only through `Engine.node_step`: a deterministic step's children
+    are a tuple of ``(port, node id)`` pairs on the kind's ports in order,
+    a process step is canonical, and a node's step is one object."""
+    roots = []
+    for name in ("solve", "interpret_op", "interpret_term"):
+        def kept(*args, _call=getattr(Engine, name), **kwargs):
+            out = _call(*args, **kwargs)
+            roots.extend(out.values() if isinstance(out, dict) else [out])
+            return out
+        monkeypatch.setattr(Engine, name, kept)
+    engine = Engine()
+    PINS[kind][0](engine)
+    assert roots
+    seen = {h.node: h.kind for h in roots}
+    level = list(seen)
+    for _ in range(6):
+        following = []
+        for n in level:
+            step, of = engine.node_step(n), seen[n]
+            assert engine.node_step(n) is step
+            assert step.children.__class__ is tuple
+            assert all(pair.__class__ is tuple and len(pair) == 2
+                       and pair[1].__class__ is int for pair in step.children)
+            if of.deterministic:
+                assert tuple([p for p, _ in step.children]) == \
+                    tuple(of.ports)
+            else:
+                assert step == canonicalize_step(of, step)
+            for _, c in step.children:
+                if c not in seen:
+                    seen[c] = of
+                    following.append(c)
+        level = following
+    assert len(seen) > 100

@@ -13,7 +13,7 @@ from helpers import (
 
 from corec.behavior import STREAM, TREE, Step, process_step, stream_step, \
     tree_step
-from corec.checking import bounded_equal, diagram_check
+from corec.checking import bounded_equal, diagram_check, find_divergence
 from corec.errors import (
     ArityMismatch,
     ForeignSymbol,
@@ -569,3 +569,27 @@ def test_the_halving_accumulator_keeps_its_arena(engine):
         r = want[-1] / 2
     assert stream_take(h, 3_000) == want
     assert len(engine._nodes) == 6_008 and len(engine._plans) == 3
+
+
+_DEPTH_ENTRIES = {
+    "observe": lambda h, d: h.engine.observe(h, d),
+    "stream_take": stream_take,
+    "bounded_equal": lambda h, d: bounded_equal(h, h, d),
+    "find_divergence": lambda h, d: find_divergence(h, h, d),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", True, None, Fraction(3)],
+                         ids=["float", "str", "bool", "none", "fraction"])
+@pytest.mark.parametrize("entry", sorted(_DEPTH_ENTRIES))
+def test_depths_and_lengths_must_be_ints(engine, entry, bad):
+    h = periodic_stream(engine, (1,), (2, 3))
+    name = "n" if entry == "stream_take" else "depth"
+    with pytest.raises(ValidationFailed, match=f"^{name} must be an int"):
+        _DEPTH_ENTRIES[entry](h, bad)
+    # an int, negative or not, keeps its meaning
+    assert [_DEPTH_ENTRIES[entry](h, d) for d in (-1, 0)] == \
+        [_DEPTH_ENTRIES[entry](h, 0)] * 2
+    assert _DEPTH_ENTRIES[entry](h, 3) == {
+        "observe": engine.observe(h, 3), "stream_take": [1, 2, 3],
+        "bounded_equal": True, "find_divergence": None}[entry]
